@@ -16,6 +16,7 @@ checks; a regression test freezes it.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import AmbientBasis, LinearMap, Subspace, Vector, nullspace_rows
 from .graded import GradedSpace, tensor_product
@@ -53,6 +54,12 @@ class S2Module:
     @property
     def dim(self):
         return self.space.dim
+
+    @cached_property
+    def arity3(self):
+        """The arity-3 component of the free operad on this module, built
+        once per module so its permutation action maps are shared."""
+        return Arity3Space(self)
 
     def eigenbasis(self):
         """(even vectors, odd vectors): bases of the +1 and -1 eigenspaces,
@@ -186,7 +193,7 @@ class Arity3Space:
 
 
 def free_arity3(module):
-    return Arity3Space(module)
+    return module.arity3
 
 
 @dataclass(frozen=True)
@@ -203,11 +210,10 @@ class BOQDData:
             for row in self.relations.rows:
                 if not self.relations.contains(act.apply_data(row)):
                     raise ValueError("relations are not closed under the S3 action")
-        object.__setattr__(self, "_space", space)
 
     @property
     def space(self):
-        return self._space
+        return free_arity3(self.generators)
 
     @property
     def gdim(self):

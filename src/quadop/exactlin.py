@@ -2,7 +2,9 @@
 
 Subspaces are canonical: stored as the reduced row-echelon form of their
 span, so two subspaces of the same ambient are equal iff their stored rows
-are equal.  All values are immutable after construction.
+are equal.  Membership queries reduce against the stored RREF rows directly,
+indexed by pivot column, and run no elimination.  All values are immutable
+after construction.
 """
 
 from dataclasses import dataclass
@@ -144,17 +146,15 @@ def basis_vector(ambient, label):
 class Subspace:
     """Canonical echelon-form subspace of a labeled ambient."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "_by_pivot")
 
-    def __init__(self, ambient, rows, _canonical=False):
+    def __init__(self, ambient, rows):
         self.ambient = ambient
-        if _canonical:
-            self.rows = tuple(rows)
-        else:
-            basis = EchelonBasis()
-            for r in rows:
-                basis.add(r.data if isinstance(r, Vector) else r)
-            self.rows = tuple(basis.rref())
+        basis = EchelonBasis()
+        for r in rows:
+            basis.add(r.data if isinstance(r, Vector) else r)
+        self.rows = tuple(basis.rref())
+        self._by_pivot = None
 
     @property
     def dim(self):
@@ -163,33 +163,36 @@ class Subspace:
     def basis_vectors(self):
         return [Vector(self.ambient, dict(r)) for r in self.rows]
 
+    def _residual(self, data):
+        """data minus its projection along the RREF rows; empty iff contained.
+
+        Every pivot column is zero in all other rows, so subtracting
+        data[p] * row_p for each pivot p in the support is exact in one pass.
+        """
+        by_pivot = self._by_pivot
+        if by_pivot is None:
+            by_pivot = self._by_pivot = {min(r): r for r in self.rows}
+        res = {c: v for c, v in data.items() if v}
+        for p, x in [(c, v) for c, v in res.items() if c in by_pivot]:
+            for c, w in by_pivot[p].items():
+                u = res.get(c, 0) - x * w
+                if u:
+                    res[c] = u
+                else:
+                    del res[c]
+        return res
+
     def contains(self, v):
         if isinstance(v, Vector):
             if v.ambient != self.ambient:
                 raise AmbientMismatch("vector is not in this ambient")
             v = v.data
-        basis = EchelonBasis()
-        for r in self.rows:
-            basis.add(r)
-        return basis.contains(v)
+        return not self._residual(v)
 
     def contains_subspace(self, other):
         if other.ambient != self.ambient:
             raise AmbientMismatch("subspaces live in different ambients")
-        basis = EchelonBasis()
-        for r in self.rows:
-            basis.add(r)
-        return all(basis.contains(r) for r in other.rows)
-
-    def reduce(self, v):
-        """Residual of v modulo the subspace (zero iff contained); the
-        residual is only canonical up to a positive rational scale."""
-        if isinstance(v, Vector):
-            v = v.data
-        basis = EchelonBasis()
-        for r in self.rows:
-            basis.add(r)
-        return Vector(self.ambient, basis.reduce(v))
+        return all(not self._residual(r) for r in other.rows)
 
     def __add__(self, other):
         if other.ambient != self.ambient:
@@ -226,11 +229,11 @@ def span(vectors, ambient=None):
 
 
 def full_space(ambient):
-    return Subspace(ambient, [{i: 1} for i in range(ambient.dim)], _canonical=False)
+    return Subspace(ambient, [{i: 1} for i in range(ambient.dim)])
 
 
 def zero_space(ambient):
-    return Subspace(ambient, [], _canonical=True)
+    return Subspace(ambient, [])
 
 
 def intersect(a, b):

@@ -1,7 +1,8 @@
 """Echelon kernel selection: compiled extension if built, pure Python otherwise.
 
-Set QUADOP_PURE=1 to force the pure-Python kernel (used by the benchmark and
-by the twin-equivalence tests).
+Set QUADOP_PURE=1 to force the pure-Python kernel even when the compiled one
+is built, for example to compare the two end to end.  The twin-equivalence
+tests import both modules directly and do not need it.
 """
 
 import os

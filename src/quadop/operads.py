@@ -567,9 +567,19 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
     schedule_rng shuffles the processing order per round; the result is
     schedule-independent (confluence)."""
     bases = {n: EchelonBasis() for n in range(nmax + 1)}
+    rref_of = {}  # arity -> RREF of bases[n], dropped when its rank grows
 
     def current_rows(n):
-        return [dict(r) for r in bases[n].rref()]
+        rows = rref_of.get(n)
+        if rows is None:
+            rows = rref_of[n] = bases[n].rref()
+        return rows
+
+    def add(n, row):
+        if not bases[n].add(row):
+            return False
+        rref_of.pop(n, None)
+        return True
 
     changed = True
     while changed:
@@ -587,7 +597,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                     act = shell.action(n, sigma)
                     for row in current_rows(n):
                         img = _square_apply_single(act, row, target.dim)
-                        if bases[n].add(img):
+                        if add(n, img):
                             changed = True
             # composition images
             for a in range(1, n + 2):
@@ -611,7 +621,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                 for p in range(1, a + 1):
                     c = shell.comp(a, b, p)
                     for img in square_apply_rows(c, rows, gens, target):
-                        if img and bases[n].add(img):
+                        if img and add(n, img):
                             changed = True
 
     out = OperadFamily(

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quadop import exactlin
 from quadop.exactlin import (
     AmbientBasis,
     AmbientMismatch,
@@ -19,6 +21,7 @@ from quadop.exactlin import (
     span,
     zero_space,
 )
+from quadop.kernel import EchelonBasis
 
 
 def rand_subspace(rng, amb, max_rank=None):
@@ -112,3 +115,108 @@ def test_vector_coords_roundtrip():
     v = Vector(A, [Fraction(1, 2), 0, -3])
     assert v.coords == [Fraction(1, 2), Fraction(0), Fraction(-3)]
     assert Vector(A, {0: Fraction(1, 2), 2: -3}) == v
+
+
+# Membership queries reduce against the stored RREF; the kernel is the
+# reference: a fresh EchelonBasis over the same generating rows.
+
+QN = 6
+QAMB = AmbientBasis(tuple("abcdef"))
+_coef = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+# values may be zero: explicit zero coefficients must not count as support
+_row = st.dictionaries(st.integers(0, QN - 1), _coef, max_size=4)
+
+
+def _fresh_contains(rows, v):
+    basis = EchelonBasis()
+    for r in rows:
+        basis.add(r)
+    return basis.contains(v)
+
+
+def _combination(rows, coeffs, zeros):
+    """sum coeffs[i] * rows[i], with explicit zero entries at `zeros`."""
+    out = {c: Fraction(0) for c in zeros}
+    for r, k in zip(rows, coeffs):
+        for c, v in r.items():
+            out[c] = out.get(c, 0) + k * v
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_row, max_size=QN + 1),
+    st.lists(_row, max_size=4),
+    st.lists(_coef, max_size=QN + 1),
+    st.sets(st.integers(0, QN - 1), max_size=3),
+)
+def test_queries_agree_with_fresh_elimination(rows, queries, coeffs, zeros):
+    sub = Subspace(QAMB, rows)
+    queries = queries + [_combination(rows, coeffs, zeros)]
+    for q in queries:
+        expected = _fresh_contains(rows, q)
+        assert sub.contains(q) is expected
+        assert sub.contains(Vector(QAMB, q)) is expected
+    other = Subspace(QAMB, queries)
+    assert sub.contains_subspace(other) is all(
+        _fresh_contains(rows, r) for r in other.rows
+    )
+    assert sub.contains_subspace(sub)
+    assert other.contains_subspace(sub) is all(
+        _fresh_contains(queries, r) for r in sub.rows
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_row, max_size=4))
+def test_queries_on_zero_and_full_space(queries):
+    zero, full = zero_space(QAMB), full_space(QAMB)
+    for q in queries:
+        assert full.contains(q)
+        assert zero.contains(q) is not any(q.values())
+    some = Subspace(QAMB, queries)
+    assert full.contains_subspace(some)
+    assert some.contains_subspace(zero)
+    assert zero.contains_subspace(some) is (some.dim == 0)
+
+
+def test_queries_ignore_explicit_zero_coefficients():
+    sub = span([Vector(QAMB, {0: 1, 1: 2})])
+    assert sub.contains({0: 2, 1: 4, 3: 0, 5: Fraction(0)})
+    assert sub.contains({2: 0})
+    assert sub.contains(Vector(QAMB, {0: Fraction(1, 2), 1: 1, 4: 0}))
+    assert not sub.contains({0: 1, 1: 2, 3: 1})
+    assert zero_space(QAMB).contains({0: 0, 4: Fraction(0)})
+
+
+def test_queries_reject_other_ambients():
+    other = AmbientBasis(tuple("uvwxyz"))
+    sub = full_space(QAMB)
+    with pytest.raises(AmbientMismatch):
+        sub.contains(basis_vector(other, "u"))
+    with pytest.raises(AmbientMismatch):
+        sub.contains_subspace(zero_space(other))
+    with pytest.raises(AmbientMismatch):
+        zero_space(QAMB).contains(Vector(other, {}))
+
+
+def test_queries_run_no_elimination(monkeypatch):
+    rng = random.Random(13)
+    sub = rand_subspace(rng, QAMB, max_rank=4)
+    probes = [rand_subspace(rng, QAMB, max_rank=3) for _ in range(5)]
+    probes += [sub, zero_space(QAMB), full_space(QAMB)]
+    expected = [
+        ([sub.contains(r) for r in p.rows], sub.contains_subspace(p)) for p in probes
+    ]
+
+    class NoElimination:
+        def __init__(self):
+            raise AssertionError("a membership query ran an elimination")
+
+    monkeypatch.setattr(exactlin, "EchelonBasis", NoElimination)
+    for p, (members, inside) in zip(probes, expected):
+        assert [sub.contains(r) for r in p.rows] == members
+        assert [sub.contains(v) for v in p.basis_vectors()] == members
+        assert sub.contains_subspace(p) is inside
