@@ -81,7 +81,7 @@ class S2Module:
             basis = EchelonBasis()
             out = []
             for r in rows:
-                if basis.add(dict(r)):
+                if basis.add(r):
                     out.append(r)
             return out
         return reduce(plus), reduce(minus)
@@ -103,10 +103,6 @@ def trivial_module(space):
 def sign_module(space):
     amb = space.ambient
     return S2Module(space, LinearMap(amb, amb, [{i: -1} for i in range(space.dim)]))
-
-
-def module_from_matrix(space, cols):
-    return S2Module(space, LinearMap(space.ambient, space.ambient, cols))
 
 
 class Arity3Space:
@@ -238,7 +234,7 @@ def s3_closure_rows(module, rows):
     acts = [space.action(P_12), space.action(P_123)]
     while queue:
         row = queue.pop()
-        if basis.add(dict(row)):
+        if basis.add(row):
             out.append(row)
             queue.extend(act.apply_data(row) for act in acts)
     return out
@@ -446,9 +442,9 @@ def _restrict_to_diagonal(rows, da, db):
     for col, k in diag_pos.items():
         remap[col] = n_off + k
     back = {v: c for c, v in remap.items()}
-    basis = EchelonBasis()
-    for row in rows:
-        basis.add({remap[c]: v for c, v in row.items()})
+    basis = EchelonBasis().add_many(
+        {remap[c]: v for c, v in row.items()} for row in rows
+    )
     out = []
     for row in basis.rref():
         if min(row) >= n_off:
@@ -505,21 +501,6 @@ def boqd_product(name, a, b):
     else:
         raise ValueError(name)
     return make_boqd(mod, s3_closure_rows(mod, rows))
-
-
-def _intersect_rows(rows_a, rows_b, ncols):
-    basis = EchelonBasis()
-    for r in rows_a:
-        row = dict(r)
-        row.update({c + ncols: v for c, v in r.items()})
-        basis.add(row)
-    for r in rows_b:
-        basis.add(dict(r))
-    out = []
-    for row in basis.rref():
-        if min(row) >= ncols:
-            out.append({c - ncols: v for c, v in row.items()})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,9 @@ class Subspace:
 
     def __init__(self, ambient, rows):
         self.ambient = ambient
-        basis = EchelonBasis()
-        for r in rows:
-            basis.add(r.data if isinstance(r, Vector) else r)
+        basis = EchelonBasis().add_many(
+            r.data if isinstance(r, Vector) else r for r in rows
+        )
         self.rows = tuple(basis.rref())
         self._by_pivot = None
 
@@ -236,34 +236,29 @@ def zero_space(ambient):
     return Subspace(ambient, [])
 
 
+def intersect_rows(rows_a, rows_b, ncols):
+    """RREF rows of span(rows_a) & span(rows_b) over ncols columns, by the
+    Zassenhaus trick: fold (r | r) for r in rows_a and (r | 0) for r in
+    rows_b; the RREF rows led beyond ncols span the intersection."""
+    stacked = [{**r, **{c + ncols: v for c, v in r.items()}} for r in rows_a]
+    stacked.extend(rows_b)
+    return [
+        {c - ncols: v for c, v in row.items()}
+        for row in EchelonBasis().add_many(stacked).rref()
+        if min(row) >= ncols
+    ]
+
+
 def intersect(a, b):
-    """Intersection via the Zassenhaus double-block trick."""
+    """Intersection of two subspaces of one ambient."""
     if a.ambient != b.ambient:
         raise AmbientMismatch("subspaces live in different ambients")
-    n = a.ambient.dim
-    stacked = []
-    for r in a.rows:
-        row = dict(r)
-        row.update({c + n: v for c, v in r.items()})
-        stacked.append(row)
-    for r in b.rows:
-        stacked.append(dict(r))
-    basis = EchelonBasis()
-    for row in stacked:
-        basis.add(row)
-    inter = []
-    for row in basis.rref():
-        if min(row) >= n:
-            inter.append({c - n: v for c, v in row.items()})
-    return Subspace(a.ambient, inter)
+    return Subspace(a.ambient, intersect_rows(a.rows, b.rows, a.ambient.dim))
 
 
 def nullspace_rows(rows, ncols):
     """Basis of {x : row.x = 0 for all rows}, as sparse rows over ncols."""
-    basis = EchelonBasis()
-    for r in rows:
-        basis.add(r)
-    rref = basis.rref()
+    rref = EchelonBasis().add_many(rows).rref()
     pivots = [min(r) for r in rref]
     pivot_set = set(pivots)
     out = []

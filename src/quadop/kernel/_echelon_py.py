@@ -1,31 +1,36 @@
 """Pure-Python sparse echelon kernel over exact rationals.
 
 Rows are sparse dicts {column: coefficient}.  Elimination is fraction-free:
-rows are kept with integer coefficients, content gcd 1 and positive leading
-coefficient, and each reduction step is a cross-multiplication followed by a
-gcd pass.  A final normalization produces the reduced row-echelon form with
-Fraction entries, which is the canonical representative used for subspace
-equality everywhere else.
+an incoming row is cleared of denominators once, and each elimination step
+is a cross-multiplication followed by division by the row's content gcd.
 
-A compiled twin of this module lives in _echelon_cy.pyx; both must stay
-behaviourally identical (tests run the pure kernel against the compiled one).
+Only the head of a row is reduced.  Its columns are heapified once; each
+step pops the smallest live column and, when a pivot row owns that column,
+eliminates it and pushes only the columns the pivot row newly introduces.
+A pivot row holds no column below its pivot, so elimination never moves the
+head backwards and the row is never rescanned for its minimum.  Signs are
+fixed once, when a row is stored: every stored pivot row is primitive
+(content 1) with a positive pivot entry, whatever order it was reduced in.
+
+add_many folds a batch in descending order of leading column, so most rows
+arrive with a new lead and are stored without elimination; the span, the
+pivot columns and the RREF do not depend on the order.  Callers that need to
+know which rows raised the rank call add row by row instead.
+
+rref() produces the reduced row-echelon form with Fraction entries, which is
+the canonical representative used for subspace equality everywhere else.
+This module is quadop's only elimination path; quadop.kernel re-exports it.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def _normalize(row):
-    """Divide an integer row by its content and make the leading entry > 0."""
-    if not row:
-        return row
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    lead = row[min(row)]
-    if lead < 0:
+def _normalize(row, lead):
+    """Make a nonzero integer row primitive with row[lead] > 0, in place."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
         g = -g
     if g != 1:
         for k in row:
@@ -33,84 +38,95 @@ def _normalize(row):
     return row
 
 
-def _int_row(row):
-    """Clear denominators of a {col: Fraction|int} row into an int row."""
-    out = {}
+def int_row(row):
+    """Clear denominators of a {col: Fraction|int} row into an int row,
+    dropping zero entries; the row is scaled by the lcm of its denominators."""
     lcm = 1
-    for c, v in row.items():
-        if isinstance(v, Fraction):
-            d = v.denominator
+    for v in row.values():
+        d = v.denominator
+        if d != 1:
             lcm = lcm // gcd(lcm, d) * d
-    for c, v in row.items():
-        if isinstance(v, Fraction):
-            iv = int(v * lcm)
-        else:
-            iv = v * lcm
-        if iv:
-            out[c] = iv
-    return out
+    if lcm == 1:
+        return {c: v.numerator for c, v in row.items() if v}
+    return {c: v.numerator * (lcm // v.denominator) for c, v in row.items() if v}
 
 
 class EchelonBasis:
     """Incremental row-echelon accumulator for sparse rational rows.
 
-    add() folds one row in and reports whether the rank grew; reduce()
-    returns the residual of a row modulo the current basis (empty dict
-    means membership).  rref() emits the canonical reduced form.
+    add() folds one row in and reports whether the rank grew; contains()
+    tests membership; rref() emits the canonical reduced form.
     """
 
     def __init__(self):
-        self.pivots = {}  # pivot column -> normalized int row
+        self.pivots = {}  # pivot column -> primitive int row, positive pivot
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def _reduce_int(self, row):
+        """Reduce the head of an int row in place; its new lead column, or
+        None when the row reduced to zero."""
         pivots = self.pivots
-        while row:
-            c = min(row)
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            b = row.get(c)
+            if b is None:  # cancelled since it was pushed
+                continue
             piv = pivots.get(c)
             if piv is None:
-                return row
+                return c
             a = piv[c]
-            b = row[c]
             g = gcd(a, b)
             a //= g
             b //= g
-            # row <- a*row - b*piv, in place
+            # row <- a*row - b*piv, in place; column c cancels exactly
             if a != 1:
                 for k in row:
                     row[k] *= a
             for k, v in piv.items():
-                w = row.get(k, 0) - b * v
-                if w:
-                    row[k] = w
-                elif k in row:
-                    del row[k]
-            row = _normalize(row)
-        return row
+                w = row.get(k)
+                if w is None:
+                    row[k] = -b * v
+                    heappush(heap, k)
+                else:
+                    w -= b * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+            if not row:
+                return None
+            # content only, the sign is fixed on store; a unit entry proves
+            # the row primitive without the full gcd
+            g = next(iter(row.values()))
+            if g != 1 and g != -1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
+        return None
 
     def add(self, row):
         """Fold a {col: int|Fraction} row in; True iff the rank increased."""
-        row = self._reduce_int(_normalize(_int_row(row)))
-        if not row:
+        row = int_row(row)
+        lead = self._reduce_int(row)
+        if lead is None:
             return False
-        self.pivots[min(row)] = row
+        self.pivots[lead] = _normalize(row, lead)
         return True
 
     def add_many(self, rows):
-        for row in rows:
+        """Fold a batch of rows in, largest leading column first."""
+        for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
             self.add(row)
         return self
 
     def contains(self, row):
-        return not self._reduce_int(_normalize(_int_row(row)))
-
-    def reduce(self, row):
-        """Residual of row modulo the basis, as a Fraction row (not canonical)."""
-        res = self._reduce_int(_normalize(_int_row(row)))
-        return {c: Fraction(v) for c, v in res.items()}
+        return self._reduce_int(int_row(row)) is None
 
     def pivot_columns(self):
         return sorted(self.pivots)
@@ -119,41 +135,54 @@ class EchelonBasis:
         """Canonical reduced row-echelon form: list of {col: Fraction} rows.
 
         Rows are sorted by pivot column, pivot entries are 1 and every pivot
-        column is cleared in all other rows.  A stored row's minimum column is
-        its pivot, so cleaning in decreasing pivot order only ever meets
-        already-cleaned rows.
+        column is cleared in all other rows.  Clearing is fraction-free: a
+        stored row's minimum column is its pivot, so cleaning in decreasing
+        pivot order only ever meets already-cleaned integer rows, and each
+        row is divided by its pivot once, at the end.
         """
-        cols = sorted(self.pivots)
+        pivots = self.pivots
+        cols = sorted(pivots)
         reduced = {}
         for c in reversed(cols):
-            row = self.pivots[c]
-            acc = {k: Fraction(v, row[c]) for k, v in row.items()}
-            for k in sorted(acc):
-                if k == c or k not in reduced or k not in acc:
-                    continue
-                coef = acc.pop(k)
-                for kk, vv in reduced[k].items():
-                    if kk == k:
-                        continue
-                    w = acc.get(kk, 0) - coef * vv
-                    if w:
-                        acc[kk] = w
-                    elif kk in acc:
-                        del acc[kk]
-            reduced[c] = acc
-        return [dict(sorted(reduced[c].items())) for c in cols]
+            row = pivots[c]
+            clear = [k for k in row if k != c and k in reduced]
+            if clear:
+                row = dict(row)
+                for k in clear:
+                    # row <- a*row - b*reduced[k]; reduced[k] has no other
+                    # pivot column, so the columns still to clear only scale
+                    other = reduced[k]
+                    a = other[k]
+                    b = row[k]
+                    g = gcd(a, b)
+                    a //= g
+                    b //= g
+                    if a != 1:
+                        for kk in row:
+                            row[kk] *= a
+                    for kk, v in other.items():
+                        w = row.get(kk, 0) - b * v
+                        if w:
+                            row[kk] = w
+                        else:
+                            del row[kk]
+                _normalize(row, c)
+            reduced[c] = row
+        out = []
+        for c in cols:
+            row = reduced[c]
+            lead = row[c]
+            if lead == 1:
+                out.append({k: Fraction(v) for k, v in sorted(row.items())})
+            else:
+                out.append({k: Fraction(v, lead) for k, v in sorted(row.items())})
+        return out
 
 
 def echelon_rows(rows):
     """RREF of a list of sparse rows; the canonical form of their span."""
-    basis = EchelonBasis()
-    for row in rows:
-        basis.add(row)
-    return basis.rref()
+    return EchelonBasis().add_many(rows).rref()
 
 
 def rank_of_rows(rows):
-    basis = EchelonBasis()
-    for row in rows:
-        basis.add(row)
-    return basis.rank
+    return EchelonBasis().add_many(rows).rank

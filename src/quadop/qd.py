@@ -346,21 +346,6 @@ def apply_functor(name, a):
     raise ValueError(name)
 
 
-def transport(a, target, label_map=None):
-    """Re-express a on the generator space `target` via a degree-preserving
-    label bijection (identity on labels by default)."""
-    label_map = label_map or {}
-    perm = []
-    for l, d in a.generators.basis:
-        tl = label_map.get(l, l)
-        j = target.ambient.index(tl)
-        if target.basis[j][1] != d:
-            raise ValueError("transport does not preserve degrees")
-        perm.append(j)
-    rows = _embed_square(a.relations.rows, perm, a.gdim, target.dim)
-    return QuadraticData(a.flavor, target, Subspace(square(target).ambient, rows))
-
-
 def qd_equal(a, b):
     return (
         a.flavor is b.flavor

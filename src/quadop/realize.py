@@ -12,7 +12,8 @@ materialised in the hot loops.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .kernel import EchelonBasis
+from .exactlin import intersect_rows
+from .kernel import EchelonBasis, echelon_rows, int_row, rank_of_rows
 from .qd import FunctorName, QDFlavor, apply_functor
 from .graded import ArityError
 from .report import Report
@@ -46,23 +47,25 @@ class HilbertSeries:
 # tensor side
 
 
+def _slice_rows(rel_rows, n, i, j):
+    """Spanning rows of V^i (x) R (x) V^j, base-n coded."""
+    npow_j = n ** j
+    # column of u (x) (p,q) (x) v = ((u*n + p)*n + q)*n^j + v
+    for u in range(n ** i):
+        base_u = u * n * n
+        for row in rel_rows:
+            shifted = {(base_u + c) * npow_j: v for c, v in row.items()}
+            if j == 0:
+                yield shifted
+            else:
+                for v_word in range(npow_j):
+                    yield {c + v_word: x for c, x in shifted.items()}
+
+
 def _ideal_slice_rows(rel_rows, n, w):
     """Spanning rows of sum_i V^i (x) R (x) V^j inside V^(x)w, base-n coded."""
-    if w < 2:
-        return
-    npow = [n ** k for k in range(w + 1)]
     for i in range(w - 1):
-        j = w - 2 - i
-        # column of u (x) (p,q) (x) v = ((u*n + p)*n + q)*n^j + v
-        for u in range(npow[i]):
-            base_u = u * npow[2]
-            for row in rel_rows:
-                shifted = {(base_u + c) * npow[j]: v for c, v in row.items()}
-                if j == 0:
-                    yield shifted
-                else:
-                    for v_word in range(npow[j]):
-                        yield {c + v_word: x for c, x in shifted.items()}
+        yield from _slice_rows(rel_rows, n, i, w - 2 - i)
 
 
 def tensor_quotient_dim(rel_rows, n, w):
@@ -71,9 +74,9 @@ def tensor_quotient_dim(rel_rows, n, w):
         return 1, ()
     if w == 1:
         return n, ()
-    basis = EchelonBasis()
-    for row in _ideal_slice_rows(rel_rows, n, w):
-        basis.add(row)
+    # rows are built here, so a profile charges their generation to this
+    # module rather than to the kernel's sort
+    basis = EchelonBasis().add_many(list(_ideal_slice_rows(rel_rows, n, w)))
     pivots = set(basis.pivot_columns())
     total = n ** w
     dim = total - basis.rank
@@ -81,50 +84,15 @@ def tensor_quotient_dim(rel_rows, n, w):
     return dim, reps
 
 
-def _intersect_raw(rows_a, rows_b, ncols):
-    """Zassenhaus intersection on raw row lists."""
-    basis = EchelonBasis()
-    for r in rows_a:
-        row = dict(r)
-        row.update({c + ncols: v for c, v in r.items()})
-        basis.add(row)
-    for r in rows_b:
-        basis.add(dict(r))
-    out = []
-    for row in basis.rref():
-        if min(row) >= ncols:
-            out.append({c - ncols: v for c, v in row.items()})
-    return out
-
-
 def tensor_cofree_rows(rel_rows, n, w):
     """Echelon rows of the weight-w component of the cofree side: the
     intersection of all slices V^i (x) R (x) V^j."""
     if w == 0 or w == 1:
         raise ArityError("cofree components below weight 2 are implicit")
-    npow = [n ** k for k in range(w + 1)]
-    slices = []
-    for i in range(w - 1):
-        j = w - 2 - i
-        rows = []
-        for u in range(npow[i]):
-            base_u = u * npow[2]
-            for row in rel_rows:
-                shifted = {(base_u + c) * npow[j]: v for c, v in row.items()}
-                if j == 0:
-                    rows.append(shifted)
-                else:
-                    rows.extend(
-                        {c + v_word: x for c, x in shifted.items()}
-                        for v_word in range(npow[j])
-                    )
-        slices.append(rows)
     acc = None
-    for rows in slices:
-        if acc is None:
-            acc = EchelonBasis().add_many(rows).rref()
-        else:
-            acc = _intersect_raw(acc, EchelonBasis().add_many(rows).rref(), n ** w)
+    for i in range(w - 1):
+        rows = echelon_rows(list(_slice_rows(rel_rows, n, i, w - 2 - i)))
+        acc = rows if acc is None else intersect_rows(acc, rows, n ** w)
         if not acc:
             return []
     return acc
@@ -330,7 +298,7 @@ def lie_weight_rows(rel_rows, degrees, w):
         for s, ds in prev:
             for g in range(n):
                 row = _bracket_rows({g: 1}, s, degrees[g], ds, n, 1, u - 1)
-                if row and basis.add(dict(row)):
+                if row and basis.add(row):
                     rows.append((row, degrees[g] + ds))
         slices[u] = rows
     return free, slices.get(w, [])
@@ -349,10 +317,7 @@ def lie_weight_dims_by_parity(rel_rows, degrees, w):
         for row, d in group:
             bydeg.setdefault(d % 2, []).append(row)
         for p, rows in bydeg.items():
-            basis = EchelonBasis()
-            for r in rows:
-                basis.add(dict(r))
-            dims[p] = dims.get(p, 0) + sign * basis.rank
+            dims[p] = dims.get(p, 0) + sign * rank_of_rows(rows)
     return dims.get(0, 0), dims.get(1, 0)
 
 
@@ -386,7 +351,7 @@ def _component_cached(realization, q, w):
         if w == 0:
             return WeightComponent("A", 0, 1, 1, ())
         dim, reps = tensor_quotient_dim(
-            [dict(r) for r in qq.relations.rows], n, w
+            [int_row(r) for r in qq.relations.rows], n, w
         )
         return WeightComponent("A", w, dim, n ** w, reps)
     if realization == "Tc":
@@ -396,7 +361,7 @@ def _component_cached(realization, q, w):
             return WeightComponent("Tc", 0, 1, 1, ())
         if w == 1:
             return WeightComponent("Tc", 1, n, n, ())
-        rows = tensor_cofree_rows([dict(r) for r in qq.relations.rows], n, w)
+        rows = tensor_cofree_rows([int_row(r) for r in qq.relations.rows], n, w)
         return WeightComponent(
             "Tc", w, len(rows), n ** w,
             tuple(tuple(sorted(r.items())) for r in rows),
@@ -405,7 +370,7 @@ def _component_cached(realization, q, w):
         if q.flavor is not QDFlavor.SYM:
             raise FlavorExpected("S realisation needs symmetric data")
         dim, reps = sym_quotient_dim(
-            [dict(r) for r in q.relations.rows], q.generators.degrees, w
+            [int_row(r) for r in q.relations.rows], q.generators.degrees, w
         )
         amb = len(_sym_monomials(q.generators.degrees, w))
         return WeightComponent("S", w, dim, amb, reps)
@@ -421,7 +386,7 @@ def _component_cached(realization, q, w):
         if w == 0:
             return WeightComponent("L", 0, 0, 1, ())
         ev, od = lie_weight_dims_by_parity(
-            [dict(r) for r in q.relations.rows], q.generators.degrees, w
+            [int_row(r) for r in q.relations.rows], q.generators.degrees, w
         )
         return WeightComponent("L", w, ev + od, q.gdim ** w, ())
     raise ValueError(realization)
@@ -492,7 +457,7 @@ def ue_compare(q, wmax):
     by_parity = {}
     for w in range(1, wmax + 1):
         by_parity[w] = lie_weight_dims_by_parity(
-            [dict(r) for r in q.relations.rows], q.generators.degrees, w
+            [int_row(r) for r in q.relations.rows], q.generators.degrees, w
         )
     predicted = pbw_series(by_parity, wmax)
     actual = [weight_component("A", q, w).dim for w in range(wmax + 1)]
@@ -550,11 +515,4 @@ def lyndon_basis_vectors(space, w):
         labels.append(TENSOR_SEP.join(space.labels[l] for l in word))
         degs.append(sum(space.degrees[l] for l in word))
     amb = AmbientBasis(tuple(labels), tuple(degs))
-
-    # the base-n code of a word is big-endian in the letters
-    def recode(row):
-        return {c: v for c, v in row.items()}
-
-    return [
-        (Vector(amb, recode(row)), d) for row, d in lyndon_basis_rows(space.degrees, w)
-    ]
+    return [(Vector(amb, row), d) for row, d in lyndon_basis_rows(space.degrees, w)]

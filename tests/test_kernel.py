@@ -1,17 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadop.kernel import _echelon_py
-
-try:
-    from quadop.kernel import _echelon_cy
-    KERNELS = [_echelon_py, _echelon_cy]
-except ImportError:
-    _echelon_cy = None
-    KERNELS = [_echelon_py]
+from quadop.kernel import _echelon_py, int_row
 
 
 def sparse_rows(max_rows=8, max_cols=6):
@@ -22,7 +16,7 @@ def sparse_rows(max_rows=8, max_cols=6):
     return st.lists(row, max_size=max_rows)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", [_echelon_py])
 def test_rref_idempotent_and_order_free(kernel):
     rng = random.Random(0)
     for _ in range(60):
@@ -68,16 +62,60 @@ def test_membership_of_combinations(rows):
     assert basis.contains(combo)
 
 
-@pytest.mark.skipif(_echelon_cy is None, reason="compiled kernel not built")
-@given(sparse_rows())
-@settings(max_examples=150, deadline=None)
-def test_twin_equivalence(rows):
-    a_rref = _echelon_py.echelon_rows([dict(r) for r in rows])
-    b_rref = _echelon_cy.echelon_rows([dict(r) for r in rows])
-    assert a_rref == b_rref
-    probe = {0: Fraction(1), 3: Fraction(-2)}
-    a = _echelon_py.EchelonBasis().add_many([dict(r) for r in rows])
-    b = _echelon_cy.EchelonBasis().add_many([dict(r) for r in rows])
-    assert a.rank == b.rank
-    assert a.pivot_columns() == b.pivot_columns()
-    assert a.contains(dict(probe)) == b.contains(dict(probe))
+# Rows as callers pass them: Fractions with denominators, plain ints, explicit
+# zero coefficients, and empty rows.
+_mixed_entry = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+_mixed_rows = st.lists(
+    st.dictionaries(st.integers(0, 7), _mixed_entry, max_size=5), max_size=10
+)
+
+
+def _check_pivot_rows(basis):
+    for p, row in basis.pivots.items():
+        assert min(row) == p
+        assert all(type(v) is int and v for v in row.values())
+        assert row[p] > 0
+        assert gcd(*row.values()) == 1
+
+
+@given(_mixed_rows, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_add_many_matches_sequential_add(rows, rnd):
+    sequential = _echelon_py.EchelonBasis()
+    for r in rows:
+        sequential.add(r)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    batch = _echelon_py.EchelonBasis().add_many(shuffled)
+    assert batch.rref() == sequential.rref()
+    assert batch.rank == sequential.rank
+    assert batch.pivot_columns() == sequential.pivot_columns()
+    _check_pivot_rows(sequential)
+    _check_pivot_rows(batch)
+
+
+def test_stored_pivot_rows_are_primitive_with_positive_pivot():
+    basis = _echelon_py.EchelonBasis()
+    # rows stored without any elimination step are normalised too
+    assert basis.add({3: 6, 5: 4})
+    assert basis.add({2: -4})
+    assert basis.pivots == {3: {3: 3, 5: 2}, 2: {2: 1}}
+    # a row whose elimination leaves a negative lead and a common factor
+    assert basis.add({3: Fraction(3, 2), 5: 0, 6: 2})
+    assert basis.pivots[5] == {5: 1, 6: -2}
+    assert not basis.add({2: 0, 3: 0})
+    assert not basis.add({})
+    _check_pivot_rows(basis)
+
+
+def test_int_row_clears_denominators_and_zeros():
+    assert int_row({1: Fraction(1, 2), 2: Fraction(-1, 3), 4: 0}) == {1: 3, 2: -2}
+    row = int_row({0: Fraction(4), 3: -2, 5: Fraction(0)})
+    assert row == {0: 4, 3: -2}
+    assert all(type(v) is int for v in row.values())
+    assert int_row({}) == {}
