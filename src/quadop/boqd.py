@@ -19,8 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactlin import AmbientBasis, LinearMap, Subspace, Vector, nullspace_rows
-from .graded import GradedSpace, tensor_product
+from .graded import GradedSpace, direct_sum, tensor_product
 from .kernel import EchelonBasis
+from .qd import _map_tensor, inj14_map, pr14_map, square_apply_rows
 from .report import Report
 
 P_ID = (1, 2, 3)
@@ -85,15 +86,6 @@ class S2Module:
                     out.append(r)
             return out
         return reduce(plus), reduce(minus)
-
-    def parity_of(self, row):
-        """+1/-1 for eigenvectors, None otherwise."""
-        img = self.action.apply_data(row)
-        if img == {c: Fraction(v) for c, v in row.items()}:
-            return +1
-        if img == {c: -Fraction(v) for c, v in row.items()}:
-            return -1
-        return None
 
 
 def trivial_module(space):
@@ -261,35 +253,22 @@ def zero_boqd():
 # products
 
 
-def _module_sum_raw(ma, mb):
-    gens = GradedSpace(ma.space.basis + mb.space.basis, ma.space.words + mb.space.words)
+def _module_sum(a, b):
+    ma, mb = a.generators, b.generators
+    gens = direct_sum(ma.space, mb.space)
     na = ma.dim
     cols = [dict(ma.action.cols[i]) for i in range(na)]
     cols += [{na + c: v for c, v in mb.action.cols[i].items()} for i in range(mb.dim)]
     return S2Module(gens, LinearMap(gens.ambient, gens.ambient, cols))
 
 
-def _module_tensor_raw(ma, mb):
-    """Hadamard product with the diagonal involution."""
-    gens = tensor_product(ma.space, mb.space)
-    nb = mb.dim
-    cols = []
-    for i in range(ma.dim):
-        for j in range(nb):
-            col = {}
-            for ii, va in ma.action.cols[i].items():
-                for jj, vb in mb.action.cols[j].items():
-                    col[ii * nb + jj] = va * vb
-            cols.append(col)
-    return S2Module(gens, LinearMap(gens.ambient, gens.ambient, cols))
-
-
-def _module_sum(a, b):
-    return _module_sum_raw(a.generators, b.generators)
-
-
 def _module_tensor(a, b):
-    return _module_tensor_raw(a.generators, b.generators)
+    """Hadamard product with the diagonal involution."""
+    gens = tensor_product(a.generators.space, b.generators.space)
+    amb = gens.ambient
+    return S2Module(
+        gens, _map_tensor(a.generators.action, b.generators.action, amb, amb)
+    )
 
 
 def _embed_arity3_rows(rows, src_dim, offset, tgt_dim):
@@ -321,7 +300,6 @@ def _matched_pair_rows(space, a, b, sign):
     """tau_i(a,b) + sign tau_i(b,a) over parity-matched eigenvectors, plus
     (for sign = -1) the single terms on mixed-parity pairs."""
     na = a.gdim
-    sum_mod = _module_sum(a, b)
     ea_p, ea_m = a.generators.eigenbasis()
     eb_p, eb_m = b.generators.eigenbasis()
     rows = []
@@ -452,9 +430,6 @@ def _restrict_to_diagonal(rows, da, db):
     return out
 
 
-BOQD_PRODUCTS = ("black", "white", "vee", "oplus", "tril", "trir", "ucirc", "circ")
-
-
 def boqd_product(name, a, b):
     name = name.lower()
     if name == "black":
@@ -554,55 +529,16 @@ def koszul_involution_check(a, b):
 # interchange
 
 
-def _lift3(f, src_mod, tgt_mod):
-    """T(f)(3): tau_i(x, x') -> tau_i(f x, f x')."""
-    src = free_arity3(src_mod)
-    tgt = free_arity3(tgt_mod)
-    ds, dt = src_mod.dim, tgt_mod.dim
-    cols = []
-    for i in (1, 2, 3):
-        for x in range(ds):
-            for xp in range(ds):
-                col = {}
-                for y, vy in f.cols[x].items():
-                    for yp, vyp in f.cols[xp].items():
-                        c = tgt.index(i, y, yp)
-                        w = col.get(c, 0) + vy * vyp
-                        if w:
-                            col[c] = w
-                        elif c in col:
-                            del col[c]
-                cols.append(col)
-    return LinearMap(src.ambient, tgt.ambient, cols)
-
-
-def _pr14_module_map(a, ap, b, bp):
-    src = _module_tensor_raw(_module_sum(a, ap), _module_sum(b, bp))
-    tgt = _module_sum_pair_of_tensors(a, ap, b, bp)
-    na, nap, nb, nbp = a.gdim, ap.gdim, b.gdim, bp.gdim
-    cols = []
-    for u in range(na + nap):
-        for w in range(nb + nbp):
-            if u < na and w < nb:
-                cols.append({u * nb + w: 1})
-            elif u >= na and w >= nb:
-                cols.append({na * nb + (u - na) * nbp + (w - nb): 1})
-            else:
-                cols.append({})
-    return LinearMap(src.space.ambient, tgt.space.ambient, cols), src, tgt
-
-
-def _module_sum_pair_of_tensors(a, ap, b, bp):
-    return _module_sum_raw(_module_tensor(a, b), _module_tensor(ap, bp))
-
-
 def boqd_interchange_check(kind, a, ap, b, bp):
     """kind: 'phi' for the (black, ucirc) lax law, 'psi' for (circ, white),
     or ('quintuple', box, dia) for the eight lax+colax pairs."""
+    spaces = [m.generators.space for m in (a, ap, b, bp)]
+
     def check(name, f, src, tgt):
-        lifted = _lift3(f, src.generators, tgt.generators)
-        for row in src.relations.rows:
-            img = lifted.apply_data(row)
+        images = square_apply_rows(
+            f, src.relations.rows, src.generators, tgt.generators
+        )
+        for img in images:
             if img and not tgt.relations.contains(img):
                 return Report(name, False, "relation image escapes",
                               witness=Vector(tgt.relations.ambient, img))
@@ -613,42 +549,26 @@ def boqd_interchange_check(kind, a, ap, b, bp):
                            boqd_product("ucirc", b, bp))
         tgt = boqd_product("ucirc", boqd_product("black", a, b),
                            boqd_product("black", ap, bp))
-        f, _, _ = _pr14_module_map(a, ap, b, bp)
-        return [check("phi.black-ucirc", f, src, tgt)]
+        return [check("phi.black-ucirc", pr14_map(*spaces), src, tgt)]
     if kind == "psi":
         src = boqd_product("circ", boqd_product("white", a, b),
                            boqd_product("white", ap, bp))
         tgt = boqd_product("white", boqd_product("circ", a, ap),
                            boqd_product("circ", b, bp))
-        f = _inj14_module_map(a, ap, b, bp)
-        return [check("psi.circ-white", f, src, tgt)]
+        return [check("psi.circ-white", inj14_map(*spaces), src, tgt)]
     if isinstance(kind, tuple) and kind[0] == "quintuple":
         box, dia = kind[1], kind[2]
         lax_src = boqd_product(box, boqd_product(dia, a, ap),
                                boqd_product(dia, b, bp))
         lax_tgt = boqd_product(dia, boqd_product(box, a, b),
                                boqd_product(box, ap, bp))
-        f, _, _ = _pr14_module_map(a, ap, b, bp)
-        g = _inj14_module_map(a, ap, b, bp)
         return [
-            check("quintuple.%s-%s.lax" % (box, dia), f, lax_src, lax_tgt),
-            check("quintuple.%s-%s.colax" % (box, dia), g, lax_tgt, lax_src),
+            check("quintuple.%s-%s.lax" % (box, dia), pr14_map(*spaces),
+                  lax_src, lax_tgt),
+            check("quintuple.%s-%s.colax" % (box, dia), inj14_map(*spaces),
+                  lax_tgt, lax_src),
         ]
     raise ValueError(kind)
-
-
-def _inj14_module_map(a, ap, b, bp):
-    na, nap, nb, nbp = a.gdim, ap.gdim, b.gdim, bp.gdim
-    src = _module_sum_pair_of_tensors(a, ap, b, bp)
-    tgt = _module_tensor_raw(_module_sum(a, ap), _module_sum(b, bp))
-    cols = []
-    for u in range(na):
-        for w in range(nb):
-            cols.append({u * (nb + nbp) + w: 1})
-    for u in range(nap):
-        for w in range(nbp):
-            cols.append({(na + u) * (nb + nbp) + (nb + w): 1})
-    return LinearMap(src.space.ambient, tgt.space.ambient, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,6 @@ class AmbientMismatch(ValueError):
     pass
 
 
-class PairingMissing(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AmbientBasis:
     """Ordered basis with stable string labels and integer degrees."""
@@ -56,26 +52,6 @@ class AmbientBasis:
 
     def __repr__(self):
         return "AmbientBasis(dim=%d)" % len(self.labels)
-
-
-# Declared dual pairings: (labels, degrees) of the primal ambient maps to
-# (dual ambient, diagonal signs).  Declarations are idempotent.
-_PAIRINGS = {}
-
-
-def declare_pairing(primal, dual, signs):
-    """Register a diagonal pairing between primal and its dual ambient."""
-    if primal.dim != dual.dim or len(signs) != primal.dim:
-        raise ValueError("pairing shape mismatch")
-    _PAIRINGS[(primal.labels, primal.degrees)] = (dual, tuple(signs))
-    _PAIRINGS[(dual.labels, dual.degrees)] = (primal, tuple(signs))
-
-
-def pairing_of(ambient):
-    try:
-        return _PAIRINGS[(ambient.labels, ambient.degrees)]
-    except KeyError:
-        raise PairingMissing("no dual pairing declared for this ambient")
 
 
 class Vector:
@@ -274,11 +250,14 @@ def nullspace_rows(rows, ncols):
     return out
 
 
-def annihilator(a):
-    """All functionals in the declared dual ambient vanishing on a."""
-    dual, signs = pairing_of(a.ambient)
+def annihilator(a, dual, signs):
+    """All functionals in the dual ambient vanishing on a, under the diagonal
+    pairing that pairs the i-th basis vectors with sign signs[i]."""
+    n = a.ambient.dim
+    if dual.dim != n or len(signs) != n:
+        raise ValueError("pairing shape mismatch")
     constraints = [{c: v * signs[c] for c, v in r.items()} for r in a.rows]
-    return Subspace(dual, nullspace_rows(constraints, a.ambient.dim))
+    return Subspace(dual, nullspace_rows(constraints, n))
 
 
 class LinearMap:
@@ -311,15 +290,6 @@ class LinearMap:
     @classmethod
     def identity(cls, ambient):
         return cls(ambient, ambient, [{i: 1} for i in range(ambient.dim)])
-
-    def matrix(self):
-        out = [
-            [Fraction(0)] * self.source.dim for _ in range(self.target.dim)
-        ]
-        for i, col in enumerate(self.cols):
-            for r, v in col.items():
-                out[r][i] = v
-        return out
 
     def apply_data(self, data):
         acc = {}

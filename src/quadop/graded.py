@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exactlin import (
-    AmbientBasis,
-    LinearMap,
-    Subspace,
-    declare_pairing,
-)
+from .exactlin import AmbientBasis, LinearMap, Subspace
 
 TENSOR_SEP = "⊗"
 SHIFT_UP = "s·"
@@ -177,13 +172,12 @@ def _star_label(label):
 
 
 def dual(v):
-    """Degree-wise linear dual; declares the pairing with v."""
-    dv = GradedSpace(
+    """Degree-wise linear dual; it pairs with v under the word_sign signs of
+    v's degree words."""
+    return GradedSpace(
         tuple((_star_label(l), -d) for l, d in v.basis),
         tuple(tuple(-x for x in w) for w in v.words),
     )
-    declare_pairing(v.ambient, dv.ambient, tuple(word_sign(w) for w in v.words))
-    return dv
 
 
 def word_sign(degword):
@@ -191,19 +185,6 @@ def word_sign(degword):
     (-1) to the number of unordered pairs of odd letters."""
     odds = sum(1 for d in degword if d % 2)
     return -1 if (odds * (odds - 1) // 2) % 2 else 1
-
-
-def declare_tensor_pairing(v, w):
-    """Declare the Koszul-signed pairing between (V(x)W) and (V*(x)W*)."""
-    vw = tensor_product(v, w)
-    dualamb = tensor_product(dual(v), dual(w)).ambient
-    signs = tuple(word_sign(word) for word in vw.words)
-    declare_pairing(vw.ambient, dualamb, signs)
-    return vw.ambient, dualamb
-
-
-def declare_square_pairing(v):
-    return declare_tensor_pairing(v, v)
 
 
 def _pair_vector(v, i, j, sign_flag):
@@ -249,21 +230,19 @@ def alt_square(v):
 
 
 def mixed_bracket(v, w, sign):
-    """[V,W]_± inside (V⊕W)^{(x)2}, indexed by ordered (v-basis, w-basis)."""
-    s = direct_sum(v, w)
-    amb = square(s).ambient
-    n = s.dim
-    rows = []
-    for i in range(v.dim):
-        di = v.basis[i][1]
-        for j in range(w.dim):
-            dj = w.basis[j][1]
-            jj = v.dim + j
-            eps = sign * ((-1) ** ((di * dj) % 2))
-            row = {i * n + jj: Fraction(1)}
-            row[jj * n + i] = row.get(jj * n + i, 0) + eps
-            rows.append({c: x for c, x in row.items() if x})
-    return Subspace(amb, rows)
+    """Sparse rows spanning [V,W]_± inside (V⊕W)^{(x)2}, one per ordered
+    (v-basis, w-basis) pair: x (x) y + sign (-1)^{|x||y|} y (x) x.
+
+    The rows are already in RREF: each pivot x (x) y precedes every
+    y' (x) x' column, and no other row touches it.
+    """
+    nv = v.dim
+    n = nv + w.dim
+    return [
+        {i * n + j: 1, j * n + i: -sign if di * dj % 2 else sign}
+        for i, (_, di) in enumerate(v.basis)
+        for j, (_, dj) in enumerate(w.basis, nv)
+    ]
 
 
 def braiding_map(v, w):
@@ -278,12 +257,3 @@ def braiding_map(v, w):
             sign = (-1) ** ((di * dj) % 2)
             cols.append({j * v.dim + i: Fraction(sign)})
     return LinearMap(src, tgt, cols)
-
-
-def embed_summand(part, whole, offset):
-    """Inclusion of a direct summand into a concatenated ambient."""
-    return LinearMap(
-        part.ambient,
-        whole.ambient,
-        [{offset + i: 1} for i in range(part.dim)],
-    )

@@ -9,7 +9,6 @@ whose endpoints survive.  Coproducts distribute edges over ordered pairs with
 unshuffle signs.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .kernel import EchelonBasis
@@ -97,7 +96,7 @@ class GraphSum:
                 self.add(g, c)
 
     def add(self, g, coeff):
-        c = self.terms.get(g, 0) + Fraction(coeff)
+        c = self.terms.get(g, 0) + coeff
         if c:
             self.terms[g] = c
         elif g in self.terms:
@@ -225,7 +224,7 @@ def coproduct(g):
             sign = _perm_sign(list(left) + right)
             gl = LabeledHypergraph(g.n, g.k, g.symmetric, [g.edges[i] for i in left])
             gr = LabeledHypergraph(g.n, g.k, g.symmetric, [g.edges[i] for i in right])
-            out.append((Fraction(sign), gl, gr))
+            out.append((sign, gl, gr))
     return out
 
 
@@ -467,7 +466,7 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
                             got[idx_t.index(gg.edges[0])] = c
                     want = cmap.apply_data({gi: 1})
                     checked += 1
-                    if got != {c: Fraction(v) for c, v in want.items()} and proj_fail is None:
+                    if got != want and proj_fail is None:
                         proj_fail = (n, m, p, I, got, want)
                 # inner cogenerator, outer unit
                 for gi, I in enumerate(idx_m):
@@ -479,7 +478,7 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
                             got[idx_t.index(gg.edges[0])] = c
                     want = cmap.apply_data({len(idx_n) + gi: 1})
                     checked += 1
-                    if got != {c: Fraction(v) for c, v in want.items()} and proj_fail is None:
+                    if got != want and proj_fail is None:
                         proj_fail = (n, m, p, I, got, want)
                 # unit against unit
                 out = compose_graphs(empty_n, p, empty_m)

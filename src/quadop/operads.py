@@ -13,9 +13,16 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exactlin import LinearMap, Subspace
-from .graded import GradedSpace, alt_square, direct_sum, mixed_bracket, square
+from .graded import GradedSpace, alt_square, direct_sum, square
 from .kernel import EchelonBasis
-from .qd import QDFlavor, QuadraticData, _embed_square, make_qd, qd_zero, square_apply_rows
+from .qd import (
+    QDFlavor,
+    QuadraticData,
+    make_qd,
+    qd_zero,
+    square_apply_rows,
+    sum_relation_rows,
+)
 from .report import Report
 
 
@@ -321,17 +328,6 @@ def compose(family, n, m, p, x):
     return family.comp(n, m, p)(x)
 
 
-def _gen_vectors(space):
-    from .exactlin import Vector
-
-    return [Vector(space.ambient, {i: 1}) for i in range(space.dim)]
-
-
-def _embed_left(family, n, m, x):
-    """V(n) basis data -> direct_sum(V(n), V(m)) data (same indices)."""
-    return x
-
-
 def _sequential_cases(family, n, m, l, i, j):
     """Both composites on every generator of the three components."""
     N = n + m + l - 2
@@ -510,23 +506,6 @@ def verify_axioms(family, nmax):
     return reports
 
 
-def _morphism_source_rows(family, n, m):
-    """R(n) ⊕ [V(n),V(m)]_- ⊕ R(m) inside square(V(n) ⊕ V(m))."""
-    a = family.component(n)
-    b = family.component(m)
-    ta = _tagged(a.generators, "o:")
-    tb = _tagged(b.generators, "i:")
-    gens = direct_sum(ta, tb)
-    na, nb, nt = a.gdim, b.gdim, gens.dim
-    rows = _embed_square([dict(r) for r in a.relations.rows], list(range(na)), na, nt)
-    rows += _embed_square(
-        [dict(r) for r in b.relations.rows], [na + i for i in range(nb)], nb, nt
-    )
-    if na and nb:
-        rows += [dict(r) for r in mixed_bracket(ta, tb, -1).rows]
-    return gens, rows
-
-
 def verify_relation_morphism(family, nmax):
     """(o_p)^(x)2 maps R(n) ⊕ [V(n),V(m)]_- ⊕ R(m) into R(n+m-1)."""
     fail = None
@@ -536,13 +515,16 @@ def verify_relation_morphism(family, nmax):
         for m in range(lo, nmax + 1):
             if n + m - 1 > nmax:
                 continue
-            gens, rows = _morphism_source_rows(family, n, m)
+            a, b = family.component(n), family.component(m)
+            rows = sum_relation_rows(
+                a.generators, b.generators, a.relations.rows, b.relations.rows, -1
+            )
             if not rows:
                 continue
             target = family.component(n + m - 1)
             for p in range(1, n + 1):
                 c = family.comp(n, m, p)
-                images = square_apply_rows(c, rows, gens, target.generators)
+                images = square_apply_rows(c, rows, c.source, target.generators)
                 checked += len(images)
                 for img in images:
                     if img and not target.relations.contains(img):
@@ -595,8 +577,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
             if shell.symmetric:
                 for sigma in transpositions(n):
                     act = shell.action(n, sigma)
-                    for row in current_rows(n):
-                        img = _square_apply_single(act, row, target.dim)
+                    for img in square_apply_rows(act, current_rows(n), target, target):
                         if add(n, img):
                             changed = True
             # composition images
@@ -606,21 +587,15 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                     continue
                 if b == 0 and not shell.symmetric:
                     continue
-                ga = _tagged(shell.gen_space(a), "o:")
-                gb = _tagged(shell.gen_space(b), "i:")
-                gens = direct_sum(ga, gb)
-                na, nb, nt = ga.dim, gb.dim, gens.dim
-                rows = _embed_square(current_rows(a), list(range(na)), na, nt)
-                rows += _embed_square(
-                    current_rows(b), [na + i for i in range(nb)], nb, nt
+                rows = sum_relation_rows(
+                    shell.gen_space(a), shell.gen_space(b),
+                    current_rows(a), current_rows(b), -1,
                 )
-                if na and nb:
-                    rows += [dict(r) for r in mixed_bracket(ga, gb, -1).rows]
                 if not rows:
                     continue
                 for p in range(1, a + 1):
                     c = shell.comp(a, b, p)
-                    for img in square_apply_rows(c, rows, gens, target):
+                    for img in square_apply_rows(c, rows, c.source, target):
                         if img and add(n, img):
                             changed = True
 
@@ -636,21 +611,6 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                 QDFlavor.SKEW, gens, Subspace(square(gens).ambient, current_rows(n))
             )
     return out
-
-
-def _square_apply_single(f, row, n):
-    acc = {}
-    for col, coeff in row.items():
-        i, j = divmod(col, n)
-        for r1, v1 in f.cols[i].items():
-            for r2, v2 in f.cols[j].items():
-                k = r1 * n + r2
-                w = acc.get(k, 0) + coeff * v1 * v2
-                if w:
-                    acc[k] = w
-                elif k in acc:
-                    del acc[k]
-    return acc
 
 
 def compare_families(a, b, nmax):

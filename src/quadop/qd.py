@@ -25,7 +25,6 @@ from .graded import (
     GradedSpace,
     ZERO,
     alt_square,
-    declare_square_pairing,
     direct_sum,
     dual,
     mixed_bracket,
@@ -35,6 +34,7 @@ from .graded import (
     square_split,
     sym_square,
     tensor_product,
+    word_sign,
 )
 
 
@@ -128,16 +128,22 @@ class CounterExample:
 
 
 def square_apply_rows(f, rows, src_space, tgt_space):
-    """Push sparse rows of square(src) through f(x)f (f of degree 0)."""
+    """Push sparse rows through f(x)f (f of degree 0).
+
+    Rows live in square(src), or in the arity-3 tau basis over src: a column
+    past the square is read as a tau-block index, and f(x)f acts block-wise,
+    tau_i(x, x') -> tau_i(f x, f x').
+    """
     ns, nt = src_space.dim, tgt_space.dim
     out = []
     for row in rows:
         acc = {}
         for col, coeff in row.items():
             i, j = divmod(col, ns)
+            b, i = divmod(i, ns)
             for r1, v1 in f.cols[i].items():
                 for r2, v2 in f.cols[j].items():
-                    k = r1 * nt + r2
+                    k = (b * nt + r1) * nt + r2
                     w = acc.get(k, 0) + coeff * v1 * v2
                     if w:
                         acc[k] = w
@@ -180,19 +186,26 @@ def _embed_square(rows, idx_map, ns, nt):
     return out
 
 
+def sum_relation_rows(va, vb, rows_a, rows_b, bracket_sign):
+    """Rows spanning R_a ⊕ [A,B]_± ⊕ R_b inside square(va ⊕ vb), where
+    rows_a and rows_b are sparse rows of square(va) and square(vb);
+    bracket_sign None drops the middle summand."""
+    na, nt = va.dim, va.dim + vb.dim
+    rows = _embed_square(rows_a, range(na), na, nt)
+    rows += _embed_square(rows_b, range(na, nt), vb.dim, nt)
+    if bracket_sign is not None:
+        rows += mixed_bracket(va, vb, bracket_sign)
+    return rows
+
+
 def _sum_relations(a, b, bracket_sign):
-    """R_a ⊕ [A1,B1]_± ⊕ R_b inside square(A1 ⊕ B1); bracket_sign None
-    drops the middle summand."""
+    """Generators and relations of the direct-sum products of a and b."""
     gens = direct_sum(a.generators, b.generators)
-    amb = square(gens).ambient
-    na, nb, nt = a.gdim, b.gdim, gens.dim
-    rows = _embed_square(a.relations.rows, list(range(na)), na, nt)
-    rows += _embed_square(
-        b.relations.rows, [na + i for i in range(nb)], nb, nt
+    rows = sum_relation_rows(
+        a.generators, b.generators, a.relations.rows, b.relations.rows,
+        bracket_sign,
     )
-    if bracket_sign is not None and na and nb:
-        rows += list(mixed_bracket(a.generators, b.generators, bracket_sign).rows)
-    return gens, Subspace(amb, rows)
+    return gens, Subspace(square(gens).ambient, rows)
 
 
 def _s23_rows(a_space, b_space, rows_a, rows_b):
@@ -333,9 +346,11 @@ def apply_functor(name, a):
     if name is FunctorName.ANTISHRIEK_INV:
         return _shift_qd(a, -1)
     if name is FunctorName.STAR:
-        dv = dual(a.generators)
-        declare_square_pairing(a.generators)
-        ann = annihilator(a.relations)
+        v = a.generators
+        dv = dual(v)
+        ann = annihilator(
+            a.relations, square(dv).ambient, [word_sign(w) for w in square(v).words]
+        )
         if a.flavor is QDFlavor.SYM:
             ann = intersect(ann, sym_square(dv))
         elif a.flavor is QDFlavor.SKEW:
@@ -358,27 +373,37 @@ def qd_equal(a, b):
 # Interchange laws
 
 
-def _pr14_map(a, ap, b, bp):
-    src = tensor_product(
-        direct_sum(a.generators, ap.generators),
-        direct_sum(b.generators, bp.generators),
+def _blocks14(a, ap, b, bp):
+    """Indices in (A ⊕ A') (x) (B ⊕ B') of the A (x) B and A' (x) B' blocks,
+    in the order of (A (x) B) ⊕ (A' (x) B')."""
+    na, nb, nw = a.dim, b.dim, b.dim + bp.dim
+    return [u * nw + w for u in range(na) for w in range(nb)] + [
+        u * nw + w for u in range(na, na + ap.dim) for w in range(nb, nw)
+    ]
+
+
+def _ambients14(a, ap, b, bp):
+    return (
+        tensor_product(direct_sum(a, ap), direct_sum(b, bp)).ambient,
+        direct_sum(tensor_product(a, b), tensor_product(ap, bp)).ambient,
     )
-    tgt = direct_sum(
-        tensor_product(a.generators, b.generators),
-        tensor_product(ap.generators, bp.generators),
-    )
-    na, nap = a.gdim, ap.gdim
-    nb, nbp = b.gdim, bp.gdim
-    cols = []
-    for u in range(na + nap):
-        for w in range(nb + nbp):
-            if u < na and w < nb:
-                cols.append({u * nb + w: 1})
-            elif u >= na and w >= nb:
-                cols.append({na * nb + (u - na) * nbp + (w - nb): 1})
-            else:
-                cols.append({})
-    return LinearMap(src.ambient, tgt.ambient, cols), src, tgt
+
+
+def pr14_map(a, ap, b, bp):
+    """pr14: (A ⊕ A') (x) (B ⊕ B') -> (A (x) B) ⊕ (A' (x) B') on generator
+    spaces, killing the two mixed blocks."""
+    whole, blocks = _ambients14(a, ap, b, bp)
+    cols = [{} for _ in range(whole.dim)]
+    for k, u in enumerate(_blocks14(a, ap, b, bp)):
+        cols[u] = {k: 1}
+    return LinearMap(whole, blocks, cols)
+
+
+def inj14_map(a, ap, b, bp):
+    """inj14: (A (x) B) ⊕ (A' (x) B') -> (A ⊕ A') (x) (B ⊕ B'), the
+    transpose of pr14."""
+    whole, blocks = _ambients14(a, ap, b, bp)
+    return LinearMap(blocks, whole, [{u: 1} for u in _blocks14(a, ap, b, bp)])
 
 
 def interchange_phi(a, ap, b, bp):
@@ -393,7 +418,7 @@ def interchange_phi(a, ap, b, bp):
         monoidal_product(ProductName.BLACK, a, b),
         monoidal_product(ProductName.BLACK, ap, bp),
     )
-    f, _, _ = _pr14_map(a, ap, b, bp)
+    f = pr14_map(a.generators, ap.generators, b.generators, bp.generators)
     return check_morphism(f, lhs, rhs)
 
 
@@ -409,17 +434,7 @@ def interchange_psi(a, ap, b, bp):
         monoidal_product(ProductName.TENSOR, a, ap),
         monoidal_product(ProductName.TENSOR, b, bp),
     )
-    pr, src, tgt = _pr14_map(a, ap, b, bp)
-    # inj14 goes the other way: include the (1,1) and (2,2) blocks.
-    cols = []
-    na, nap, nb, nbp = a.gdim, ap.gdim, b.gdim, bp.gdim
-    for u in range(na):
-        for w in range(nb):
-            cols.append({(u) * (nb + nbp) + w: 1})
-    for u in range(nap):
-        for w in range(nbp):
-            cols.append({(na + u) * (nb + nbp) + (nb + w): 1})
-    f = LinearMap(tgt.ambient, src.ambient, cols)
+    f = inj14_map(a.generators, ap.generators, b.generators, bp.generators)
     return check_morphism(f, lhs, rhs)
 
 
@@ -621,18 +636,14 @@ def check_phi_associator_coherence(a, ap, b, bp, c, cp):
         monoidal_product(ProductName.BLACK, monoidal_product(ProductName.BLACK, a, b), c),
         monoidal_product(ProductName.BLACK, monoidal_product(ProductName.BLACK, ap, bp), cp),
     )
-    f1, _, mid = _pr14_map(a, ap, b, bp)
+    va, vap, vb, vbp = a.generators, ap.generators, b.generators, bp.generators
+    f1 = pr14_map(va, vap, vb, vbp)
     # route 1: (phi_{A,A',B,B'} black id) then phi_{A black B, A' black B', C, C'}
+    f2 = pr14_map(
+        tensor_product(va, vb), tensor_product(vap, vbp), c.generators, cp.generators
+    )
     idc = LinearMap.identity(cc.generators.ambient)
-    step1 = _map_tensor(
-        f1, idc, src.generators.ambient,
-        tensor_product(mid, cc.generators).ambient,
-    )
-    f2, _, _ = _pr14_map(
-        monoidal_product(ProductName.BLACK, a, b),
-        monoidal_product(ProductName.BLACK, ap, bp),
-        c, cp,
-    )
+    step1 = _map_tensor(f1, idc, src.generators.ambient, f2.source)
     route1 = f2.compose(step1)
     # route 2: project the middle factors directly: build the one-step
     # projection from the triple product onto the (1,1,1)+(2,2,2) blocks

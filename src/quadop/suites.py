@@ -228,23 +228,29 @@ def suite_operad_axioms(family=None, k=None, nmax=None, seed=DEFAULT_SEED):
     return rep
 
 
+# (shell, k) -> (shell, k, default arity bound, reference family, its k);
+# only the HG shell reads k
+_MINIMALITY_CASES = {
+    ("BKW", None): ("BKW", None, 5, "DK", None),
+    ("HG", 3): ("HG", 3, 6, "EHKR", None),
+    ("HG", 4): ("HG", 4, 6, "RHG", 4),
+    ("LG", None): ("LG", None, 8, "LG", None),
+}
+
+
 def suite_minimality(shell=None, k=None, nmax=None, seed=DEFAULT_SEED):
     rep = VerificationReport("minimality", seed)
-    cases = (
-        (("BKW", None, 5, "DK", None),) if shell == "BKW"
-        else ((("HG", 3, 6, "EHKR", None),) if (shell == "HG" and k == 3)
-        else ((("HG", 4, 6, "RHG", 4),) if (shell == "HG" and k == 4)
-        else ((("LG", None, nmax or 8, "LG", None),) if shell == "LG"
-        else (
-            ("BKW", None, 5, "DK", None),
-            ("HG", 3, 6, "EHKR", None),
-            ("HG", 4, 6, "RHG", 4),
-            ("LG", None, 8, "LG", None),
-        ))))
-    )
-    if shell is not None and nmax is not None and len(cases) == 1:
-        name, kk, _, ref, refk = cases[0]
-        cases = ((name, kk, nmax, ref, refk),)
+    if shell is None:
+        cases = tuple(_MINIMALITY_CASES.values())
+    else:
+        key = (shell, k if shell == "HG" else None)
+        if key not in _MINIMALITY_CASES:
+            raise ValueError(
+                "minimality has no case for shell %r with k %r (accepted: "
+                "BKW, HG with k 3 or 4, LG)" % (shell, k)
+            )
+        name, kk, bound, ref, refk = _MINIMALITY_CASES[key]
+        cases = ((name, kk, bound if nmax is None else nmax, ref, refk),)
     for name, kk, bound, ref, refk in cases:
         fam = build_family(name, max(bound, 6), k=kk)
         mini = minimal_suboperad(family_shell(fam), bound)

@@ -24,6 +24,7 @@ from quadop.boqd import (
 )
 from quadop.exactlin import LinearMap
 from quadop.graded import GradedSpace
+from quadop.qd import inj14_map, pr14_map, square_apply_rows
 from quadop.rand import random_boqd, random_s2module
 
 
@@ -202,3 +203,47 @@ def test_degenerate_interchange_and_zero_involutions():
         assert r.passed
     for r in koszul_involution_check(z, zero_boqd()):
         assert r.passed
+
+
+def _arity3_lift(f, src_mod, tgt_mod):
+    """T(f)(3) column by column: tau_i(x, x') -> tau_i(f x, f x')."""
+    src, tgt = free_arity3(src_mod), free_arity3(tgt_mod)
+    d = src_mod.dim
+    cols = [
+        tgt.tau_row(i, f.cols[x], f.cols[xp])
+        for i in (1, 2, 3) for x in range(d) for xp in range(d)
+    ]
+    return LinearMap(src.ambient, tgt.ambient, cols)
+
+
+def _assert_square_apply_is_lift(rng, f, src_mod, tgt_mod):
+    lift = _arity3_lift(f, src_mod, tgt_mod)
+    n = free_arity3(src_mod).dim
+    rows = [{c: 1} for c in range(n)]
+    rows += [
+        {rng.randrange(n): rng.randint(-2, 2) for _ in range(3)} for _ in range(6)
+    ]
+    got = square_apply_rows(f, rows, src_mod, tgt_mod)
+    assert got == [lift.apply_data(r) for r in rows]
+
+
+def test_square_apply_rows_on_arity3_rows_is_the_lift():
+    rng = random.Random(23)
+    for _ in range(12):
+        ms = random_s2module(rng, "s", max_dim=3)
+        mt = random_s2module(rng, "t", max_dim=3)
+        cols = [
+            {r: v for r in range(mt.dim) if (v := rng.randint(-2, 2))}
+            for _ in range(ms.dim)
+        ]
+        f = LinearMap(ms.space.ambient, mt.space.ambient, cols)
+        _assert_square_apply_is_lift(rng, f, ms, mt)
+    for _ in range(4):
+        a, ap, b, bp = (random_boqd(rng, p) for p in ("a", "a'", "b", "b'"))
+        spaces = [m.generators.space for m in (a, ap, b, bp)]
+        whole = boqd_product("black", boqd_product("ucirc", a, ap),
+                             boqd_product("ucirc", b, bp)).generators
+        blocks = boqd_product("ucirc", boqd_product("black", a, b),
+                              boqd_product("black", ap, bp)).generators
+        _assert_square_apply_is_lift(rng, pr14_map(*spaces), whole, blocks)
+        _assert_square_apply_is_lift(rng, inj14_map(*spaces), blocks, whole)

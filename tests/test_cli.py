@@ -99,3 +99,12 @@ def test_verify_minimality_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert all(c["status"] != "FAIL" for c in doc["cases"])
+
+
+def test_minimality_rejects_unknown_shell(capsys):
+    # a shell/k pair without a case is a usage error, not the default report
+    for extra in (["--shell", "DK"], ["--shell", "HG", "--k", "5"]):
+        code, out, err = run_cli(["verify", "minimality"] + extra, capsys)
+        assert code == 2
+        assert out == ""
+        assert "BKW, HG with k 3 or 4, LG" in err

@@ -9,13 +9,11 @@ from quadop.exactlin import (
     AmbientBasis,
     AmbientMismatch,
     LinearMap,
-    PairingMissing,
     Subspace,
     Vector,
     annihilator,
     apply_map,
     basis_vector,
-    declare_pairing,
     full_space,
     intersect,
     span,
@@ -68,31 +66,41 @@ def test_dimension_formula_random():
 def test_annihilator_trivial_and_double():
     amb = AmbientBasis(tuple("abcd"))
     dual = AmbientBasis(tuple(l + "*" for l in "abcd"))
-    declare_pairing(amb, dual, (1, 1, 1, 1))
-    assert annihilator(zero_space(amb)) == full_space(dual)
-    assert annihilator(full_space(amb)).dim == 0
+    signs = (1, 1, 1, 1)
+    assert annihilator(zero_space(amb), dual, signs) == full_space(dual)
+    assert annihilator(full_space(amb), dual, signs).dim == 0
     rng = random.Random(3)
     for _ in range(30):
         a = rand_subspace(rng, amb)
-        ann = annihilator(a)
+        ann = annihilator(a, dual, signs)
         assert ann.dim == amb.dim - a.dim
-        assert annihilator(ann) == a
+        assert annihilator(ann, amb, signs) == a
 
 
 def test_double_annihilator_dim_30():
     n = 30
     amb = AmbientBasis(tuple("e%d" % i for i in range(n)))
     dual = AmbientBasis(tuple("e%d*" % i for i in range(n)))
-    declare_pairing(amb, dual, (1,) * n)
+    signs = (1,) * n
     rng = random.Random(5)
     a = rand_subspace(rng, amb, max_rank=17)
-    assert annihilator(annihilator(a)) == a
+    assert annihilator(annihilator(a, dual, signs), amb, signs) == a
 
 
-def test_pairing_missing():
+def test_annihilator_signed_pairing():
     amb = AmbientBasis(("p", "q"))
-    with pytest.raises(PairingMissing):
-        annihilator(full_space(amb))
+    dual = AmbientBasis(("p*", "q*"))
+    a = Subspace(amb, [{0: 1, 1: 1}])
+    assert annihilator(a, dual, (1, 1)).rows == ({0: 1, 1: -1},)
+    assert annihilator(a, dual, (1, -1)).rows == ({0: 1, 1: 1},)
+
+
+def test_pairing_shape_mismatch():
+    amb = AmbientBasis(("p", "q"))
+    with pytest.raises(ValueError, match="pairing shape mismatch"):
+        annihilator(full_space(amb), AmbientBasis(("p*",)), (1, 1))
+    with pytest.raises(ValueError, match="pairing shape mismatch"):
+        annihilator(full_space(amb), AmbientBasis(("p*", "q*")), (1,))
 
 
 def test_apply_map_composition_and_identity():

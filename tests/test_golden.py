@@ -2,7 +2,7 @@
 one frozen in golden_reports.json (sha256 of the command's standard output).
 
 Each command runs in a fresh process, so the process-wide caches (component
-and family lru_caches, the pairing registry) cannot leak between cases.  To
+and family lru_caches) cannot leak between cases.  To
 refreeze after an intended change of a report, store the sha256 of the
 standard output of `python -m quadop <command>` under the command's key.
 """

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadop.exactlin import LinearMap, apply_map, intersect
+from quadop.exactlin import LinearMap, Subspace, apply_map, intersect
 from quadop.graded import (
     ArityError,
     GradedSpace,
@@ -125,7 +125,12 @@ def test_braiding_squares_to_identity():
 def test_mixed_bracket_dims():
     V = GradedSpace((("x", 0), ("y", 1)))
     W = GradedSpace((("u", 0),))
-    assert mixed_bracket(V, W, +1).dim == 2
-    assert mixed_bracket(V, W, -1).dim == 2
     s = direct_sum(V, W)
-    assert (mixed_bracket(V, W, 1) + mixed_bracket(V, W, -1)).dim == 4
+    amb = square(s).ambient
+    plus = Subspace(amb, mixed_bracket(V, W, +1))
+    minus = Subspace(amb, mixed_bracket(V, W, -1))
+    assert plus.dim == 2
+    assert minus.dim == 2
+    assert (plus + minus).dim == 4
+    # the raw rows are already the canonical RREF
+    assert tuple(mixed_bracket(V, W, +1)) == plus.rows

@@ -175,10 +175,10 @@ def test_bracket_image_spot():
     bkw = build_family("BKW", 4)
     ta = _tagged(bkw.gen_space(2), "o:")
     tb = _tagged(bkw.gen_space(2), "i:")
-    bracket = mixed_bracket(ta, tb, -1)
+    src = bkw.comp_source(2, 2)
+    bracket = Subspace(square(src).ambient, mixed_bracket(ta, tb, -1))
     assert bracket.dim == 1
     c = bkw.comp(2, 2, 1)
-    src = bkw.comp_source(2, 2)
     imgs = square_apply_rows(c, bracket.rows, src, bkw.gen_space(3))
     img = Subspace(square(bkw.gen_space(3)).ambient, imgs)
     assert img.dim == 1

@@ -1,5 +1,10 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,10 +26,12 @@ from quadop.qd import (
     check_phi_psi_star_duality,
     check_strong_monoidality,
     check_unit_laws,
+    inj14_map,
     interchange_phi,
     interchange_psi,
     make_qd,
     monoidal_product,
+    pr14_map,
     qd_dumps,
     qd_equal,
     qd_loads,
@@ -192,3 +199,58 @@ def test_json_round_trip():
     for flavor in ("plain", "symmetric", "skew"):
         a = random_qd(rng, flavor, "g")
         assert qd_equal(qd_loads(qd_dumps(a)), a)
+
+
+def test_inj14_is_the_transpose_of_pr14():
+    spaces = [
+        GradedSpace(()),
+        GradedSpace((("p", 1),)),
+        GradedSpace((("q", 0), ("r", 1))),
+    ]
+    for dims in product(range(3), repeat=4):
+        a, ap, b, bp = (
+            GradedSpace(tuple((t + l, d) for l, d in spaces[n].basis))
+            for t, n in zip(("a", "a'", "b", "b'"), dims)
+        )
+        pr = pr14_map(a, ap, b, bp)
+        inj = inj14_map(a, ap, b, bp)
+        assert (inj.source, inj.target) == (pr.target, pr.source)
+        assert pr.compose(inj) == LinearMap.identity(pr.target)
+        for i, col in enumerate(pr.cols):
+            for j in range(pr.target.dim):
+                assert col.get(j, 0) == inj.cols[j].get(i, 0)
+
+
+STAR_IN_FRESH_PROCESS = """
+from quadop.graded import GradedSpace, square, word_sign
+from quadop.qd import apply_functor, make_qd
+
+# x (x) y has the word (1, 1) and u (x) z the word (2, 0): one degree, so the
+# relation is homogeneous, but the two columns pair with opposite signs
+v = GradedSpace((("x", 1), ("y", 1), ("u", 2), ("z", 0)))
+a = make_qd("plain", v, [{1: 1, 11: 1}, {0: 1}, {5: 1, 4: -1}])
+star = apply_functor("star", a)
+signs = [word_sign(w) for w in square(v).words]
+assert star.rdim == 16 - a.rdim
+pair = lambda r, q, s: sum(x * q.get(c, 0) * s[c] for c, x in r.items())
+for r in a.relations.rows:
+    for q in star.relations.rows:
+        assert pair(r, q, signs) == 0
+assert any(
+    pair(r, q, [1] * 16)
+    for r in a.relations.rows for q in star.relations.rows
+)
+"""
+
+
+def test_star_pairing_is_signed_in_a_fresh_process():
+    # STAR is the first call of the process, so no earlier call can have
+    # supplied the pairing it uses
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", STAR_IN_FRESH_PROCESS],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
