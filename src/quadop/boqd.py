@@ -15,10 +15,16 @@ checks; a regression test freezes it.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .exactlin import AmbientBasis, LinearMap, Subspace, Vector, nullspace_rows
+from .exactlin import (
+    AmbientBasis,
+    LinearMap,
+    Subspace,
+    Vector,
+    nullspace_rows,
+    scalar,
+)
 from .graded import GradedSpace, direct_sum, tensor_product
 from .kernel import EchelonBasis
 from .qd import _map_tensor, inj14_map, pr14_map, square_apply_rows
@@ -577,10 +583,10 @@ def boqd_interchange_check(kind, a, ap, b, bp):
 
 def boqd_to_json(a):
     n = a.gdim
-    act = [[str(a.generators.action.cols[j].get(i, Fraction(0))) for j in range(n)]
+    act = [[str(a.generators.action.cols[j].get(i, 0)) for j in range(n)]
            for i in range(n)]
     dim3 = a.space.dim
-    rows = [[str(r.get(c, Fraction(0))) for c in range(dim3)] for r in a.relations.rows]
+    rows = [[str(r.get(c, 0)) for c in range(dim3)] for r in a.relations.rows]
     return {
         "generators": [
             {"label": l, "degree": d} for l, d in a.generators.space.basis
@@ -593,13 +599,11 @@ def boqd_to_json(a):
 def boqd_from_json(doc):
     gens = GradedSpace(tuple((g["label"], g["degree"]) for g in doc["generators"]))
     n = gens.dim
-    cols = [
-        {i: Fraction(doc["action"][i][j]) for i in range(n) if Fraction(doc["action"][i][j])}
-        for j in range(n)
-    ]
+    act = [[scalar(x) for x in row] for row in doc["action"]]
+    cols = [{i: act[i][j] for i in range(n) if act[i][j]} for j in range(n)]
     mod = S2Module(gens, LinearMap(gens.ambient, gens.ambient, cols))
     rows = [
-        {i: Fraction(x) for i, x in enumerate(row) if Fraction(x)}
+        {i: q for i, q in enumerate(map(scalar, row)) if q}
         for row in doc["relations"]
     ]
     return make_boqd(mod, rows)

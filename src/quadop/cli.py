@@ -53,8 +53,8 @@ def _resolve_qd(args, spec_value=None):
 
 def cmd_dims(args):
     if args.family:
-        fam = build_family(args.family, args.nmax or 6, k=args.k)
-        nmax = args.nmax or 6
+        nmax = 6 if args.nmax is None else args.nmax
+        fam = build_family(args.family, nmax, k=args.k)
         if args.relations:
             dims = [fam.component(n).rdim for n in range(1, nmax + 1)]
             _emit(args, {"family": fam.name, "relation_dims": dims},
@@ -96,26 +96,27 @@ def cmd_verify(args):
     kwargs = {"seed": args.seed}
     if args.suite in ("qd-coherence", "boqd-coherence", "diagram-faces",
                       "realize-duality"):
-        if args.trials:
+        if args.trials is not None:
             kwargs["trials"] = args.trials
     if args.suite == "operad-axioms" and args.family:
         kwargs.update(family=args.family, k=args.k, nmax=args.nmax)
     if args.suite == "minimality" and args.shell:
         kwargs.update(shell=args.shell, k=args.k, nmax=args.nmax)
-    if args.suite == "koszul-duals" and args.nmax:
+    if args.suite == "koszul-duals" and args.nmax is not None:
         kwargs["nmax"] = args.nmax
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = fn(**kwargs)
     if args.timings:
-        report.runtime_ms = int((time.time() - t0) * 1000)
+        report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     _emit(args, report.to_json())
     return 0 if report.ok else 1
 
 
 def cmd_build(args):
     if args.family and not args.functor and not args.product:
-        fam = build_family(args.family, args.nmax or 6, k=args.k)
-        _emit(args, _family_descriptor(fam, args.nmax or 6))
+        nmax = 6 if args.nmax is None else args.nmax
+        fam = build_family(args.family, nmax, k=args.k)
+        _emit(args, _family_descriptor(fam, nmax))
         return 0
     if args.functor:
         if not args.qd:
@@ -193,6 +194,10 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     args.qd_multi = qd_multi
     try:
+        for name in ("trials", "nmax"):
+            value = getattr(args, name)
+            if value is not None and value < 1:
+                raise UsageError("--%s must be at least 1, got %d" % (name, value))
         if args.command == "dims":
             return cmd_dims(args)
         if args.command == "verify":

@@ -1,5 +1,10 @@
 """Exact rational linear algebra on labeled ambient bases.
 
+Exact scalars have one normal form: an int when the value is integral, a
+Fraction only when it has a denominator (see scalar()).  Equality and hashing
+are by value, so the normal form changes no comparison; it keeps the 0/±1
+maps and relation rows that dominate the checks in machine-int arithmetic.
+
 Subspaces are canonical: stored as the reduced row-echelon form of their
 span, so two subspaces of the same ambient are equal iff their stored rows
 are equal.  Membership queries reduce against the stored RREF rows directly,
@@ -12,7 +17,15 @@ from fractions import Fraction
 
 from .kernel import EchelonBasis
 
-Scalar = Fraction
+
+def scalar(v):
+    """The normal form of an exact scalar: an int passes through; anything
+    else (a Fraction, a string such as "-1/3") goes through Fraction and
+    comes back as an int when its denominator is 1."""
+    if type(v) is int:
+        return v
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
 
 
 class AmbientMismatch(ValueError):
@@ -62,15 +75,15 @@ class Vector:
     def __init__(self, ambient, data):
         self.ambient = ambient
         if isinstance(data, dict):
-            self.data = {c: Fraction(v) for c, v in data.items() if v}
+            self.data = {c: scalar(v) for c, v in data.items() if v}
         else:
             if len(data) != ambient.dim:
                 raise ValueError("coordinate list does not match ambient dimension")
-            self.data = {i: Fraction(v) for i, v in enumerate(data) if v}
+            self.data = {i: scalar(v) for i, v in enumerate(data) if v}
 
     @property
     def coords(self):
-        out = [Fraction(0)] * self.ambient.dim
+        out = [0] * self.ambient.dim
         for c, v in self.data.items():
             out[c] = v
         return out
@@ -93,8 +106,8 @@ class Vector:
     def __sub__(self, other):
         return self + (-1) * other
 
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
+    def __rmul__(self, s):
+        s = scalar(s)
         return Vector(self.ambient, {c: s * v for c, v in self.data.items()})
 
     def __eq__(self, other):
@@ -241,7 +254,7 @@ def nullspace_rows(rows, ncols):
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = {f: Fraction(1)}
+        vec = {f: 1}
         for r in rref:
             coef = r.get(f)
             if coef:
@@ -264,7 +277,8 @@ class LinearMap:
     """Basis-to-basis linear map between labeled ambients.
 
     Stored column-wise and sparse: cols[i] is the image of the i-th source
-    basis vector as a {target index: Fraction} dict.
+    basis vector as a {target index: scalar} dict, each coefficient in the
+    scalar() normal form (an int unless it has a denominator).
     """
 
     __slots__ = ("source", "target", "cols")
@@ -275,7 +289,7 @@ class LinearMap:
         if len(cols) != source.dim:
             raise ValueError("column count does not match source dimension")
         self.cols = tuple(
-            {c: Fraction(v) for c, v in col.items() if v} for col in cols
+            {c: scalar(v) for c, v in col.items() if v} for col in cols
         )
 
     @classmethod
@@ -284,7 +298,7 @@ class LinearMap:
         cols = []
         for l in source.labels:
             img = images.get(l, {})
-            cols.append({target.index(tl): Fraction(v) for tl, v in img.items()})
+            cols.append({target.index(tl): scalar(v) for tl, v in img.items()})
         return cls(source, target, cols)
 
     @classmethod

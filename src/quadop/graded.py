@@ -9,7 +9,6 @@ label equalities.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exactlin import AmbientBasis, LinearMap, Subspace
@@ -102,7 +101,7 @@ def koszul_sign(degrees, perm):
         for b in range(a + 1, n):
             if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
                 sign = -sign
-    return Fraction(sign)
+    return sign
 
 
 def tensor_product(v, w):
@@ -159,7 +158,7 @@ def shift_square_map(v, k=1):
         di = v.basis[i][1]
         sign = (-1) ** (di % 2) if k == 1 else (-1) ** ((di - 1) % 2)
         for j in range(n):
-            cols.append({i * n + j: Fraction(sign)})
+            cols.append({i * n + j: sign})
     return LinearMap(src, tgt, cols)
 
 
@@ -192,7 +191,7 @@ def _pair_vector(v, i, j, sign_flag):
     n = v.dim
     di, dj = v.basis[i][1], v.basis[j][1]
     eps = sign_flag * ((-1) ** ((di * dj) % 2))
-    data = {i * n + j: Fraction(1)}
+    data = {i * n + j: 1}
     k = j * n + i
     data[k] = data.get(k, 0) + eps
     return {c: x for c, x in data.items() if x}
@@ -219,6 +218,21 @@ def square_split(v):
         sym=Subspace(amb, sym_rows),
         alt=Subspace(amb, alt_rows),
     )
+
+
+def in_signed_square(v, row, sign):
+    """Whether a row of square(v) lies in its symmetric (sign +1) or
+    antisymmetric (sign -1) part, read off the signed swap
+    tau(x_i (x) x_j) = (-1)^{|x_i||x_j|} x_j (x) x_i with no elimination:
+    the row must satisfy row[j*n+i] = sign * (-1)^{|x_i||x_j|} * row[i*n+j]."""
+    n = v.dim
+    degrees = v.degrees
+    for c, x in row.items():
+        i, j = divmod(c, n)
+        eps = -sign if degrees[i] * degrees[j] % 2 else sign
+        if row.get(j * n + i, 0) != eps * x:
+            return False
+    return True
 
 
 def sym_square(v):
@@ -255,5 +269,5 @@ def braiding_map(v, w):
         for j in range(w.dim):
             dj = w.basis[j][1]
             sign = (-1) ** ((di * dj) % 2)
-            cols.append({j * v.dim + i: Fraction(sign)})
+            cols.append({j * v.dim + i: sign})
     return LinearMap(src, tgt, cols)

@@ -17,8 +17,10 @@ arrive with a new lead and are stored without elimination; the span, the
 pivot columns and the RREF do not depend on the order.  Callers that need to
 know which rows raised the rank call add row by row instead.
 
-rref() produces the reduced row-echelon form with Fraction entries, which is
-the canonical representative used for subspace equality everywhere else.
+rref() produces the reduced row-echelon form, which is the canonical
+representative used for subspace equality everywhere else.  Its entries are
+in quadop's scalar normal form: an int when the entry is integral, a
+Fraction only when it has a denominator.
 This module is quadop's only elimination path; quadop.kernel re-exports it.
 """
 
@@ -132,7 +134,7 @@ class EchelonBasis:
         return sorted(self.pivots)
 
     def rref(self):
-        """Canonical reduced row-echelon form: list of {col: Fraction} rows.
+        """Canonical reduced row-echelon form: list of {col: int|Fraction} rows.
 
         Rows are sorted by pivot column, pivot entries are 1 and every pivot
         column is cleared in all other rows.  Clearing is fraction-free: a
@@ -173,9 +175,10 @@ class EchelonBasis:
             row = reduced[c]
             lead = row[c]
             if lead == 1:
-                out.append({k: Fraction(v) for k, v in sorted(row.items())})
+                out.append(dict(sorted(row.items())))
             else:
-                out.append({k: Fraction(v, lead) for k, v in sorted(row.items())})
+                out.append({k: v // lead if v % lead == 0 else Fraction(v, lead)
+                            for k, v in sorted(row.items())})
         return out
 
 

@@ -8,7 +8,6 @@ the family's per-generator formula; the axiom verifier checks everything
 exhaustively at bounded arity on generator bases.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -207,12 +206,12 @@ class OperadFamily:
                 col = {}
                 for coeff, J in self.scheme.compose_outer(I, n, m, p):
                     col[pos[J]] = col.get(pos[J], 0) + coeff
-                cols.append({c: Fraction(v) for c, v in col.items() if v})
+                cols.append(col)
             for I in self.gen_indices(m):
                 col = {}
                 for coeff, J in self.scheme.compose_inner(I, n, m, p):
                     col[pos[J]] = col.get(pos[J], 0) + coeff
-                cols.append({c: Fraction(v) for c, v in col.items() if v})
+                cols.append(col)
             self._comps[key] = LinearMap(src.ambient, tgt.ambient, cols)
         return self._comps[key]
 
@@ -405,7 +404,7 @@ def verify_axioms(family, nmax):
         for p in range(1, n + 1):
             c = family.comp(n, 1, p)
             for g in range(dn):
-                if c.apply_data({g: 1}) != {g: Fraction(1)}:
+                if c.apply_data({g: 1}) != {g: 1}:
                     ok = False
                     reports.append(
                         Report("unit.right.n%d.p%d" % (n, p), False,
@@ -413,7 +412,7 @@ def verify_axioms(family, nmax):
                     )
         c = family.comp(1, n, 1)
         for g in range(dn):
-            if c.apply_data({g: 1}) != {g: Fraction(1)}:
+            if c.apply_data({g: 1}) != {g: 1}:
                 ok = False
                 reports.append(Report("unit.left.n%d" % n, False, ""))
     if ok:

@@ -9,7 +9,6 @@ skew flavors additionally constrain R to the signed (anti)symmetric part.
 import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .exactlin import (
     AmbientMismatch,
@@ -19,6 +18,7 @@ from .exactlin import (
     annihilator,
     apply_map,
     intersect,
+    scalar,
     zero_space,
 )
 from .graded import (
@@ -27,11 +27,11 @@ from .graded import (
     alt_square,
     direct_sum,
     dual,
+    in_signed_square,
     mixed_bracket,
     shift,
     shift_square_map,
     square,
-    square_split,
     sym_square,
     tensor_product,
     word_sign,
@@ -64,11 +64,10 @@ class QuadraticData:
         amb = square(self.generators).ambient
         if self.relations.ambient != amb:
             raise AmbientMismatch("relations do not live in the generator square")
-        if self.flavor is not QDFlavor.PLAIN and self.generators.dim:
-            split = square_split(self.generators)
-            target = split.sym if self.flavor is QDFlavor.SYM else split.alt
+        if self.flavor is not QDFlavor.PLAIN:
+            sign = 1 if self.flavor is QDFlavor.SYM else -1
             for row in self.relations.rows:
-                if not target.contains(row):
+                if not in_signed_square(self.generators, row, sign):
                     raise FlavorViolation(
                         "relation escapes the %s square" % self.flavor.value,
                         witness=Vector(amb, dict(row)),
@@ -235,7 +234,7 @@ def _s23_rows(a_space, b_space, rows_a, rows_b):
 
 
 def _square_basis_rows(space):
-    return [{c: Fraction(1)} for c in range(space.dim * space.dim)]
+    return [{c: 1} for c in range(space.dim * space.dim)]
 
 
 class ProductName(str, Enum):
@@ -446,7 +445,7 @@ def qd_to_json(a):
     rows = []
     n2 = a.gdim * a.gdim
     for r in a.relations.rows:
-        rows.append([str(r.get(c, Fraction(0))) for c in range(n2)])
+        rows.append([str(r.get(c, 0)) for c in range(n2)])
     return {
         "flavor": a.flavor.value,
         "generators": [{"label": l, "degree": d} for l, d in a.generators.basis],
@@ -457,7 +456,7 @@ def qd_to_json(a):
 def qd_from_json(doc):
     gens = GradedSpace(tuple((g["label"], g["degree"]) for g in doc["generators"]))
     rows = [
-        {i: Fraction(x) for i, x in enumerate(row) if Fraction(x)}
+        {i: q for i, q in enumerate(map(scalar, row)) if q}
         for row in doc["relations"]
     ]
     return make_qd(doc["flavor"], gens, rows)

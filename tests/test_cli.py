@@ -108,3 +108,18 @@ def test_minimality_rejects_unknown_shell(capsys):
         assert code == 2
         assert out == ""
         assert "BKW, HG with k 3 or 4, LG" in err
+
+
+def test_arguments_below_one_are_usage_errors(capsys):
+    # zero or negative counts must not fall back to the defaults
+    for argv in (
+        ["verify", "qd-coherence", "--trials", "0"],
+        ["verify", "qd-coherence", "--trials", "-3"],
+        ["verify", "koszul-duals", "--nmax", "0"],
+        ["dims", "--family", "DK", "--nmax", "0"],
+        ["build", "--family", "DK", "--nmax", "0"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be at least 1" in err

@@ -125,6 +125,44 @@ def test_vector_coords_roundtrip():
     assert Vector(A, {0: Fraction(1, 2), 2: -3}) == v
 
 
+def test_scalar_normal_form():
+    assert exactlin.scalar(3) == 3 and type(exactlin.scalar(3)) is int
+    assert type(exactlin.scalar(-7)) is int
+    assert exactlin.scalar(Fraction(4, 2)) == 2
+    assert type(exactlin.scalar(Fraction(4, 2))) is int
+    assert exactlin.scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(exactlin.scalar(Fraction(1, 2))) is Fraction
+    assert exactlin.scalar("3") == 3 and type(exactlin.scalar("3")) is int
+    assert exactlin.scalar("-1/3") == Fraction(-1, 3)
+
+
+def test_fraction_and_int_rows_build_equal_subspaces():
+    amb = AmbientBasis(tuple("abcd"))
+    int_rows = [{0: 2, 1: 4}, {1: 3, 3: -6}, {2: 1, 3: 1}]
+    frac_rows = [{c: Fraction(v) for c, v in r.items()} for r in int_rows]
+    halves = [{c: Fraction(v, 2) for c, v in r.items()} for r in int_rows]
+    a, b, c = (Subspace(amb, rows) for rows in (int_rows, frac_rows, halves))
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+
+
+def test_maps_and_vectors_store_integral_values_as_ints():
+    A = AmbientBasis(("x", "y"))
+    f = LinearMap(A, A, [{0: Fraction(4, 2), 1: Fraction(1, 2)}, {1: "3"}])
+    assert f.cols == ({0: 2, 1: Fraction(1, 2)}, {1: 3})
+    assert type(f.cols[0][0]) is int and type(f.cols[1][1]) is int
+    g = LinearMap.from_label_map(A, A, {"x": {"y": Fraction(4, 2)}})
+    assert g.cols == ({1: 2}, {}) and type(g.cols[0][1]) is int
+    v = Vector(A, {0: Fraction(4, 2), 1: Fraction(1, 2)})
+    assert type(v.data[0]) is int and v.data[1] == Fraction(1, 2)
+    assert type(Vector(A, [Fraction(4, 2), 0]).data[0]) is int
+    doubled = 2 * v
+    assert doubled.data == {0: 4, 1: 1}
+    assert all(type(x) is int for x in doubled.data.values())
+    assert all(type(x) is int for x in (v + v).data.values())
+    assert v.coords == [2, Fraction(1, 2)]
+
+
 # Membership queries reduce against the stored RREF; the kernel is the
 # reference: a fresh EchelonBasis over the same generating rows.
 

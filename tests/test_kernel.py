@@ -119,3 +119,42 @@ def test_int_row_clears_denominators_and_zeros():
     assert row == {0: 4, 3: -2}
     assert all(type(v) is int for v in row.values())
     assert int_row({}) == {}
+
+
+def _reference_rref(basis):
+    """rref() recomputed in Fraction arithmetic from the stored pivot rows,
+    dividing each row by its pivot first: the reference for the values."""
+    pivots = basis.pivots
+    reduced = {}
+    for c in sorted(pivots, reverse=True):
+        row = {k: Fraction(v, pivots[c][c]) for k, v in pivots[c].items()}
+        for k in [k for k in row if k != c and k in reduced]:
+            x = row[k]
+            for kk, v in reduced[k].items():
+                w = row.get(kk, 0) - x * v
+                if w:
+                    row[kk] = w
+                else:
+                    del row[kk]
+        reduced[c] = row
+    return [dict(sorted(reduced[c].items())) for c in sorted(pivots)]
+
+
+@given(_mixed_rows)
+@settings(max_examples=200, deadline=None)
+def test_rref_entries_are_int_unless_they_have_a_denominator(rows):
+    basis = _echelon_py.EchelonBasis().add_many(rows)
+    rref = basis.rref()
+    for r in rref:
+        for v in r.values():
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+    assert rref == _reference_rref(basis)
+
+
+def test_rref_divides_by_the_pivot_only_where_it_must():
+    (row,) = _echelon_py.echelon_rows([{0: 2, 1: 4}])
+    assert row == {0: 1, 1: 2}
+    assert all(type(v) is int for v in row.values())
+    (row,) = _echelon_py.echelon_rows([{0: 2, 1: 1}])
+    assert row == {0: 1, 1: Fraction(1, 2)}
+    assert type(row[0]) is int and type(row[1]) is Fraction

@@ -148,6 +148,21 @@ def test_action_preserves_relations():
                     assert comp.relations.contains(img)
 
 
+def test_composition_and_action_columns_are_ints():
+    # the operad checks run on machine ints only while the 0/±1 columns of
+    # the compositions and actions are not boxed as Fractions
+    from quadop.operads import transpositions
+
+    fam = build_family("DK", 5)
+    maps = [fam.comp(n, m, p)
+            for n in range(1, 6) for m in range(0, 6 - n + 1)
+            for p in range(1, n + 1)]
+    maps += [fam.action(n, sigma) for n in range(2, 6) for sigma in transpositions(n)]
+    values = [v for f in maps for col in f.cols for v in col.values()]
+    assert values
+    assert all(type(v) is int for v in values)
+
+
 def test_compare_families():
     dk = build_family("DK", 5)
     bkw = build_family("BKW", 5)

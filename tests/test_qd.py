@@ -7,9 +7,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadop.exactlin import LinearMap
-from quadop.graded import GradedSpace, alt_square, square
+from quadop.exactlin import LinearMap, Vector
+from quadop.graded import (
+    GradedSpace,
+    alt_square,
+    in_signed_square,
+    square,
+    square_split,
+)
 from quadop.qd import (
     CounterExample,
     FlavorMismatch,
@@ -219,6 +226,49 @@ def test_inj14_is_the_transpose_of_pr14():
         for i, col in enumerate(pr.cols):
             for j in range(pr.target.dim):
                 assert col.get(j, 0) == inj.cols[j].get(i, 0)
+
+
+@st.composite
+def _square_rows(draw):
+    """A graded space with odd and even generators and a row of its square
+    whose mirrored entries x_i(x)x_j, x_j(x)x_i often agree up to sign."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
+    n = len(degrees)
+    v = GradedSpace(tuple(("x%d" % i, d) for i, d in enumerate(degrees)))
+    coef = st.one_of(
+        st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    )
+    row = {}
+    for i in range(n):
+        for j in range(i, n):
+            a = draw(coef)
+            row[i * n + j] = a
+            row[j * n + i] = draw(st.one_of(st.sampled_from([a, -a]), coef))
+    return v, {c: x for c, x in row.items() if x}
+
+
+@given(_square_rows())
+@settings(max_examples=300, deadline=None)
+def test_signed_swap_test_agrees_with_square_split(case):
+    v, row = case
+    split = square_split(v)
+    assert in_signed_square(v, row, 1) == split.sym.contains(row)
+    assert in_signed_square(v, row, -1) == split.alt.contains(row)
+
+
+def test_flavor_violation_names_the_first_escaping_row():
+    v = GradedSpace((("x", 1), ("y", 0)))
+    amb = square(v).ambient
+    # x(x)x with x odd is skew, not symmetric
+    assert make_qd("skew", v, [{0: 1}]).rdim == 1
+    with pytest.raises(FlavorViolation) as err:
+        make_qd("symmetric", v, [{0: 1}])
+    assert err.value.witness == Vector(amb, {0: 1})
+    # the witness is the first RREF row that escapes, whatever the input order
+    w = GradedSpace((("y", 0), ("x", 1)))
+    with pytest.raises(FlavorViolation) as err:
+        make_qd("symmetric", w, [{3: 2}, {0: 1}, {1: 1, 2: 1}])
+    assert err.value.witness == Vector(square(w).ambient, {3: 1})
 
 
 STAR_IN_FRESH_PROCESS = """
