@@ -80,7 +80,7 @@ def cmd_dims(args):
     table = {}
     rows = []
     for r in reals:
-        dims = realize.hilbert_series(r, q, wmax).truncation()
+        dims = realize.hilbert_series(r, q, wmax)
         table[r] = dims
         rows.append([r] + dims)
     _emit(args, {"qd": args.qd, "weights": list(range(wmax + 1)), "dims": table},
@@ -194,10 +194,11 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     args.qd_multi = qd_multi
     try:
-        for name in ("trials", "nmax"):
+        for name, low in (("trials", 1), ("nmax", 1), ("n", 0), ("wmax", 0)):
             value = getattr(args, name)
-            if value is not None and value < 1:
-                raise UsageError("--%s must be at least 1, got %d" % (name, value))
+            if value is not None and value < low:
+                raise UsageError("--%s must be at least %d, got %d"
+                                 % (name, low, value))
         if args.command == "dims":
             return cmd_dims(args)
         if args.command == "verify":

@@ -88,9 +88,6 @@ class Vector:
             out[c] = v
         return out
 
-    def is_zero(self):
-        return not self.data
-
     def __add__(self, other):
         if other.ambient != self.ambient:
             raise AmbientMismatch("vectors live in different ambients")

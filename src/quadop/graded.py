@@ -82,9 +82,6 @@ class GradedSpace:
             object.__setattr__(self, "_ambient", amb)
             return amb
 
-    def degree_of(self, label):
-        return self.ambient.degrees[self.ambient.index(label)]
-
 
 ZERO = GradedSpace(())
 

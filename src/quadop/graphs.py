@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .kernel import EchelonBasis
 from .qd import apply_functor
-from .realize import weight_component
+from .realize import hilbert_series, weight_component
 from .report import Report
 
 
@@ -434,7 +434,7 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
         for w in range(0, wmax + 1):
             from math import comb
             graphs_w = comb(gens, w)
-            sc_w = weight_component("Sc", shifted, w).dim
+            sc_w = weight_component("Sc", shifted, w)
             if sc_w != graphs_w and dim_fail is None:
                 dim_fail = (n, w, sc_w, graphs_w)
     reports.append(Report("sc_iso.dims", dim_fail is None,
@@ -500,7 +500,7 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
 def holonomy_dims(family, n, wmax):
     """Weight dimensions of the quadratic-Lie realisation of a component."""
     comp = family.component(n)
-    return tuple(weight_component("L", comp, w).dim for w in range(1, wmax + 1))
+    return tuple(weight_component("L", comp, w) for w in range(1, wmax + 1))
 
 
 def gerstenhaber_dim_check(k, nmax, family=None):
@@ -522,7 +522,7 @@ def gerstenhaber_dim_check(k, nmax, family=None):
                 dims = []
                 w = 0
                 while True:
-                    d = weight_component("Sc", shifted, w).dim
+                    d = weight_component("Sc", shifted, w)
                     dims.append(d)
                     if d == 0 or w > comp.gdim:
                         break
@@ -540,7 +540,7 @@ def gerstenhaber_dim_check(k, nmax, family=None):
         for n in range(3, nmax + 1):
             comp = fam.component(n)
             shifted = apply_functor("antishriek", comp)
-            dims = [weight_component("Sc", shifted, w).dim for w in range(0, 3)]
+            dims = hilbert_series("Sc", shifted, 2)
             oracle = _ternary_forest_dims(n)
             reports.append(
                 Report("gerst3.dim.n%d" % n, True,

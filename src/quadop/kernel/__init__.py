@@ -1,7 +1,7 @@
 """Sparse fraction-free echelon kernel over exact rationals (pure Python)."""
 
-from ._echelon_py import EchelonBasis, echelon_rows, int_row, rank_of_rows
+from ._echelon_py import EchelonBasis, echelon_rows, int_row
 
 BACKEND = "python"
 
-__all__ = ["EchelonBasis", "echelon_rows", "int_row", "rank_of_rows", "BACKEND"]
+__all__ = ["EchelonBasis", "echelon_rows", "int_row", "BACKEND"]

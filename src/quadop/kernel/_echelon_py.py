@@ -185,7 +185,3 @@ class EchelonBasis:
 def echelon_rows(rows):
     """RREF of a list of sparse rows; the canonical form of their span."""
     return EchelonBasis().add_many(rows).rref()
-
-
-def rank_of_rows(rows):
-    return EchelonBasis().add_many(rows).rank

@@ -29,10 +29,6 @@ from .report import Report
 # permutations (1-based tuples: perm[i-1] = sigma(i))
 
 
-def identity_perm(n):
-    return tuple(range(1, n + 1))
-
-
 def transpositions(n):
     out = []
     for i in range(1, n):

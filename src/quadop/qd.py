@@ -708,33 +708,21 @@ def verify_diagram_face(face, a, wmax=4):
         ok = qd_equal(lhs, rhs)
         return Report(face, ok, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
     if face == "tensor_coalgebra_dual":
-        lhs = [realize.weight_component("Tc", a, w).dim for w in range(wmax + 1)]
-        rhs = [
-            realize.weight_component("A", apply_functor(FunctorName.STAR, a), w).dim
-            for w in range(wmax + 1)
-        ]
+        lhs = realize.hilbert_series("Tc", a, wmax)
+        rhs = realize.hilbert_series("A", apply_functor(FunctorName.STAR, a), wmax)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     if face == "sym_coalgebra_dual":
-        lhs = [realize.weight_component("Sc", a, w).dim for w in range(wmax + 1)]
-        rhs = [
-            realize.weight_component("S", apply_functor(FunctorName.STAR, a), w).dim
-            for w in range(wmax + 1)
-        ]
+        lhs = realize.hilbert_series("Sc", a, wmax)
+        rhs = realize.hilbert_series("S", apply_functor(FunctorName.STAR, a), wmax)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     if face == "sym_vs_cofree":
-        lhs = [realize.weight_component("Sc", a, w).dim for w in range(wmax + 1)]
-        rhs = [
-            realize.weight_component("Tc", apply_functor(FunctorName.SIGMA, a), w).dim
-            for w in range(wmax + 1)
-        ]
+        lhs = realize.hilbert_series("Sc", a, wmax)
+        rhs = realize.hilbert_series("Tc", apply_functor(FunctorName.SIGMA, a), wmax)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     if face == "envelope_pbw":
         return realize.ue_compare(a, wmax)
     if face == "sym_quotient":
-        lhs = [realize.weight_component("S", a, w).dim for w in range(wmax + 1)]
-        rhs = [
-            realize.weight_component("A", apply_functor(FunctorName.SCRIPT_S, a), w).dim
-            for w in range(wmax + 1)
-        ]
+        lhs = realize.hilbert_series("S", a, wmax)
+        rhs = realize.hilbert_series("A", apply_functor(FunctorName.SCRIPT_S, a), wmax)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     raise ValueError("unknown face %r" % face)

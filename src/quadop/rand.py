@@ -7,7 +7,7 @@ reproducible byte-for-byte.
 import random
 import zlib
 
-from .graded import GradedSpace, square, square_split
+from .graded import GradedSpace, _pair_vector, square
 from .qd import QDFlavor, make_qd
 
 
@@ -23,15 +23,26 @@ def random_graded_space(rng, prefix, max_dim=3, degrees=(0, 1)):
     )
 
 
+def _flavor_pool(gens, flavor):
+    """Basis rows of the flavor square of gens.  For SYM/SKEW these are the
+    signed pair rows x_i (x) x_j +- swap, i <= j, with the diagonal scaled
+    to 1: already the RREF rows of the symmetric/antisymmetric part."""
+    n = gens.dim
+    if flavor is QDFlavor.PLAIN:
+        return [{c: 1} for c in range(n * n)]
+    sign = 1 if flavor is QDFlavor.SYM else -1
+    pool = []
+    for i in range(n):
+        for j in range(i, n):
+            row = _pair_vector(gens, i, j, sign)
+            if row:
+                pool.append({i * n + i: 1} if i == j else row)
+    return pool
+
+
 def random_relation_rows(rng, gens, flavor):
     """Random homogeneous relation rows inside the flavor square of gens."""
-    split = square_split(gens)
-    if flavor is QDFlavor.PLAIN:
-        pool = [{c: 1} for c in range(gens.dim * gens.dim)]
-    elif flavor is QDFlavor.SYM:
-        pool = [dict(r) for r in split.sym.rows]
-    else:
-        pool = [dict(r) for r in split.alt.rows]
+    pool = _flavor_pool(gens, flavor)
     amb = square(gens).ambient
     bydeg = {}
     for r in pool:

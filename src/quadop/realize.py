@@ -1,46 +1,25 @@
-"""Weight-graded realisations of quadratic data.
+"""Weight dimensions of the realisations of quadratic data.
 
 The associative realisation is the tensor algebra modulo the two-sided ideal
 on R, the cofree side is the intersection of the shifted relation slices, the
 commutative realisation works directly in the signed symmetric-power monomial
 basis, and the Lie realisation runs over a (super-)Lyndon basis embedded in
-the tensor ambient.  Everything is weight-by-weight exact linear algebra; the
+the tensor ambient.  Each component is answered by its dimension alone, from
+weight-by-weight exact linear algebra; no representatives are kept.  The
 column index of a tensor word is its base-n value, so no labels are
 materialised in the hot loops.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactlin import intersect_rows
-from .kernel import EchelonBasis, echelon_rows, int_row, rank_of_rows
+from .kernel import EchelonBasis, echelon_rows, int_row
 from .qd import FunctorName, QDFlavor, apply_functor
 from .graded import ArityError
 from .report import Report
 
 
 REALIZATIONS = ("A", "S", "Tc", "Sc", "L")
-
-
-@dataclass(frozen=True)
-class WeightComponent:
-    realization: str
-    weight: int
-    dim: int
-    ambient_dim: int
-    rep_columns: tuple  # representatives: monomial columns for quotients,
-    #                     echelon rows for sub-objects (None when implicit)
-
-
-@dataclass(frozen=True)
-class HilbertSeries:
-    dims: tuple
-
-    def __getitem__(self, w):
-        return self.dims[w]
-
-    def truncation(self):
-        return list(self.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +50,13 @@ def _ideal_slice_rows(rel_rows, n, w):
 def tensor_quotient_dim(rel_rows, n, w):
     """dim of weight w of T(V)/(R): words minus the rank of the ideal slice."""
     if w == 0:
-        return 1, ()
+        return 1
     if w == 1:
-        return n, ()
+        return n
     # rows are built here, so a profile charges their generation to this
     # module rather than to the kernel's sort
     basis = EchelonBasis().add_many(list(_ideal_slice_rows(rel_rows, n, w)))
-    pivots = set(basis.pivot_columns())
-    total = n ** w
-    dim = total - basis.rank
-    reps = tuple(c for c in range(total) if c not in pivots) if total <= 20000 else ()
-    return dim, reps
+    return n ** w - basis.rank
 
 
 def tensor_cofree_rows(rel_rows, n, w):
@@ -165,9 +140,9 @@ def _project_rel_to_sym(rel_rows, degrees):
 def sym_quotient_dim(rel_rows, degrees, w):
     """dim of weight w of S(V)/(R) in the signed monomial basis."""
     if w == 0:
-        return 1, ()
+        return 1
     if w == 1:
-        return len(degrees), ()
+        return len(degrees)
     monos = _sym_monomials(degrees, w)
     index = {m: k for k, m in enumerate(monos)}
     rel_sym = _project_rel_to_sym(rel_rows, degrees)
@@ -187,10 +162,7 @@ def sym_quotient_dim(rel_rows, degrees, w):
                     del acc[col]
             if acc:
                 basis.add(acc)
-    pivots = set(basis.pivot_columns())
-    dim = len(monos) - basis.rank
-    reps = tuple(c for c in range(len(monos)) if c not in pivots) if len(monos) <= 20000 else ()
-    return dim, reps
+    return len(monos) - basis.rank
 
 
 # ---------------------------------------------------------------------------
@@ -284,41 +256,35 @@ def _row_degree(row, degrees, n, w):
     return degs.pop()
 
 
-def lie_weight_rows(rel_rows, degrees, w):
-    """Echelon rows (with degrees) of the free part F_w and the ideal slice
-    I_w inside V^(x)w; the quotient dims come from ranks per degree."""
+def lie_dims_by_parity(rel_rows, degrees, wmax):
+    """{w: (even dim, odd dim)} of L(V,R) for w = 1..wmax.
+
+    The ideal slices are I_2 = R and I_u = [V, I_{u-1}], each built once.
+    Every count is a rank: the relation rows are RREF, an ideal row is kept
+    only when it raises the rank, and the (super-)Lyndon rows are a basis.
+    """
     n = len(degrees)
-    free = lyndon_basis_rows(degrees, w)
-    # ideal slices: I_2 = R, I_u = [V, I_{u-1}]
-    slices = {2: [(dict(r), _row_degree(r, degrees, n, 2)) for r in rel_rows]}
-    for u in range(3, w + 1):
-        prev = slices[u - 1]
-        rows = []
-        basis = EchelonBasis()
-        for s, ds in prev:
-            for g in range(n):
-                row = _bracket_rows({g: 1}, s, degrees[g], ds, n, 1, u - 1)
-                if row and basis.add(row):
-                    rows.append((row, degrees[g] + ds))
-        slices[u] = rows
-    return free, slices.get(w, [])
-
-
-def lie_weight_dims_by_parity(rel_rows, degrees, w):
-    """(even dim, odd dim) of L(V,R) at weight w."""
-    if w == 1:
-        ev = sum(1 for d in degrees if d % 2 == 0)
-        od = len(degrees) - ev
-        return ev, od
-    free, ideal = lie_weight_rows(rel_rows, degrees, w)
-    dims = {}
-    for group, sign in ((free, +1), (ideal, -1)):
-        bydeg = {}
-        for row, d in group:
-            bydeg.setdefault(d % 2, []).append(row)
-        for p, rows in bydeg.items():
-            dims[p] = dims.get(p, 0) + sign * rank_of_rows(rows)
-    return dims.get(0, 0), dims.get(1, 0)
+    ideal = []
+    out = {}
+    for w in range(1, wmax + 1):
+        if w == 2:
+            ideal = [(r, _row_degree(r, degrees, n, 2)) for r in rel_rows]
+        elif w > 2:
+            basis = EchelonBasis()
+            rows = []
+            for s, ds in ideal:
+                for g in range(n):
+                    row = _bracket_rows({g: 1}, s, degrees[g], ds, n, 1, w - 1)
+                    if row and basis.add(row):
+                        rows.append((row, degrees[g] + ds))
+            ideal = rows
+        dims = [0, 0]
+        for _, d in lyndon_basis_rows(degrees, w):
+            dims[d % 2] += 1
+        for _, d in ideal:
+            dims[d % 2] -= 1
+        out[w] = tuple(dims)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,48 +313,36 @@ def _component_cached(realization, q, w):
         raise ArityError("weight must be non-negative")
     if realization == "A":
         qq = _as_plain_for_A(q)
-        n = qq.gdim
-        if w == 0:
-            return WeightComponent("A", 0, 1, 1, ())
-        dim, reps = tensor_quotient_dim(
-            [int_row(r) for r in qq.relations.rows], n, w
+        return tensor_quotient_dim(
+            [int_row(r) for r in qq.relations.rows], qq.gdim, w
         )
-        return WeightComponent("A", w, dim, n ** w, reps)
     if realization == "Tc":
         qq = _as_plain_for_Tc(q)
-        n = qq.gdim
         if w == 0:
-            return WeightComponent("Tc", 0, 1, 1, ())
+            return 1
         if w == 1:
-            return WeightComponent("Tc", 1, n, n, ())
-        rows = tensor_cofree_rows([int_row(r) for r in qq.relations.rows], n, w)
-        return WeightComponent(
-            "Tc", w, len(rows), n ** w,
-            tuple(tuple(sorted(r.items())) for r in rows),
+            return qq.gdim
+        return len(
+            tensor_cofree_rows([int_row(r) for r in qq.relations.rows], qq.gdim, w)
         )
     if realization == "S":
         if q.flavor is not QDFlavor.SYM:
             raise FlavorExpected("S realisation needs symmetric data")
-        dim, reps = sym_quotient_dim(
+        return sym_quotient_dim(
             [int_row(r) for r in q.relations.rows], q.generators.degrees, w
         )
-        amb = len(_sym_monomials(q.generators.degrees, w))
-        return WeightComponent("S", w, dim, amb, reps)
     if realization == "Sc":
         if q.flavor is not QDFlavor.SYM:
             raise FlavorExpected("Sc realisation needs symmetric data")
-        dual = apply_functor(FunctorName.STAR, q)
-        comp = _component_cached("S", dual, w)
-        return WeightComponent("Sc", w, comp.dim, comp.ambient_dim, ())
+        return _component_cached("S", apply_functor(FunctorName.STAR, q), w)
     if realization == "L":
         if q.flavor is not QDFlavor.SKEW:
             raise FlavorExpected("L realisation needs skew data")
         if w == 0:
-            return WeightComponent("L", 0, 0, 1, ())
-        ev, od = lie_weight_dims_by_parity(
+            return 0
+        return sum(lie_dims_by_parity(
             [int_row(r) for r in q.relations.rows], q.generators.degrees, w
-        )
-        return WeightComponent("L", w, ev + od, q.gdim ** w, ())
+        )[w])
     raise ValueError(realization)
 
 
@@ -401,17 +355,8 @@ def weight_component(realization, q, w):
 
 
 def hilbert_series(realization, q, wmax):
-    return HilbertSeries(
-        tuple(weight_component(realization, q, w).dim for w in range(wmax + 1))
-    )
-
-
-def lyndon_basis(space, w):
-    """Expanded free-Lie basis at weight w for a graded generator space,
-    as base-n coded sparse rows paired with their degrees."""
-    if w < 1:
-        raise ArityError("weight must be at least 1")
-    return lyndon_basis_rows(space.degrees, w)
+    """[dim at weight 0, ..., dim at weight wmax]."""
+    return [weight_component(realization, q, w) for w in range(wmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +375,12 @@ def _poly_mul(a, b, cap):
     return out
 
 
-def pbw_series(lie_dims_by_parity, wmax):
+def pbw_series(by_parity, wmax):
     """Weight series of the enveloping algebra from Lie dims split by parity:
     prod_w (1+t^w)^{odd_w} / (1-t^w)^{even_w}."""
     out = [0] * (wmax + 1)
     out[0] = 1
-    for w, (ev, od) in lie_dims_by_parity.items():
+    for w, (ev, od) in by_parity.items():
         for _ in range(od):
             factor = [0] * (wmax + 1)
             factor[0] = 1
@@ -454,13 +399,11 @@ def ue_compare(q, wmax):
     prediction from the Lie dims of L(q)."""
     if q.flavor is not QDFlavor.SKEW:
         raise FlavorExpected("ue_compare needs skew data")
-    by_parity = {}
-    for w in range(1, wmax + 1):
-        by_parity[w] = lie_weight_dims_by_parity(
-            [int_row(r) for r in q.relations.rows], q.generators.degrees, w
-        )
+    by_parity = lie_dims_by_parity(
+        [int_row(r) for r in q.relations.rows], q.generators.degrees, wmax
+    )
     predicted = pbw_series(by_parity, wmax)
-    actual = [weight_component("A", q, w).dim for w in range(wmax + 1)]
+    actual = hilbert_series("A", q, wmax)
     ok = actual == predicted
     return Report(
         "ue_compare",
@@ -475,14 +418,14 @@ def koszul_euler_check(q, wmax):
     the cap; reported as PASS when it is, INFO otherwise."""
     bang = apply_functor(FunctorName.SHRIEK, q)
     if q.flavor is QDFlavor.SKEW:
-        h1 = [weight_component("A", q, w).dim for w in range(wmax + 1)]
-        h2 = [weight_component("S", bang, w).dim for w in range(wmax + 1)]
+        h1 = hilbert_series("A", q, wmax)
+        h2 = hilbert_series("S", bang, wmax)
     elif q.flavor is QDFlavor.SYM:
-        h1 = [weight_component("S", q, w).dim for w in range(wmax + 1)]
-        h2 = [weight_component("A", bang, w).dim for w in range(wmax + 1)]
+        h1 = hilbert_series("S", q, wmax)
+        h2 = hilbert_series("A", bang, wmax)
     else:
-        h1 = [weight_component("A", q, w).dim for w in range(wmax + 1)]
-        h2 = [weight_component("A", bang, w).dim for w in range(wmax + 1)]
+        h1 = hilbert_series("A", q, wmax)
+        h2 = hilbert_series("A", bang, wmax)
     signed = [(-1) ** w * d for w, d in enumerate(h2)]
     prod = _poly_mul(h1, signed, wmax)
     ok = prod[0] == 1 and all(x == 0 for x in prod[1:])
@@ -493,26 +436,3 @@ def koszul_euler_check(q, wmax):
         status="PASS" if ok else "INFO",
     )
 
-
-def lyndon_basis_vectors(space, w):
-    """Labeled embedding of the free-Lie basis at weight w, for small spaces:
-    pairs (Vector in the labeled tensor-power ambient, degree)."""
-    from .exactlin import AmbientBasis, Vector
-    from .graded import TENSOR_SEP
-
-    n = space.dim
-    if n ** w > 100000:
-        raise ValueError("tensor power too large to label explicitly")
-    labels = []
-    degs = []
-    for code in range(n ** w):
-        word = []
-        c = code
-        for _ in range(w):
-            c, letter = divmod(c, n)
-            word.append(letter)
-        word.reverse()
-        labels.append(TENSOR_SEP.join(space.labels[l] for l in word))
-        degs.append(sum(space.degrees[l] for l in word))
-    amb = AmbientBasis(tuple(labels), tuple(degs))
-    return [(Vector(amb, row), d) for row, d in lyndon_basis_rows(space.degrees, w)]

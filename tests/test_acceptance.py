@@ -124,7 +124,7 @@ def criterion_4_hilbert():
     t0 = time.time()
     ok = True
     for n in range(2, 7):
-        dims = [weight_component("S", aos_data(n), w).dim for w in range(n)]
+        dims = [weight_component("S", aos_data(n), w) for w in range(n)]
         poly = [1]
         for i in range(1, n):
             poly = [a + b for a, b in zip(poly + [0], [0] + [i * c for c in poly])]
@@ -189,14 +189,14 @@ def criterion_7_realization_duality():
         dual_sy = apply_functor("star", sy)
         wcap = 5 if pl.gdim == 1 else 4
         for w in range(wcap + 1):
-            if weight_component("Tc", pl, w).dim != \
-               weight_component("A", dual_pl, w).dim:
+            if weight_component("Tc", pl, w) != \
+               weight_component("A", dual_pl, w):
                 ok = False
         for w in range(6):
-            d = weight_component("Sc", sy, w).dim
-            if d != weight_component("S", dual_sy, w).dim:
+            d = weight_component("Sc", sy, w)
+            if d != weight_component("S", dual_sy, w):
                 ok = False
-            if d != weight_component("Tc", apply_functor("sigma", sy), w).dim:
+            if d != weight_component("Tc", apply_functor("sigma", sy), w):
                 ok = False
     return record("7 realisation dualities on 100 random instances, w <= 5", ok)
 
@@ -212,7 +212,7 @@ def criterion_8_pbw():
         rng = child_rng(SEED, "acc.pbw.%d" % t)
         if not ue_compare(random_qd(rng, "skew", "s", 2), 4).passed:
             ok = False
-    spot = tuple(weight_component("L", dk.component(3), w).dim for w in range(1, 5))
+    spot = tuple(weight_component("L", dk.component(3), w) for w in range(1, 5))
     ok = ok and spot == (3, 1, 2, 3)
     return record("8 enveloping-algebra dims match the Lie-side prediction",
                   ok, "spot %s" % (spot,))

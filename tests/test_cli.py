@@ -111,15 +111,19 @@ def test_minimality_rejects_unknown_shell(capsys):
 
 
 def test_arguments_below_one_are_usage_errors(capsys):
-    # zero or negative counts must not fall back to the defaults
-    for argv in (
-        ["verify", "qd-coherence", "--trials", "0"],
-        ["verify", "qd-coherence", "--trials", "-3"],
-        ["verify", "koszul-duals", "--nmax", "0"],
-        ["dims", "--family", "DK", "--nmax", "0"],
-        ["build", "--family", "DK", "--nmax", "0"],
+    # counts below their bound must not fall back to the defaults or
+    # resolve to an empty datum
+    for argv, low in (
+        (["verify", "qd-coherence", "--trials", "0"], 1),
+        (["verify", "qd-coherence", "--trials", "-3"], 1),
+        (["verify", "koszul-duals", "--nmax", "0"], 1),
+        (["dims", "--family", "DK", "--nmax", "0"], 1),
+        (["build", "--family", "DK", "--nmax", "0"], 1),
+        (["dims", "--qd", "DK", "--n", "3", "--wmax", "-1"], 0),
+        (["dims", "--qd", "DK", "--n", "-2"], 0),
+        (["build", "--qd", "DK", "--n", "-2"], 0),
     ):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert "must be at least 1" in err
+        assert "must be at least %d" % low in err
