@@ -9,9 +9,12 @@ whose endpoints survive.  Coproducts distribute edges over ordered pairs with
 unshuffle signs.
 """
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import comb, factorial
 
 from .kernel import EchelonBasis
+from .operads import build_family, inflate_outer, transpositions
 from .qd import apply_functor
 from .realize import hilbert_series, weight_component
 from .report import Report
@@ -31,9 +34,12 @@ def _perm_sign(items):
 
 
 class LabeledHypergraph:
-    """Canonical labeled hypergraph: n vertices, ordered distinct k-edges."""
+    """Canonical labeled hypergraph: n vertices, ordered distinct k-edges.
 
-    __slots__ = ("n", "k", "symmetric", "edges")
+    Instances are immutable by convention: they key dicts and the
+    composition caches, so the hash is computed once."""
+
+    __slots__ = ("n", "k", "symmetric", "edges", "_hash")
 
     def __init__(self, n, k, symmetric, edges):
         self.n = n
@@ -49,6 +55,7 @@ class LabeledHypergraph:
                 raise ValueError("edge out of vertex range")
             if not symmetric and tuple(range(e[0], e[0] + k)) != e:
                 raise ValueError("linear graphs only carry intervals")
+        self._hash = hash(self.key())
 
     @property
     def weight(self):
@@ -65,7 +72,7 @@ class LabeledHypergraph:
         return isinstance(other, LabeledHypergraph) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -131,7 +138,16 @@ def _canonicalize(n, k, symmetric, edge_list):
 
 
 def compose_graphs(g1, p, g2):
-    """Partial composition g1 o_p g2 as a GraphSum."""
+    """Partial composition g1 o_p g2 as a new GraphSum."""
+    out = GraphSum()
+    out.terms = dict(_compose_terms(g1, p, g2))   # distinct, nonzero terms
+    return out
+
+
+@lru_cache(maxsize=1 << 14)
+def _compose_terms(g1, p, g2):
+    """The (graph, coeff) terms of g1 o_p g2 as a tuple, computed once per
+    argument triple; the hot loops read them without building a GraphSum."""
     if g1.k != g2.k or g1.symmetric != g2.symmetric:
         raise ValueError("graphs live in different families")
     if not 1 <= p <= g1.n:
@@ -190,14 +206,14 @@ def compose_graphs(g1, p, g2):
             sign, g = _canonicalize(n + m - 1, k, False, edge_list)
             if sign:
                 out.add(g, sign)
-    return out
+    return tuple(out.terms.items())
 
 
 def compose_sums(s1, p, s2):
     out = GraphSum()
     for ga, ca in s1.terms.items():
         for gb, cb in s2.terms.items():
-            for g, c in compose_graphs(ga, p, gb).terms.items():
+            for g, c in _compose_terms(ga, p, gb):
                 out.add(g, ca * cb * c)
     return out
 
@@ -212,9 +228,11 @@ def graph_action(g, sigma):
     return GraphSum({gg: sign}) if sign else GraphSum()
 
 
+@lru_cache(maxsize=1 << 14)
 def coproduct(g):
     """Unshuffle coproduct: ordered two-block distributions of the edge set
-    with the Koszul sign of the unshuffle (edges are odd)."""
+    with the Koszul sign of the unshuffle (edges are odd), as a tuple of
+    (sign, left, right) computed once per graph."""
     out = []
     w = g.weight
     idx = list(range(w))
@@ -225,7 +243,7 @@ def coproduct(g):
             gl = LabeledHypergraph(g.n, g.k, g.symmetric, [g.edges[i] for i in left])
             gr = LabeledHypergraph(g.n, g.k, g.symmetric, [g.edges[i] for i in right])
             out.append((sign, gl, gr))
-    return out
+    return tuple(out)
 
 
 def all_graphs(n, k, symmetric, wmax):
@@ -245,6 +263,10 @@ def all_graphs(n, k, symmetric, wmax):
 # Hopf compatibility
 
 
+def _nonzero(coeffs):
+    return {key: v for key, v in coeffs.items() if v}
+
+
 def hopf_check(k, symmetric, nmax, wmax):
     """Delta(g1 o_p g2) = Delta(g1) o_p Delta(g2) with the middle Koszul sign,
     plus coassociativity and cocommutativity, on all basis pairs in bounds."""
@@ -261,7 +283,7 @@ def hopf_check(k, symmetric, nmax, wmax):
                     for p in range(1, n + 1):
                         checked += 1
                         lhs = {}
-                        for g, c in compose_graphs(g1, p, g2).terms.items():
+                        for g, c in _compose_terms(g1, p, g2):
                             for s, gl, gr in coproduct(g):
                                 key = (gl, gr)
                                 v = lhs.get(key, 0) + c * s
@@ -273,10 +295,9 @@ def hopf_check(k, symmetric, nmax, wmax):
                         for s1, g1l, g1r in coproduct(g1):
                             for s2, g2l, g2r in coproduct(g2):
                                 mid = (-1) ** (g1r.degree * g2l.degree)
-                                left = compose_graphs(g1l, p, g2l)
-                                right = compose_graphs(g1r, p, g2r)
-                                for gl, cl in left.terms.items():
-                                    for gr, cr in right.terms.items():
+                                right = _compose_terms(g1r, p, g2r)
+                                for gl, cl in _compose_terms(g1l, p, g2l):
+                                    for gr, cr in right:
                                         key = (gl, gr)
                                         v = rhs.get(key, 0) + s1 * s2 * mid * cl * cr
                                         if v:
@@ -303,8 +324,7 @@ def hopf_check(k, symmetric, nmax, wmax):
                 for s2, grl, grr in coproduct(gr):
                     key = (gl, grl, grr)
                     right[key] = right.get(key, 0) + s * s2
-            if {k_ for k_, v in left.items() if v} != {k_ for k_, v in right.items() if v} or \
-               any(left.get(k_, 0) != right.get(k_, 0) for k_ in set(left) | set(right)):
+            if _nonzero(left) != _nonzero(right):
                 co_fail = ("coassoc", g)
                 break
             tw = {}
@@ -315,7 +335,7 @@ def hopf_check(k, symmetric, nmax, wmax):
             orig = {}
             for s, gl, gr in coproduct(g):
                 orig[(gl, gr)] = orig.get((gl, gr), 0) + s
-            if {k_: v for k_, v in tw.items() if v} != {k_: v for k_, v in orig.items() if v}:
+            if _nonzero(tw) != _nonzero(orig):
                 co_fail = ("cocomm", g)
                 break
     reports.append(Report("hopf.coalgebra", co_fail is None,
@@ -330,15 +350,10 @@ def hopf_check(k, symmetric, nmax, wmax):
 def graph_operad_axioms(k, symmetric, nmax, wmax):
     """Sequential, parallel, unit, and (symmetric case) equivariance checks
     for the graph composition, exhaustive over bounded graphs."""
-    from .operads import inflate_outer, transpositions
-
     lo = 1
     fail = None
     checked = 0
     unit = LabeledHypergraph(1, k, symmetric, ())
-
-    def sums_equal(x, y):
-        return x == y
 
     for n in range(lo, nmax + 1):
         for m in range(lo, nmax + 1):
@@ -360,7 +375,7 @@ def graph_operad_axioms(k, symmetric, nmax, wmax):
                                                      compose_graphs(g2, j, g3))
                                     b = compose_sums(compose_graphs(g1, i, g2),
                                                      i + j - 1, GraphSum({g3: 1}))
-                                    if not sums_equal(a, b) and fail is None:
+                                    if a != b and fail is None:
                                         fail = ("sequential", g1, i, g2, j, g3)
                             for i in range(1, n + 1):
                                 for j in range(i + 1, n + 1):
@@ -372,7 +387,7 @@ def graph_operad_axioms(k, symmetric, nmax, wmax):
                                     # the braiding of the two inserted odd
                                     # arguments contributes a Koszul sign
                                     b = b.scale((-1) ** (g2.degree * g3.degree))
-                                    if not sums_equal(a, b) and fail is None:
+                                    if a != b and fail is None:
                                         fail = ("parallel", g1, i, g2, j, g3)
     unit_fail = None
     for n in range(lo, nmax + 1):
@@ -395,11 +410,11 @@ def graph_operad_axioms(k, symmetric, nmax, wmax):
                                 q = sigma[p - 1]
                                 lhs = GraphSum()
                                 for g, c in graph_action(g1, sigma).terms.items():
-                                    for gg, cc in compose_graphs(g, p, g2).terms.items():
+                                    for gg, cc in _compose_terms(g, p, g2):
                                         lhs.add(gg, c * cc)
                                 rhs = GraphSum()
                                 infl = inflate_outer(sigma, n, m, p)
-                                for g, c in compose_graphs(g1, q, g2).terms.items():
+                                for g, c in _compose_terms(g1, q, g2):
                                     for gg, cc in graph_action(g, infl).terms.items():
                                         rhs.add(gg, c * cc)
                                 if lhs != rhs and eq_fail is None:
@@ -432,7 +447,6 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
         gens = comp.gdim
         shifted = apply_functor("antishriek", comp)
         for w in range(0, wmax + 1):
-            from math import comb
             graphs_w = comb(gens, w)
             sc_w = weight_component("Sc", shifted, w)
             if sc_w != graphs_w and dim_fail is None:
@@ -459,9 +473,8 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
                 # outer cogenerator, inner unit
                 for gi, I in enumerate(idx_n):
                     g = LabeledHypergraph(n, k, symmetric, (I,))
-                    out = compose_graphs(g, p, empty_m)
                     got = {}
-                    for gg, c in out.terms.items():
+                    for gg, c in _compose_terms(g, p, empty_m):
                         if gg.weight == 1:
                             got[idx_t.index(gg.edges[0])] = c
                     want = cmap.apply_data({gi: 1})
@@ -471,9 +484,8 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
                 # inner cogenerator, outer unit
                 for gi, I in enumerate(idx_m):
                     g = LabeledHypergraph(m, k, symmetric, (I,))
-                    out = compose_graphs(empty_n, p, g)
                     got = {}
-                    for gg, c in out.terms.items():
+                    for gg, c in _compose_terms(empty_n, p, g):
                         if gg.weight == 1:
                             got[idx_t.index(gg.edges[0])] = c
                     want = cmap.apply_data({len(idx_n) + gi: 1})
@@ -481,8 +493,8 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
                     if got != want and proj_fail is None:
                         proj_fail = (n, m, p, I, got, want)
                 # unit against unit
-                out = compose_graphs(empty_n, p, empty_m)
-                if list(out.terms) != [LabeledHypergraph(n + m - 1, k, symmetric, ())]:
+                out = _compose_terms(empty_n, p, empty_m)
+                if [gg for gg, _ in out] != [LabeledHypergraph(n + m - 1, k, symmetric, ())]:
                     proj_fail = proj_fail or (n, m, p, "units")
     reports.append(Report("sc_iso.cogenerators", proj_fail is None,
                           "%d projections" % checked if proj_fail is None
@@ -507,8 +519,6 @@ def gerstenhaber_dim_check(k, nmax, family=None):
     """k = 2: the total dimension of the cofree side over the shifted refined
     data equals n! for n <= nmax.  k = 3 (experimental): reports the weight
     dimensions alongside the two-vertex ternary-forest oracle."""
-    from .operads import build_family
-
     reports = []
     if k == 2:
         fam = family or build_family("DK", nmax)
@@ -529,8 +539,7 @@ def gerstenhaber_dim_check(k, nmax, family=None):
                     w += 1
                 total = sum(dims)
                 dims = tuple(dims)
-            import math
-            ok = total == math.factorial(n)
+            ok = total == factorial(n)
             reports.append(
                 Report("gerst.dim.n%d" % n, ok, "dims %s total %d" % (dims, total))
             )
@@ -556,7 +565,6 @@ def _ternary_forest_dims(n):
     partitions into blocks carrying reduced two-level ternary trees; the
     weight-2 slot is the rank of the span of grafted trees modulo the
     generalized Jacobi relations, computed by enumeration for n <= 5."""
-    from math import comb
     if n < 3:
         return (1, 0, 0)
     w0 = 1
@@ -569,7 +577,6 @@ def _ternary_forest_dims(n):
         # the orbit of the sum over all (3,2)-unshuffle images
         subsets = list(combinations(range(1, 6), 3))
         pos = {s: i for i, s in enumerate(subsets)}
-        from itertools import permutations
         seen = EchelonBasis()
         for perm in permutations(range(1, 6)):
             row = {}

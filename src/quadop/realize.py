@@ -138,28 +138,48 @@ def _project_rel_to_sym(rel_rows, degrees):
 
 
 def sym_quotient_dim(rel_rows, degrees, w):
-    """dim of weight w of S(V)/(R) in the signed monomial basis."""
+    """dim of weight w of S(V)/(R) in the signed monomial basis.
+
+    The ideal rows m * r, for m a monomial of weight w - 2 and r a projected
+    relation, are folded one at a time.  Columns number the monomials in
+    reverse lex order, so a row's pivot is its lex-largest monomial; the
+    rank is the same in any order, but this one leaves less fill-in (on the
+    Gerstenhaber component n = 6, weight 6, 11,011 stored nonzeros against
+    14,979 in lex order).
+
+    A product m * s is not re-sorted.  It vanishes when an odd letter of s
+    already occurs in m.  Otherwise its sign counts the odd-odd
+    transpositions of the sort: for each odd letter x of s, the odd letters
+    of m above x (s is sorted, so its own letters stay in order).  Sets of
+    letters are bitmasks; per m, `flip` holds the letters with an odd number
+    of odd letters of m above them.
+    """
     if w == 0:
         return 1
     if w == 1:
         return len(degrees)
+    odd = [d % 2 for d in degrees]
     monos = _sym_monomials(degrees, w)
-    index = {m: k for k, m in enumerate(monos)}
-    rel_sym = _project_rel_to_sym(rel_rows, degrees)
+    top = len(monos) - 1
+    index = {m: top - k for k, m in enumerate(monos)}
+    rel_sym = [
+        [(s, sum(1 << x for x in s if odd[x]), v) for s, v in row.items()]
+        for row in _project_rel_to_sym(rel_rows, degrees)
+    ]
     basis = EchelonBasis()
     for m in _sym_monomials(degrees, w - 2):
+        odd_m = flip = 0
+        for y in m:
+            if odd[y]:
+                odd_m |= 1 << y
+                flip ^= (1 << y) - 1
         for row in rel_sym:
+            # distinct s give distinct products m * s, so nothing collides
             acc = {}
-            for mono2, v in row.items():
-                sign, full = _sort_mono(m + mono2, degrees)
-                if not sign:
-                    continue
-                col = index[full]
-                x = acc.get(col, 0) + sign * v
-                if x:
-                    acc[col] = x
-                elif col in acc:
-                    del acc[col]
+            for s, odd_s, v in row:
+                if not odd_s & odd_m:
+                    col = index[tuple(sorted(m + s))]
+                    acc[col] = -v if (odd_s & flip).bit_count() & 1 else v
             if acc:
                 basis.add(acc)
     return len(monos) - basis.rank

@@ -80,6 +80,32 @@ def test_coproduct_signs():
     assert table[((1, 3),), ((1, 2),)] == -1
 
 
+def test_memoised_results_survive_caller_mutation():
+    # compose_graphs and coproduct are computed once per argument; whatever
+    # a caller does to a returned value must not reach a later call
+    g1 = graph(2, 2, True, [(1, 2)])
+    g2 = graph(3, 2, True, [(1, 2), (1, 3)])
+    expect = {
+        graph(4, 2, True, [(1, 2), (1, 3), (1, 4)]): 1,
+        graph(4, 2, True, [(1, 2), (1, 3), (2, 4)]): 1,
+        graph(4, 2, True, [(1, 2), (1, 3), (3, 4)]): 1,
+    }
+    out = compose_graphs(g1, 1, g2)
+    out.add(g1, 5)
+    out.terms.clear()
+    assert compose_graphs(g1, 1, g2).terms == expect
+
+    e12, e13 = graph(3, 2, True, [(1, 2)]), graph(3, 2, True, [(1, 3)])
+    empty = graph(3, 2, True, ())
+    expect_co = [(1, empty, g2), (1, e12, e13), (-1, e13, e12), (1, g2, empty)]
+    co = coproduct(g2)
+    try:
+        co[1] = (1, e13, e12)
+    except TypeError:
+        pass
+    assert list(coproduct(g2)) == expect_co
+
+
 def test_sign_consistency_under_permuted_inputs():
     rng = random.Random(3)
     g1 = graph(3, 2, True, [(1, 2), (2, 3)])
