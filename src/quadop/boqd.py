@@ -18,14 +18,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
-    AmbientBasis,
     LinearMap,
     Subspace,
     Vector,
     nullspace_rows,
     scalar,
 )
-from .graded import GradedSpace, direct_sum, tensor_product
+from .graded import (
+    GradedSpace,
+    direct_sum,
+    dual,
+    space_from_json,
+    space_to_json,
+    tensor_product,
+)
 from .kernel import EchelonBasis
 from .qd import _map_tensor, inj14_map, pr14_map, square_apply_rows
 from .report import Report
@@ -52,10 +58,10 @@ class S2Module:
     action: LinearMap
 
     def __post_init__(self):
-        amb = self.space.ambient
-        if self.action.source != amb or self.action.target != amb:
+        space = self.space
+        if self.action.source != space or self.action.target != space:
             raise ValueError("action does not act on the module")
-        if self.action.compose(self.action) != LinearMap.identity(amb):
+        if self.action.compose(self.action) != LinearMap.identity(space):
             raise ValueError("the transposition action must be an involution")
 
     @property
@@ -95,12 +101,13 @@ class S2Module:
 
 
 def trivial_module(space):
-    return S2Module(space, LinearMap.identity(space.ambient))
+    return S2Module(space, LinearMap.identity(space))
 
 
 def sign_module(space):
-    amb = space.ambient
-    return S2Module(space, LinearMap(amb, amb, [{i: -1} for i in range(space.dim)]))
+    return S2Module(
+        space, LinearMap(space, space, [{i: -1} for i in range(space.dim)])
+    )
 
 
 class Arity3Space:
@@ -109,15 +116,17 @@ class Arity3Space:
 
     def __init__(self, base):
         self.base = base
-        d = base.dim
-        labels = []
-        degs = []
-        for i in (1, 2, 3):
-            for a, (la, da) in enumerate(base.space.basis):
-                for b, (lb, db) in enumerate(base.space.basis):
-                    labels.append("τ%d(%s,%s)" % (i, la, lb))
-                    degs.append(da + db)
-        self.ambient = AmbientBasis(tuple(labels), tuple(degs))
+        sp = base.space
+        self.ambient = GradedSpace(
+            tuple(
+                "τ%d(%s,%s)" % (i, la, lb)
+                for i in (1, 2, 3)
+                for la in sp.labels
+                for lb in sp.labels
+            ),
+            tuple(da + db for da in sp.degrees for db in sp.degrees) * 3,
+            tuple(ka + kb for ka in sp.odds for kb in sp.odds) * 3,
+        )
         self._acts = {}
 
     @property
@@ -241,7 +250,7 @@ def s3_closure_rows(module, rows):
 def com_data(label="c"):
     """One even invariant generator with the associativity-like relations
     tau_1 - tau_2, tau_2 - tau_3 (fully commutative binary structure)."""
-    mod = trivial_module(GradedSpace(((label, 0),)))
+    mod = trivial_module(GradedSpace((label,), (0,)))
     sp = free_arity3(mod)
     rows = [
         {sp.index(1, 0, 0): 1, sp.index(2, 0, 0): -1},
@@ -251,7 +260,7 @@ def com_data(label="c"):
 
 
 def zero_boqd():
-    mod = trivial_module(GradedSpace(()))
+    mod = trivial_module(GradedSpace((), ()))
     return make_boqd(mod, [])
 
 
@@ -265,15 +274,14 @@ def _module_sum(a, b):
     na = ma.dim
     cols = [dict(ma.action.cols[i]) for i in range(na)]
     cols += [{na + c: v for c, v in mb.action.cols[i].items()} for i in range(mb.dim)]
-    return S2Module(gens, LinearMap(gens.ambient, gens.ambient, cols))
+    return S2Module(gens, LinearMap(gens, gens, cols))
 
 
 def _module_tensor(a, b):
     """Hadamard product with the diagonal involution."""
     gens = tensor_product(a.generators.space, b.generators.space)
-    amb = gens.ambient
     return S2Module(
-        gens, _map_tensor(a.generators.action, b.generators.action, amb, amb)
+        gens, _map_tensor(a.generators.action, b.generators.action, gens, gens)
     )
 
 
@@ -489,15 +497,13 @@ def boqd_product(name, a, b):
 
 
 def _dual_module(m):
-    from .graded import dual
-
     dspace = dual(m.space)
     # contragredient of an involution is its transpose
     cols = [{} for _ in range(m.dim)]
     for j, col in enumerate(m.action.cols):
         for i, v in col.items():
             cols[i][j] = v
-    return S2Module(dspace, LinearMap(dspace.ambient, dspace.ambient, cols))
+    return S2Module(dspace, LinearMap(dspace, dspace, cols))
 
 
 def boqd_dual(a):
@@ -520,7 +526,7 @@ def koszul_involution_check(a, b):
         lhs = boqd_dual(boqd_product(lhs_name, a, b))
         rhs = boqd_product(rhs_name, da, db)
         ok = (
-            lhs.generators.space.basis == rhs.generators.space.basis
+            lhs.generators.space == rhs.generators.space
             and lhs.generators.action == rhs.generators.action
             and lhs.relations == rhs.relations
         )
@@ -588,20 +594,18 @@ def boqd_to_json(a):
     dim3 = a.space.dim
     rows = [[str(r.get(c, 0)) for c in range(dim3)] for r in a.relations.rows]
     return {
-        "generators": [
-            {"label": l, "degree": d} for l, d in a.generators.space.basis
-        ],
+        "generators": space_to_json(a.generators.space),
         "action": act,
         "relations": rows,
     }
 
 
 def boqd_from_json(doc):
-    gens = GradedSpace(tuple((g["label"], g["degree"]) for g in doc["generators"]))
+    gens = space_from_json(doc["generators"])
     n = gens.dim
     act = [[scalar(x) for x in row] for row in doc["action"]]
     cols = [{i: act[i][j] for i in range(n) if act[i][j]} for j in range(n)]
-    mod = S2Module(gens, LinearMap(gens.ambient, gens.ambient, cols))
+    mod = S2Module(gens, LinearMap(gens, gens, cols))
     rows = [
         {i: q for i, q in enumerate(map(scalar, row)) if q}
         for row in doc["relations"]

@@ -16,7 +16,7 @@ def aos_data(n):
     sums over increasing vertex triples."""
     edges = _edge_pairs(n)
     pos = {e: i for i, e in enumerate(edges)}
-    gens = GradedSpace(tuple(("w_%d.%d" % e, -1) for e in edges))
+    gens = GradedSpace.from_labels(("w_%d.%d" % e for e in edges), -1)
     d = len(edges)
 
     def odot(a, b):

@@ -1,5 +1,9 @@
 """Exact rational linear algebra on labeled ambient bases.
 
+An ambient is a graded.GradedSpace; this module reads only its dim, its
+labels and (in basis_vector and LinearMap.from_label_map) its index(label),
+so it imports nothing from graded.  Ambients compare with ==.
+
 Exact scalars have one normal form: an int when the value is integral, a
 Fraction only when it has a denominator (see scalar()).  Equality and hashing
 are by value, so the normal form changes no comparison; it keeps the 0/±1
@@ -12,7 +16,6 @@ indexed by pivot column, and run no elimination.  All values are immutable
 after construction.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import EchelonBasis
@@ -30,41 +33,6 @@ def scalar(v):
 
 class AmbientMismatch(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AmbientBasis:
-    """Ordered basis with stable string labels and integer degrees."""
-
-    labels: tuple
-    degrees: tuple = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.degrees is None:
-            object.__setattr__(self, "degrees", (0,) * len(self.labels))
-        else:
-            object.__setattr__(self, "degrees", tuple(self.degrees))
-        if len(self.labels) != len(set(self.labels)):
-            raise ValueError("ambient labels must be pairwise distinct")
-        if len(self.degrees) != len(self.labels):
-            raise ValueError("degree list does not match label list")
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def index(self, label):
-        try:
-            return self._index[label]
-        except AttributeError:
-            object.__setattr__(
-                self, "_index", {l: i for i, l in enumerate(self.labels)}
-            )
-            return self._index[label]
-
-    def __repr__(self):
-        return "AmbientBasis(dim=%d)" % len(self.labels)
 
 
 class Vector:

@@ -1,17 +1,19 @@
 """Graded vector spaces with Koszul signs.
 
-Labels are stable strings; tensor-product labels concatenate left-to-right
-with an explicit "⊗" separator, so n-fold products are flat and
-re-association is label-strict.  Degree shifts use the marked prefixes "s·"
-and "s̄·" which cancel against each other, and duals star/unstar labels, so
-the canonical identifications (double dual, shift round trips) are literal
-label equalities.
+A graded space is a finite ordered basis of stable string labels with
+integer degrees; it is also the ambient basis of the vectors, subspaces and
+maps of exactlin.  Tensor-product labels concatenate left-to-right with an
+explicit "⊗" separator, so n-fold products are flat and re-association is
+label-strict.  Degree shifts use the marked prefixes "s·" and "s̄·" which
+cancel against each other, and duals star/unstar labels, so the canonical
+identifications (double dual, shift round trips) are literal label
+equalities.
 """
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .exactlin import AmbientBasis, LinearMap, Subspace
+from .exactlin import LinearMap, Subspace
 
 TENSOR_SEP = "⊗"
 SHIFT_UP = "s·"
@@ -24,66 +26,71 @@ class ArityError(ValueError):
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finite ordered basis of (label, degree) pairs.
+    """Finite ordered basis: labels[i] has degree degrees[i].
 
-    words tracks, per basis element, the degree word of its tensor factors
-    (atoms have a one-letter word).  Tensor products concatenate words and
-    duals negate them letter-wise; the words feed the Koszul signs of the
-    dual pairings, which is what makes linear duality strong monoidal on
-    products of mixed-degree spaces.
+    odds[i] counts the odd letters of the degree word of basis element i,
+    the degrees of its tensor factors (an atom is a one-letter word, so its
+    count is its degree mod 2).  Tensor products add the counts and duals
+    keep them; they feed the Koszul signs of the dual pairings (word_sign),
+    which is what makes linear duality strong monoidal on products of
+    mixed-degree spaces.  Equality compares labels, degrees and counts.
     """
 
-    basis: tuple
-    words: tuple = None
+    labels: tuple
+    degrees: tuple
+    odds: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "basis", tuple((str(l), int(d)) for l, d in self.basis)
-        )
-        if self.words is None:
-            object.__setattr__(
-                self, "words", tuple((d,) for _, d in self.basis)
-            )
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        if self.odds is None:
+            object.__setattr__(self, "odds", tuple(d % 2 for d in self.degrees))
         else:
-            object.__setattr__(
-                self, "words", tuple(tuple(w) for w in self.words)
-            )
-        if len(self.words) != len(self.basis):
-            raise ValueError("degree words do not match the basis")
-        for (_, d), w in zip(self.basis, self.words):
-            if sum(w) != d:
-                raise ValueError("degree word does not sum to the degree")
-        labels = [l for l, _ in self.basis]
-        if len(labels) != len(set(labels)):
+            object.__setattr__(self, "odds", tuple(self.odds))
+            if any((k - d) % 2 for k, d in zip(self.odds, self.degrees)):
+                raise ValueError("odd-letter count and degree differ in parity")
+        if not len(self.labels) == len(self.degrees) == len(self.odds):
+            raise ValueError("degrees or odd counts do not match the labels")
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("generator labels must be pairwise distinct")
 
     @classmethod
     def from_labels(cls, labels, degree=0):
-        return cls(tuple((l, degree) for l in labels))
+        labels = tuple(labels)
+        return cls(labels, (degree,) * len(labels))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.labels)
 
-    @property
-    def labels(self):
-        return tuple(l for l, _ in self.basis)
-
-    @property
-    def degrees(self):
-        return tuple(d for _, d in self.basis)
-
-    @property
-    def ambient(self):
+    def index(self, label):
         try:
-            return self._ambient
+            return self._index[label]
         except AttributeError:
-            amb = AmbientBasis(self.labels, self.degrees)
-            object.__setattr__(self, "_ambient", amb)
-            return amb
+            object.__setattr__(
+                self, "_index", {l: i for i, l in enumerate(self.labels)}
+            )
+            return self._index[label]
 
 
-ZERO = GradedSpace(())
+ZERO = GradedSpace((), ())
+
+
+def space_to_json(v):
+    return [{"label": l, "degree": d} for l, d in zip(v.labels, v.degrees)]
+
+
+def space_from_json(gens):
+    """The graded space of a JSON generator list.  Labels are read with str;
+    a degree must be a JSON integer (1.5, true and "1" raise ValueError)."""
+    labels, degrees = [], []
+    for g in gens:
+        d = g["degree"]
+        if type(d) is not int:
+            raise ValueError("generator degree %r is not an integer" % (d,))
+        labels.append(str(g["label"]))
+        degrees.append(d)
+    return GradedSpace(tuple(labels), tuple(degrees))
 
 
 def koszul_sign(degrees, perm):
@@ -102,19 +109,18 @@ def koszul_sign(degrees, perm):
 
 
 def tensor_product(v, w):
-    """V (x) W: ordered pairs of labels, degrees added, words concatenated."""
+    """V (x) W: ordered pairs of labels, degrees and odd counts added."""
     return GradedSpace(
-        tuple(
-            (lv + TENSOR_SEP + lw, dv + dw)
-            for lv, dv in v.basis
-            for lw, dw in w.basis
-        ),
-        tuple(wv + ww for wv in v.words for ww in w.words),
+        tuple(lv + TENSOR_SEP + lw for lv in v.labels for lw in w.labels),
+        tuple(dv + dw for dv in v.degrees for dw in w.degrees),
+        tuple(kv + kw for kv in v.odds for kw in w.odds),
     )
 
 
 def direct_sum(v, w):
-    return GradedSpace(v.basis + w.basis, v.words + w.words)
+    return GradedSpace(
+        v.labels + w.labels, v.degrees + w.degrees, v.odds + w.odds
+    )
 
 
 def square(v):
@@ -130,33 +136,31 @@ def _shift_label(label, marker, inverse_marker):
 def shift(v, k=1):
     """Degree shift by +1 or -1 (iterate for larger shifts).
 
-    Shifted generators are treated as atoms: their degree words collapse.
+    Shifted generators are treated as atoms: their odd counts collapse to
+    the parity of the shifted degree.
     """
     if k == 1:
-        return GradedSpace(
-            tuple((_shift_label(l, SHIFT_UP, SHIFT_DOWN), d + 1) for l, d in v.basis)
-        )
-    if k == -1:
-        return GradedSpace(
-            tuple((_shift_label(l, SHIFT_DOWN, SHIFT_UP), d - 1) for l, d in v.basis)
-        )
-    raise ArityError("shift step must be +1 or -1")
+        marker, inverse = SHIFT_UP, SHIFT_DOWN
+    elif k == -1:
+        marker, inverse = SHIFT_DOWN, SHIFT_UP
+    else:
+        raise ArityError("shift step must be +1 or -1")
+    return GradedSpace(
+        tuple(_shift_label(l, marker, inverse) for l in v.labels),
+        tuple(d + k for d in v.degrees),
+    )
 
 
 def shift_square_map(v, k=1):
     """The induced map on tensor squares; the one-step up shift carries the
     sign (-1)^|x| on x(x)y, and the down shift is its exact inverse."""
-    sv = shift(v, k)
-    src = square(v).ambient
-    tgt = square(sv).ambient
     n = v.dim
     cols = []
-    for i in range(n):
-        di = v.basis[i][1]
+    for i, di in enumerate(v.degrees):
         sign = (-1) ** (di % 2) if k == 1 else (-1) ** ((di - 1) % 2)
         for j in range(n):
             cols.append({i * n + j: sign})
-    return LinearMap(src, tgt, cols)
+    return LinearMap(square(v), square(shift(v, k)), cols)
 
 
 def _star_label(label):
@@ -169,59 +173,47 @@ def _star_label(label):
 
 def dual(v):
     """Degree-wise linear dual; it pairs with v under the word_sign signs of
-    v's degree words."""
+    v's odd counts, which it keeps."""
     return GradedSpace(
-        tuple((_star_label(l), -d) for l, d in v.basis),
-        tuple(tuple(-x for x in w) for w in v.words),
+        tuple(_star_label(l) for l in v.labels),
+        tuple(-d for d in v.degrees),
+        v.odds,
     )
 
 
-def word_sign(degword):
-    """Koszul sign of pairing a tensor word against its dual word:
-    (-1) to the number of unordered pairs of odd letters."""
-    odds = sum(1 for d in degword if d % 2)
+def word_sign(odds):
+    """Koszul sign of pairing a tensor word with odds odd letters against its
+    dual word: (-1) to the number of unordered pairs of odd letters."""
     return -1 if (odds * (odds - 1) // 2) % 2 else 1
 
 
 def _pair_vector(v, i, j, sign_flag):
     """x_i (x) x_j + sign * (-1)^{|x_i||x_j|} x_j (x) x_i in square(v)."""
     n = v.dim
-    di, dj = v.basis[i][1], v.basis[j][1]
-    eps = sign_flag * ((-1) ** ((di * dj) % 2))
+    eps = sign_flag * ((-1) ** ((v.degrees[i] * v.degrees[j]) % 2))
     data = {i * n + j: 1}
     k = j * n + i
     data[k] = data.get(k, 0) + eps
     return {c: x for c, x in data.items() if x}
 
 
-@dataclass(frozen=True)
-class TensorSquareSplit:
-    """The canonical decomposition of a tensor square into its signed
-    symmetric and antisymmetric parts (characteristic 0)."""
-
-    whole: AmbientBasis
-    sym: Subspace
-    alt: Subspace
-
-
-def square_split(v):
-    amb = square(v).ambient
-    sym_rows, alt_rows = [], []
-    for i, j in combinations_with_replacement(range(v.dim), 2):
-        sym_rows.append(_pair_vector(v, i, j, +1))
-        alt_rows.append(_pair_vector(v, i, j, -1))
-    return TensorSquareSplit(
-        whole=amb,
-        sym=Subspace(amb, sym_rows),
-        alt=Subspace(amb, alt_rows),
+def signed_square(v, sign):
+    """The signed symmetric (sign +1) or antisymmetric (sign -1) part of
+    square(v) in characteristic 0, spanned by the pair vectors of i <= j."""
+    return Subspace(
+        square(v),
+        [
+            _pair_vector(v, i, j, sign)
+            for i, j in combinations_with_replacement(range(v.dim), 2)
+        ],
     )
 
 
 def in_signed_square(v, row, sign):
-    """Whether a row of square(v) lies in its symmetric (sign +1) or
-    antisymmetric (sign -1) part, read off the signed swap
-    tau(x_i (x) x_j) = (-1)^{|x_i||x_j|} x_j (x) x_i with no elimination:
-    the row must satisfy row[j*n+i] = sign * (-1)^{|x_i||x_j|} * row[i*n+j]."""
+    """Whether a row of square(v) lies in signed_square(v, sign), read off
+    the signed swap tau(x_i (x) x_j) = (-1)^{|x_i||x_j|} x_j (x) x_i with no
+    elimination: the row must satisfy
+    row[j*n+i] = sign * (-1)^{|x_i||x_j|} * row[i*n+j]."""
     n = v.dim
     degrees = v.degrees
     for c, x in row.items():
@@ -230,14 +222,6 @@ def in_signed_square(v, row, sign):
         if row.get(j * n + i, 0) != eps * x:
             return False
     return True
-
-
-def sym_square(v):
-    return square_split(v).sym
-
-
-def alt_square(v):
-    return square_split(v).alt
 
 
 def mixed_bracket(v, w, sign):
@@ -251,20 +235,16 @@ def mixed_bracket(v, w, sign):
     n = nv + w.dim
     return [
         {i * n + j: 1, j * n + i: -sign if di * dj % 2 else sign}
-        for i, (_, di) in enumerate(v.basis)
-        for j, (_, dj) in enumerate(w.basis, nv)
+        for i, di in enumerate(v.degrees)
+        for j, dj in enumerate(w.degrees, nv)
     ]
 
 
 def braiding_map(v, w):
     """The Koszul braiding V(x)W -> W(x)V."""
-    src = tensor_product(v, w).ambient
-    tgt = tensor_product(w, v).ambient
     cols = []
-    for i in range(v.dim):
-        di = v.basis[i][1]
-        for j in range(w.dim):
-            dj = w.basis[j][1]
+    for i, di in enumerate(v.degrees):
+        for j, dj in enumerate(w.degrees):
             sign = (-1) ** ((di * dj) % 2)
             cols.append({j * v.dim + i: sign})
-    return LinearMap(src, tgt, cols)
+    return LinearMap(tensor_product(v, w), tensor_product(w, v), cols)

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exactlin import LinearMap, Subspace
-from .graded import GradedSpace, alt_square, direct_sum, square
+from .graded import GradedSpace, direct_sum, signed_square, square
 from .kernel import EchelonBasis
 from .qd import (
     QDFlavor,
@@ -141,7 +141,9 @@ def _label(I):
 
 
 def _tagged(space, tag):
-    return GradedSpace(tuple((tag + l, d) for l, d in space.basis), space.words)
+    return GradedSpace(
+        tuple(tag + l for l in space.labels), space.degrees, space.odds
+    )
 
 
 class OperadFamily:
@@ -171,7 +173,7 @@ class OperadFamily:
             if not idx:
                 self._components[n] = qd_zero(QDFlavor.SKEW)
             else:
-                gens = GradedSpace(tuple((_label(I), 0) for I in idx))
+                gens = GradedSpace.from_labels(_label(I) for I in idx)
                 rows = self._relation_fn(self, n, idx, gens)
                 self._components[n] = make_qd(QDFlavor.SKEW, gens, rows)
         return self._components[n]
@@ -208,7 +210,7 @@ class OperadFamily:
                 for coeff, J in self.scheme.compose_inner(I, n, m, p):
                     col[pos[J]] = col.get(pos[J], 0) + coeff
                 cols.append(col)
-            self._comps[key] = LinearMap(src.ambient, tgt.ambient, cols)
+            self._comps[key] = LinearMap(src, tgt, cols)
         return self._comps[key]
 
     def action(self, n, sigma):
@@ -220,7 +222,7 @@ class OperadFamily:
             idx = self.gen_indices(n)
             pos = {I: i for i, I in enumerate(idx)}
             inv = perm_inverse(sigma)
-            amb = self.gen_space(n).ambient
+            amb = self.gen_space(n)
             cols = [{pos[self.scheme.act(I, inv)]: 1} for I in idx]
             self._actions[key] = LinearMap(amb, amb, cols)
         return self._actions[key]
@@ -247,7 +249,7 @@ def _wedge_row(pos, n, terms):
 
 
 def _rel_full(family, n, idx, gens):
-    return list(alt_square(gens).rows)
+    return list(signed_square(gens, -1).rows)
 
 
 def _rel_refined(family, n, idx, gens):
@@ -603,7 +605,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
             out._components[n] = qd_zero(QDFlavor.SKEW)
         else:
             out._components[n] = QuadraticData(
-                QDFlavor.SKEW, gens, Subspace(square(gens).ambient, current_rows(n))
+                QDFlavor.SKEW, gens, Subspace(square(gens), current_rows(n))
             )
     return out
 

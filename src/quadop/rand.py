@@ -7,6 +7,8 @@ reproducible byte-for-byte.
 import random
 import zlib
 
+from .boqd import S2Module, free_arity3, make_boqd, s3_closure_rows
+from .exactlin import LinearMap
 from .graded import GradedSpace, _pair_vector, square
 from .qd import QDFlavor, make_qd
 
@@ -19,7 +21,8 @@ def child_rng(seed, name):
 def random_graded_space(rng, prefix, max_dim=3, degrees=(0, 1)):
     n = rng.randint(1, max_dim)
     return GradedSpace(
-        tuple(("%s%d" % (prefix, i), rng.choice(degrees)) for i in range(n))
+        tuple("%s%d" % (prefix, i) for i in range(n)),
+        tuple(rng.choice(degrees) for _ in range(n)),
     )
 
 
@@ -43,7 +46,7 @@ def _flavor_pool(gens, flavor):
 def random_relation_rows(rng, gens, flavor):
     """Random homogeneous relation rows inside the flavor square of gens."""
     pool = _flavor_pool(gens, flavor)
-    amb = square(gens).ambient
+    amb = square(gens)
     bydeg = {}
     for r in pool:
         degs = {amb.degrees[c] for c in r}
@@ -74,13 +77,8 @@ def random_qd(rng, flavor, prefix, max_dim=3, degrees=(0, 1)):
 def random_s2module(rng, prefix, max_dim=2, degrees=(0, 1)):
     """Random graded involutive module: signed-permutation involutions keep
     the eigenbases rational."""
-    from .boqd import S2Module
-    from .exactlin import LinearMap
-
-    n = rng.randint(1, max_dim)
-    gens = GradedSpace(
-        tuple(("%s%d" % (prefix, i), rng.choice(degrees)) for i in range(n))
-    )
+    gens = random_graded_space(rng, prefix, max_dim, degrees)
+    n = gens.dim
     cols = [None] * n
     idxs = list(range(n))
     rng.shuffle(idxs)
@@ -101,12 +99,10 @@ def random_s2module(rng, prefix, max_dim=2, degrees=(0, 1)):
         else:
             cols[i] = {i: rng.choice((1, -1))}
             used.add(i)
-    return S2Module(gens, LinearMap(gens.ambient, gens.ambient, cols))
+    return S2Module(gens, LinearMap(gens, gens, cols))
 
 
 def random_boqd(rng, prefix, max_dim=2, degrees=(0, 1)):
-    from .boqd import free_arity3, make_boqd, s3_closure_rows
-
     mod = random_s2module(rng, prefix, max_dim, degrees)
     amb = free_arity3(mod).ambient
     rows = []

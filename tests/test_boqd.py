@@ -42,7 +42,7 @@ def test_action_identities_trivial_generator():
 
 
 def test_action_identities_anti_invariant():
-    anti = sign_module(GradedSpace((("z", 0),)))
+    anti = sign_module(GradedSpace(("z",), (0,)))
     sp = free_arity3(anti)
     t = lambda i: {sp.index(i, 0, 0): Fraction(1)}
     assert sp.action(P_12).apply_data(t(1)) == {sp.index(1, 0, 0): Fraction(-1)}
@@ -61,8 +61,8 @@ def test_action_is_group_action():
 
 
 def test_involution_required():
-    v = GradedSpace((("x", 0), ("y", 0)))
-    bad = LinearMap(v.ambient, v.ambient, [{0: 1, 1: 1}, {1: 1}])
+    v = GradedSpace(("x", "y"), (0, 0))
+    bad = LinearMap(v, v, [{0: 1, 1: 1}, {1: 1}])
     with pytest.raises(ValueError):
         S2Module(v, bad)
 
@@ -88,9 +88,9 @@ def test_pairing_sign_vector_regression():
         com.space.index(2, 0, 0): Fraction(1),
         com.space.index(3, 0, 0): Fraction(1),
     }
-    full = make_boqd(trivial_module(GradedSpace((("x", 0),))), [{i: 1} for i in range(3)])
+    full = make_boqd(trivial_module(GradedSpace(("x",), (0,))), [{i: 1} for i in range(3)])
     assert boqd_dual(full).rdim == 0
-    empty = make_boqd(trivial_module(GradedSpace((("x", 0),))), [])
+    empty = make_boqd(trivial_module(GradedSpace(("x",), (0,))), [])
     assert boqd_dual(empty).rdim == 3
 
 
@@ -99,11 +99,11 @@ def test_products_dims():
     assert boqd_product("vee", com, com2).rdim == 4
     assert boqd_product("ucirc", com, com2).rdim == 7  # 2 + 3 + 2
     assert boqd_product("oplus", com, com2).rdim == 10  # 2 + 6 mixed + 2
-    z1 = make_boqd(trivial_module(GradedSpace((("x", 0),))), [])
-    z2 = make_boqd(trivial_module(GradedSpace((("y", 0),))), [])
+    z1 = make_boqd(trivial_module(GradedSpace(("x",), (0,))), [])
+    z2 = make_boqd(trivial_module(GradedSpace(("y",), (0,))), [])
     assert boqd_product("black", z1, z2).rdim == 0
-    full1 = make_boqd(trivial_module(GradedSpace((("x", 0),))), [{i: 1} for i in range(3)])
-    full2 = make_boqd(trivial_module(GradedSpace((("y", 0),))), [{i: 1} for i in range(3)])
+    full1 = make_boqd(trivial_module(GradedSpace(("x",), (0,))), [{i: 1} for i in range(3)])
+    full2 = make_boqd(trivial_module(GradedSpace(("y",), (0,))), [{i: 1} for i in range(3)])
     assert boqd_product("black", full1, full2).rdim == 3
     assert boqd_product("white", full1, full2).rdim == 3
 
@@ -236,7 +236,7 @@ def test_square_apply_rows_on_arity3_rows_is_the_lift():
             {r: v for r in range(mt.dim) if (v := rng.randint(-2, 2))}
             for _ in range(ms.dim)
         ]
-        f = LinearMap(ms.space.ambient, mt.space.ambient, cols)
+        f = LinearMap(ms.space, mt.space, cols)
         _assert_square_apply_is_lift(rng, f, ms, mt)
     for _ in range(4):
         a, ap, b, bp = (random_boqd(rng, p) for p in ("a", "a'", "b", "b'"))

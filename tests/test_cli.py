@@ -127,3 +127,12 @@ def test_arguments_below_one_are_usage_errors(capsys):
         assert code == 2
         assert out == ""
         assert "must be at least %d" % low in err
+
+
+def test_build_rejects_a_fractional_degree(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"flavor": "plain", "relations": [],
+                                "generators": [{"label": "x", "degree": 1.5}]}))
+    code, _, err = run_cli(["build", "--functor", "star", "--qd", str(path)], capsys)
+    assert code == 2
+    assert "degree" in err

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from quadop import exactlin
 from quadop.exactlin import (
-    AmbientBasis,
     AmbientMismatch,
     LinearMap,
     Subspace,
@@ -19,6 +18,7 @@ from quadop.exactlin import (
     span,
     zero_space,
 )
+from quadop.graded import GradedSpace
 from quadop.kernel import EchelonBasis
 
 
@@ -32,7 +32,7 @@ def rand_subspace(rng, amb, max_rank=None):
 
 
 def test_span_basics():
-    A = AmbientBasis(("x", "y"))
+    A = GradedSpace.from_labels(("x", "y"))
     v1, v2, v3 = Vector(A, [1, 0]), Vector(A, [0, 1]), Vector(A, [1, 1])
     assert span([v1, v2, v3]).dim == 2
     assert span([], A).dim == 0
@@ -40,14 +40,14 @@ def test_span_basics():
 
 
 def test_span_rejects_mixed_ambients():
-    A = AmbientBasis(("x", "y"))
-    B = AmbientBasis(("u", "v"))
+    A = GradedSpace.from_labels(("x", "y"))
+    B = GradedSpace.from_labels(("u", "v"))
     with pytest.raises(AmbientMismatch):
         span([basis_vector(A, "x"), basis_vector(B, "u")])
 
 
 def test_intersect_examples():
-    A = AmbientBasis(("x", "y"))
+    A = GradedSpace.from_labels(("x", "y"))
     sx = span([basis_vector(A, "x")])
     sy = span([basis_vector(A, "y")])
     assert intersect(sx, sx) == sx
@@ -56,7 +56,7 @@ def test_intersect_examples():
 
 def test_dimension_formula_random():
     rng = random.Random(7)
-    amb = AmbientBasis(tuple("abcdefg"))
+    amb = GradedSpace.from_labels(tuple("abcdefg"))
     for _ in range(40):
         a = rand_subspace(rng, amb)
         b = rand_subspace(rng, amb)
@@ -64,8 +64,8 @@ def test_dimension_formula_random():
 
 
 def test_annihilator_trivial_and_double():
-    amb = AmbientBasis(tuple("abcd"))
-    dual = AmbientBasis(tuple(l + "*" for l in "abcd"))
+    amb = GradedSpace.from_labels(tuple("abcd"))
+    dual = GradedSpace.from_labels(tuple(l + "*" for l in "abcd"))
     signs = (1, 1, 1, 1)
     assert annihilator(zero_space(amb), dual, signs) == full_space(dual)
     assert annihilator(full_space(amb), dual, signs).dim == 0
@@ -79,8 +79,8 @@ def test_annihilator_trivial_and_double():
 
 def test_double_annihilator_dim_30():
     n = 30
-    amb = AmbientBasis(tuple("e%d" % i for i in range(n)))
-    dual = AmbientBasis(tuple("e%d*" % i for i in range(n)))
+    amb = GradedSpace.from_labels(tuple("e%d" % i for i in range(n)))
+    dual = GradedSpace.from_labels(tuple("e%d*" % i for i in range(n)))
     signs = (1,) * n
     rng = random.Random(5)
     a = rand_subspace(rng, amb, max_rank=17)
@@ -88,26 +88,26 @@ def test_double_annihilator_dim_30():
 
 
 def test_annihilator_signed_pairing():
-    amb = AmbientBasis(("p", "q"))
-    dual = AmbientBasis(("p*", "q*"))
+    amb = GradedSpace.from_labels(("p", "q"))
+    dual = GradedSpace.from_labels(("p*", "q*"))
     a = Subspace(amb, [{0: 1, 1: 1}])
     assert annihilator(a, dual, (1, 1)).rows == ({0: 1, 1: -1},)
     assert annihilator(a, dual, (1, -1)).rows == ({0: 1, 1: 1},)
 
 
 def test_pairing_shape_mismatch():
-    amb = AmbientBasis(("p", "q"))
+    amb = GradedSpace.from_labels(("p", "q"))
     with pytest.raises(ValueError, match="pairing shape mismatch"):
-        annihilator(full_space(amb), AmbientBasis(("p*",)), (1, 1))
+        annihilator(full_space(amb), GradedSpace.from_labels(("p*",)), (1, 1))
     with pytest.raises(ValueError, match="pairing shape mismatch"):
-        annihilator(full_space(amb), AmbientBasis(("p*", "q*")), (1,))
+        annihilator(full_space(amb), GradedSpace.from_labels(("p*", "q*")), (1,))
 
 
 def test_apply_map_composition_and_identity():
     rng = random.Random(11)
-    A = AmbientBasis(tuple("abc"))
-    B = AmbientBasis(tuple("uvwx"))
-    C = AmbientBasis(tuple("pq"))
+    A = GradedSpace.from_labels(tuple("abc"))
+    B = GradedSpace.from_labels(tuple("uvwx"))
+    C = GradedSpace.from_labels(tuple("pq"))
     f = LinearMap(A, B, [{0: 1, 2: 2}, {1: Fraction(1, 2)}, {3: -1}])
     g = LinearMap(B, C, [{0: 1}, {1: 3}, {0: -1}, {1: 1}])
     ident = LinearMap.identity(A)
@@ -119,7 +119,7 @@ def test_apply_map_composition_and_identity():
 
 
 def test_vector_coords_roundtrip():
-    A = AmbientBasis(("x", "y", "z"))
+    A = GradedSpace.from_labels(("x", "y", "z"))
     v = Vector(A, [Fraction(1, 2), 0, -3])
     assert v.coords == [Fraction(1, 2), Fraction(0), Fraction(-3)]
     assert Vector(A, {0: Fraction(1, 2), 2: -3}) == v
@@ -137,7 +137,7 @@ def test_scalar_normal_form():
 
 
 def test_fraction_and_int_rows_build_equal_subspaces():
-    amb = AmbientBasis(tuple("abcd"))
+    amb = GradedSpace.from_labels(tuple("abcd"))
     int_rows = [{0: 2, 1: 4}, {1: 3, 3: -6}, {2: 1, 3: 1}]
     frac_rows = [{c: Fraction(v) for c, v in r.items()} for r in int_rows]
     halves = [{c: Fraction(v, 2) for c, v in r.items()} for r in int_rows]
@@ -147,7 +147,7 @@ def test_fraction_and_int_rows_build_equal_subspaces():
 
 
 def test_maps_and_vectors_store_integral_values_as_ints():
-    A = AmbientBasis(("x", "y"))
+    A = GradedSpace.from_labels(("x", "y"))
     f = LinearMap(A, A, [{0: Fraction(4, 2), 1: Fraction(1, 2)}, {1: "3"}])
     assert f.cols == ({0: 2, 1: Fraction(1, 2)}, {1: 3})
     assert type(f.cols[0][0]) is int and type(f.cols[1][1]) is int
@@ -167,7 +167,7 @@ def test_maps_and_vectors_store_integral_values_as_ints():
 # reference: a fresh EchelonBasis over the same generating rows.
 
 QN = 6
-QAMB = AmbientBasis(tuple("abcdef"))
+QAMB = GradedSpace.from_labels(tuple("abcdef"))
 _coef = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
@@ -238,7 +238,7 @@ def test_queries_ignore_explicit_zero_coefficients():
 
 
 def test_queries_reject_other_ambients():
-    other = AmbientBasis(tuple("uvwxyz"))
+    other = GradedSpace.from_labels(tuple("uvwxyz"))
     sub = full_space(QAMB)
     with pytest.raises(AmbientMismatch):
         sub.contains(basis_vector(other, "u"))

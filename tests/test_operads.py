@@ -61,9 +61,9 @@ def test_composition_spot_checks():
     assert lhg.comp(5, 3, 2).apply_data({i13: 1}) == {}
     # compose() wrapper on an explicit vector
     src = bkw.comp_source(2, 2)
-    v = Vector(src.ambient, {0: 1})
+    v = Vector(src, {0: 1})
     out = compose(bkw, 2, 2, 1, v)
-    assert out.data == img if False else out.ambient == bkw.gen_space(3).ambient
+    assert out.data == img if False else out.ambient == bkw.gen_space(3)
 
 
 def test_deletion_is_fi_consistent():
@@ -191,11 +191,11 @@ def test_bracket_image_spot():
     ta = _tagged(bkw.gen_space(2), "o:")
     tb = _tagged(bkw.gen_space(2), "i:")
     src = bkw.comp_source(2, 2)
-    bracket = Subspace(square(src).ambient, mixed_bracket(ta, tb, -1))
+    bracket = Subspace(square(src), mixed_bracket(ta, tb, -1))
     assert bracket.dim == 1
     c = bkw.comp(2, 2, 1)
     imgs = square_apply_rows(c, bracket.rows, src, bkw.gen_space(3))
-    img = Subspace(square(bkw.gen_space(3)).ambient, imgs)
+    img = Subspace(square(bkw.gen_space(3)), imgs)
     assert img.dim == 1
     l3 = bkw.gen_space(3).labels
     i12, i13, i23 = (l3.index(x) for x in ("t_1.2", "t_1.3", "t_2.3"))

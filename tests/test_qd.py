@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import random
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadop.exactlin import LinearMap, Vector
+from quadop.boqd import boqd_from_json
 from quadop.graded import (
     GradedSpace,
-    alt_square,
+    direct_sum,
     in_signed_square,
+    shift,
+    signed_square,
     square,
-    square_split,
+    tensor_product,
 )
 from quadop.qd import (
     CounterExample,
@@ -65,11 +69,11 @@ def test_make_qd_validation():
 
 def test_check_morphism_dk_into_full():
     a = dk3()
-    full = make_qd("skew", a.generators, alt_square(a.generators))
-    ident = LinearMap.identity(a.generators.ambient)
+    full = make_qd("skew", a.generators, signed_square(a.generators, -1))
+    ident = LinearMap.identity(a.generators)
     assert isinstance(check_morphism(ident, a, full), QDMorphism)
     assert isinstance(check_morphism(ident, full, a), CounterExample)
-    zero_map = LinearMap(a.generators.ambient, GradedSpace(()).ambient, [{}] * 3)
+    zero_map = LinearMap(a.generators, GradedSpace((), ()), [{}] * 3)
     assert isinstance(check_morphism(zero_map, a, qd_zero("skew")), QDMorphism)
 
 
@@ -135,10 +139,10 @@ def test_interchange_degenerate_and_random():
 def test_interchange_mixed_degree_signs():
     # one odd generator: the surviving cross terms must land exactly on the
     # signed mixed bracket of the target, which check_morphism certifies
-    a = make_qd("plain", GradedSpace((("a", 0),)), [])
-    ap = make_qd("plain", GradedSpace((("a'", 1),)), [])
-    b = make_qd("plain", GradedSpace((("b", 0),)), [])
-    bp = make_qd("plain", GradedSpace((("b'", 1),)), [])
+    a = make_qd("plain", GradedSpace(("a",), (0,)), [])
+    ap = make_qd("plain", GradedSpace(("a'",), (1,)), [])
+    b = make_qd("plain", GradedSpace(("b",), (0,)), [])
+    bp = make_qd("plain", GradedSpace(("b'",), (1,)), [])
     phi = interchange_phi(a, ap, b, bp)
     assert isinstance(phi, QDMorphism)
     # the full mixed-bracket source relation space maps onto the target one
@@ -148,10 +152,10 @@ def test_interchange_mixed_degree_signs():
 
 def test_annihilated_summand():
     # relations of the two outer factors against the two primed factors die
-    a = make_qd("plain", GradedSpace((("a", 0),)), [{0: 1}])
-    ap = make_qd("plain", GradedSpace((("a'", 0),)), [{0: 1}])
-    b = make_qd("plain", GradedSpace((("b", 0),)), [{0: 1}])
-    bp = make_qd("plain", GradedSpace((("b'", 0),)), [{0: 1}])
+    a = make_qd("plain", GradedSpace(("a",), (0,)), [{0: 1}])
+    ap = make_qd("plain", GradedSpace(("a'",), (0,)), [{0: 1}])
+    b = make_qd("plain", GradedSpace(("b",), (0,)), [{0: 1}])
+    bp = make_qd("plain", GradedSpace(("b'",), (0,)), [{0: 1}])
     phi = interchange_phi(a, ap, b, bp)
     assert isinstance(phi, QDMorphism)
     # S23(R(A) (x) R(B')) is annihilated by the projection square
@@ -166,7 +170,7 @@ def test_annihilated_summand():
     arow = {0 * na + 0: Fraction(1)}  # a (x) a in (A1+A'1)^2 coordinates
     brow = {1 * na + 1: Fraction(1)}  # b' (x) b'
     cross = _s23_rows(
-        GradedSpace((("a", 0), ("a'", 0))), GradedSpace((("b", 0), ("b'", 0))),
+        GradedSpace(("a", "a'"), (0, 0)), GradedSpace(("b", "b'"), (0, 0)),
         [arow], [brow],
     )
     imgs = square_apply_rows(phi.map, cross, src.generators, phi.target.generators)
@@ -208,15 +212,60 @@ def test_json_round_trip():
         assert qd_equal(qd_loads(qd_dumps(a)), a)
 
 
+def test_qd_equal_tells_apart_spaces_whose_pairing_signs_differ():
+    # V = s(a (x) b) + c and W = (sa) (x) b + c: equal labels and degrees,
+    # but the first generator is an atom in V and a two-odd-letter word in W
+    a = GradedSpace.from_labels(["a"], 0)
+    b = GradedSpace.from_labels(["b"], 1)
+    c = GradedSpace.from_labels(["c"], 1)
+    v = direct_sum(shift(tensor_product(a, b)), c)
+    w = direct_sum(tensor_product(shift(a), b), c)
+    assert (v.labels, v.degrees) == (w.labels, w.degrees)
+    x = make_qd("plain", v, [{0: 1, 1: 1}])
+    y = make_qd("plain", w, [{0: 1, 1: 1}])
+    sx, sy = apply_functor("star", x), apply_functor("star", y)
+    assert {0: 1, 1: -1} in sx.relations.rows
+    assert {0: 1, 1: 1} in sy.relations.rows
+    assert not qd_equal(sx, sy)
+    assert not qd_equal(x, y)
+    assert qd_equal(x, make_qd("plain", v, [{0: 1, 1: 1}]))
+
+
+def _one_generator_doc(degree, label="x"):
+    return {"flavor": "plain", "generators": [{"label": label, "degree": degree}],
+            "relations": [], "action": [["1"]]}
+
+
+@pytest.mark.parametrize("degree", [1.5, True, "1", 1.0])
+def test_json_degree_must_be_an_integer(degree):
+    doc = _one_generator_doc(degree)
+    with pytest.raises(ValueError):
+        qd_loads(json.dumps(doc))
+    with pytest.raises(ValueError):
+        boqd_from_json(doc)
+
+
+def test_json_generators_read_labels_as_strings_and_reject_duplicates():
+    a = qd_loads(json.dumps(_one_generator_doc(-2, label=7)))
+    assert (a.generators.labels, a.generators.degrees) == (("7",), (-2,))
+    doc = _one_generator_doc(0)
+    doc["generators"].append({"label": "x", "degree": 1})
+    doc["action"] = [["1", "0"], ["0", "1"]]
+    with pytest.raises(ValueError):
+        qd_loads(json.dumps(doc))
+    with pytest.raises(ValueError):
+        boqd_from_json(doc)
+
+
 def test_inj14_is_the_transpose_of_pr14():
     spaces = [
-        GradedSpace(()),
-        GradedSpace((("p", 1),)),
-        GradedSpace((("q", 0), ("r", 1))),
+        GradedSpace((), ()),
+        GradedSpace(("p",), (1,)),
+        GradedSpace(("q", "r"), (0, 1)),
     ]
     for dims in product(range(3), repeat=4):
         a, ap, b, bp = (
-            GradedSpace(tuple((t + l, d) for l, d in spaces[n].basis))
+            GradedSpace(tuple(t + l for l in spaces[n].labels), spaces[n].degrees)
             for t, n in zip(("a", "a'", "b", "b'"), dims)
         )
         pr = pr14_map(a, ap, b, bp)
@@ -234,7 +283,7 @@ def _square_rows(draw):
     whose mirrored entries x_i(x)x_j, x_j(x)x_i often agree up to sign."""
     degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
     n = len(degrees)
-    v = GradedSpace(tuple(("x%d" % i, d) for i, d in enumerate(degrees)))
+    v = GradedSpace(tuple("x%d" % i for i in range(len(degrees))), tuple(degrees))
     coef = st.one_of(
         st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=3)
     )
@@ -249,51 +298,50 @@ def _square_rows(draw):
 
 @given(_square_rows())
 @settings(max_examples=300, deadline=None)
-def test_signed_swap_test_agrees_with_square_split(case):
+def test_signed_swap_test_agrees_with_signed_square(case):
     v, row = case
-    split = square_split(v)
-    assert in_signed_square(v, row, 1) == split.sym.contains(row)
-    assert in_signed_square(v, row, -1) == split.alt.contains(row)
+    assert in_signed_square(v, row, 1) == signed_square(v, 1).contains(row)
+    assert in_signed_square(v, row, -1) == signed_square(v, -1).contains(row)
 
 
 @given(st.lists(st.integers(-1, 2), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_flavor_pool_is_the_square_split_rref(degrees):
+def test_flavor_pool_is_the_signed_square_rref(degrees):
     # the random relation rows draw from this pool, so equal rows in equal
     # order keep every seeded report byte-identical
-    v = GradedSpace(tuple(("x%d" % i, d) for i, d in enumerate(degrees)))
-    split = square_split(v)
-    for flavor, part in ((QDFlavor.SYM, split.sym), (QDFlavor.SKEW, split.alt)):
+    v = GradedSpace(tuple("x%d" % i for i in range(len(degrees))), tuple(degrees))
+    for flavor, sign in ((QDFlavor.SYM, 1), (QDFlavor.SKEW, -1)):
+        part = signed_square(v, sign)
         pool = _flavor_pool(v, flavor)
         assert [list(r.items()) for r in pool] == \
             [list(r.items()) for r in part.rows]
 
 
 def test_flavor_violation_names_the_first_escaping_row():
-    v = GradedSpace((("x", 1), ("y", 0)))
-    amb = square(v).ambient
+    v = GradedSpace(("x", "y"), (1, 0))
+    amb = square(v)
     # x(x)x with x odd is skew, not symmetric
     assert make_qd("skew", v, [{0: 1}]).rdim == 1
     with pytest.raises(FlavorViolation) as err:
         make_qd("symmetric", v, [{0: 1}])
     assert err.value.witness == Vector(amb, {0: 1})
     # the witness is the first RREF row that escapes, whatever the input order
-    w = GradedSpace((("y", 0), ("x", 1)))
+    w = GradedSpace(("y", "x"), (0, 1))
     with pytest.raises(FlavorViolation) as err:
         make_qd("symmetric", w, [{3: 2}, {0: 1}, {1: 1, 2: 1}])
-    assert err.value.witness == Vector(square(w).ambient, {3: 1})
+    assert err.value.witness == Vector(square(w), {3: 1})
 
 
 STAR_IN_FRESH_PROCESS = """
 from quadop.graded import GradedSpace, square, word_sign
 from quadop.qd import apply_functor, make_qd
 
-# x (x) y has the word (1, 1) and u (x) z the word (2, 0): one degree, so the
-# relation is homogeneous, but the two columns pair with opposite signs
-v = GradedSpace((("x", 1), ("y", 1), ("u", 2), ("z", 0)))
+# x (x) y has two odd letters and u (x) z none: one degree, so the relation
+# is homogeneous, but the two columns pair with opposite signs
+v = GradedSpace(("x", "y", "u", "z"), (1, 1, 2, 0))
 a = make_qd("plain", v, [{1: 1, 11: 1}, {0: 1}, {5: 1, 4: -1}])
 star = apply_functor("star", a)
-signs = [word_sign(w) for w in square(v).words]
+signs = [word_sign(k) for k in square(v).odds]
 assert star.rdim == 16 - a.rdim
 pair = lambda r, q, s: sum(x * q.get(c, 0) * s[c] for c, x in r.items())
 for r in a.relations.rows:

@@ -61,7 +61,7 @@ def test_lyndon_counts():
     for w, expect in ((1, 2), (2, 1), (3, 2), (4, 3)):
         assert len(lyndon_basis_rows(two.degrees, w)) == expect
     # one odd generator: the square survives at weight 2 and nothing above
-    odd = GradedSpace((("z", 1),))
+    odd = GradedSpace(("z",), (1,))
     assert len(lyndon_basis_rows(odd.degrees, 2)) == 1
     free_odd = make_qd("skew", odd, [])
     assert [weight_component("L", free_odd, w) for w in range(1, 4)] == [1, 1, 0]
@@ -85,9 +85,9 @@ def test_ue_compare_cases():
     dk = named_qd("DK", 3)
     assert ue_compare(dk, 4).passed
     v = GradedSpace.from_labels(["x", "y"])
-    from quadop.graded import alt_square
+    from quadop.graded import signed_square
 
-    abelian = make_qd("skew", v, alt_square(v))
+    abelian = make_qd("skew", v, signed_square(v, -1))
     assert ue_compare(abelian, 4).passed
     free = make_qd("skew", v, [])
     assert ue_compare(free, 4).passed
@@ -135,11 +135,11 @@ def test_duality_of_components_random():
 
 def test_lie_weight_two_is_alt_mod_relations():
     rng = random.Random(23)
-    from quadop.graded import alt_square
+    from quadop.graded import signed_square
 
     for _ in range(15):
         q = random_qd(rng, "skew", "s", 2)
-        expect = alt_square(q.generators).dim - q.rdim
+        expect = signed_square(q.generators, -1).dim - q.rdim
         assert weight_component("L", q, 2) == expect
 
 
