@@ -190,17 +190,25 @@ def zero_space(ambient):
     return Subspace(ambient, [])
 
 
+def rows_past(rows, ncols):
+    """RREF rows of span(rows) that are led at or past column ncols, shifted
+    down by ncols.  A RREF row's lead is its smallest column, so these rows
+    span the intersection of span(rows) with the coordinate subspace of the
+    columns from ncols on."""
+    return [
+        {c - ncols: v for c, v in row.items()}
+        for row in EchelonBasis().add_many(rows).rref()
+        if min(row) >= ncols
+    ]
+
+
 def intersect_rows(rows_a, rows_b, ncols):
     """RREF rows of span(rows_a) & span(rows_b) over ncols columns, by the
     Zassenhaus trick: fold (r | r) for r in rows_a and (r | 0) for r in
-    rows_b; the RREF rows led beyond ncols span the intersection."""
+    rows_b; the rows led past ncols span the intersection."""
     stacked = [{**r, **{c + ncols: v for c, v in r.items()}} for r in rows_a]
     stacked.extend(rows_b)
-    return [
-        {c - ncols: v for c, v in row.items()}
-        for row in EchelonBasis().add_many(stacked).rref()
-        if min(row) >= ncols
-    ]
+    return rows_past(stacked, ncols)
 
 
 def intersect(a, b):

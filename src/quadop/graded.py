@@ -13,7 +13,7 @@ equalities.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .exactlin import LinearMap, Subspace
+from .exactlin import LinearMap, Subspace, scalar
 
 TENSOR_SEP = "⊗"
 SHIFT_UP = "s·"
@@ -81,16 +81,40 @@ def space_to_json(v):
 
 
 def space_from_json(gens):
-    """The graded space of a JSON generator list.  Labels are read with str;
-    a degree must be a JSON integer (1.5, true and "1" raise ValueError)."""
+    """The graded space of a JSON generator list.  Each generator is an
+    object with a label, read with str, and a degree, which must be a JSON
+    integer (1.5, true and "1" raise ValueError)."""
+    if not isinstance(gens, list):
+        raise ValueError("generators %r are not a list" % (gens,))
     labels, degrees = [], []
     for g in gens:
+        if not isinstance(g, dict) or "label" not in g or "degree" not in g:
+            raise ValueError(
+                "generator %r is not an object with a label and a degree" % (g,))
         d = g["degree"]
         if type(d) is not int:
             raise ValueError("generator degree %r is not an integer" % (d,))
         labels.append(str(g["label"]))
         degrees.append(d)
     return GradedSpace(tuple(labels), tuple(degrees))
+
+
+def rows_from_json(rows, ncols, what):
+    """Sparse rows of a JSON list of rows of ncols exact scalars each (ints
+    or strings such as "-1/3"); ValueError names a row of another shape."""
+    if not isinstance(rows, list):
+        raise ValueError("%s rows %r are not a list" % (what, rows))
+    out = []
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != ncols:
+            raise ValueError("%s row %d is not a list of %d entries: %r"
+                             % (what, k, ncols, row))
+        try:
+            out.append({i: q for i, q in enumerate(map(scalar, row)) if q})
+        except (TypeError, ZeroDivisionError):
+            raise ValueError("%s row %d has an entry that is not an exact "
+                             "scalar: %r" % (what, k, row)) from None
+    return out
 
 
 def koszul_sign(degrees, perm):

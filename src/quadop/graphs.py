@@ -513,13 +513,13 @@ def holonomy_dims(family, n, wmax):
     return tuple(weight_component("L", comp, w) for w in range(1, wmax + 1))
 
 
-def gerstenhaber_dim_check(k, nmax, family=None):
+def gerstenhaber_dim_check(k, nmax):
     """k = 2: the total dimension of the cofree side over the shifted refined
     data equals n! for n <= nmax.  k = 3 (experimental): reports the weight
     dimensions alongside the two-vertex ternary-forest oracle."""
     reports = []
     if k == 2:
-        fam = family or build_family("DK", nmax)
+        fam = build_family("DK", nmax)
         for n in range(1, nmax + 1):
             comp = fam.component(n)
             if comp.gdim == 0:
@@ -543,7 +543,7 @@ def gerstenhaber_dim_check(k, nmax, family=None):
             )
         return reports
     if k == 3:
-        fam = family or build_family("EHKR", nmax)
+        fam = build_family("EHKR", nmax)
         for n in range(3, nmax + 1):
             comp = fam.component(n)
             shifted = apply_functor("antishriek", comp)

@@ -18,7 +18,6 @@ from .exactlin import (
     annihilator,
     apply_map,
     intersect,
-    scalar,
     zero_space,
 )
 from .graded import (
@@ -29,6 +28,7 @@ from .graded import (
     dual,
     in_signed_square,
     mixed_bracket,
+    rows_from_json,
     shift,
     shift_square_map,
     signed_square,
@@ -104,15 +104,15 @@ def qd_zero(flavor=QDFlavor.PLAIN):
     return QuadraticData(QDFlavor(flavor), ZERO, zero_space(square(ZERO)))
 
 
-def black_unit(label="e•"):
+def black_unit():
     """Classical unit for the black product: one even generator, full relation."""
-    v = GradedSpace((label,), (0,))
+    v = GradedSpace(("e•",), (0,))
     return make_qd(QDFlavor.PLAIN, v, [{0: 1}])
 
 
-def white_unit(label="e∘"):
+def white_unit():
     """Classical unit for the white product: one even generator, no relations."""
-    v = GradedSpace((label,), (0,))
+    v = GradedSpace(("e∘",), (0,))
     return make_qd(QDFlavor.PLAIN, v, [])
 
 
@@ -456,11 +456,11 @@ def qd_to_json(a):
 
 
 def qd_from_json(doc):
-    rows = [
-        {i: q for i, q in enumerate(map(scalar, row)) if q}
-        for row in doc["relations"]
-    ]
-    return make_qd(doc["flavor"], space_from_json(doc["generators"]), rows)
+    if not isinstance(doc, dict):
+        raise ValueError("quadratic data %r is not a JSON object" % (doc,))
+    gens = space_from_json(doc["generators"])
+    rows = rows_from_json(doc["relations"], gens.dim ** 2, "relation")
+    return make_qd(doc["flavor"], gens, rows)
 
 
 def qd_dumps(a):

@@ -18,11 +18,11 @@ def child_rng(seed, name):
     return random.Random((seed & 0xFFFFFFFFFFFFFFFF) ^ zlib.crc32(name.encode()))
 
 
-def random_graded_space(rng, prefix, max_dim=3, degrees=(0, 1)):
+def random_graded_space(rng, prefix, max_dim=3):
     n = rng.randint(1, max_dim)
     return GradedSpace(
         tuple("%s%d" % (prefix, i) for i in range(n)),
-        tuple(rng.choice(degrees) for _ in range(n)),
+        tuple(rng.choice((0, 1)) for _ in range(n)),
     )
 
 
@@ -68,16 +68,16 @@ def random_relation_rows(rng, gens, flavor):
     return rows
 
 
-def random_qd(rng, flavor, prefix, max_dim=3, degrees=(0, 1)):
+def random_qd(rng, flavor, prefix, max_dim=3):
     flavor = QDFlavor(flavor)
-    gens = random_graded_space(rng, prefix, max_dim, degrees)
+    gens = random_graded_space(rng, prefix, max_dim)
     return make_qd(flavor, gens, random_relation_rows(rng, gens, flavor))
 
 
-def random_s2module(rng, prefix, max_dim=2, degrees=(0, 1)):
+def random_s2module(rng, prefix, max_dim=2):
     """Random graded involutive module: signed-permutation involutions keep
     the eigenbases rational."""
-    gens = random_graded_space(rng, prefix, max_dim, degrees)
+    gens = random_graded_space(rng, prefix, max_dim)
     n = gens.dim
     cols = [None] * n
     idxs = list(range(n))
@@ -102,8 +102,8 @@ def random_s2module(rng, prefix, max_dim=2, degrees=(0, 1)):
     return S2Module(gens, LinearMap(gens, gens, cols))
 
 
-def random_boqd(rng, prefix, max_dim=2, degrees=(0, 1)):
-    mod = random_s2module(rng, prefix, max_dim, degrees)
+def random_boqd(rng, prefix, max_dim=2):
+    mod = random_s2module(rng, prefix, max_dim)
     amb = free_arity3(mod).ambient
     rows = []
     for _ in range(rng.randint(0, 3)):

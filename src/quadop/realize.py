@@ -13,7 +13,7 @@ materialised in the hot loops.
 from functools import lru_cache
 
 from .exactlin import intersect_rows
-from .kernel import EchelonBasis, echelon_rows, int_row
+from .kernel import EchelonBasis, int_row
 from .qd import FunctorName, QDFlavor, apply_functor
 from .graded import ArityError
 from .report import Report
@@ -26,50 +26,48 @@ REALIZATIONS = ("A", "S", "Tc", "Sc", "L")
 # tensor side
 
 
-def _slice_rows(rel_rows, n, i, j):
-    """Spanning rows of V^i (x) R (x) V^j, base-n coded."""
-    npow_j = n ** j
-    # column of u (x) (p,q) (x) v = ((u*n + p)*n + q)*n^j + v
-    for u in range(n ** i):
-        base_u = u * n * n
-        for row in rel_rows:
-            shifted = {(base_u + c) * npow_j: v for c, v in row.items()}
-            if j == 0:
-                yield shifted
-            else:
-                for v_word in range(npow_j):
-                    yield {c + v_word: x for c, x in shifted.items()}
+def _last_slice_rows(rel_rows, n, w):
+    """Spanning rows of V^(w-2) (x) R, base-n coded: the column of
+    u (x) (p,q) is u*n^2 + p*n + q."""
+    return [{base + c: v for c, v in row.items()}
+            for base in range(0, n ** w, n * n) for row in rel_rows]
 
 
-def _ideal_slice_rows(rel_rows, n, w):
-    """Spanning rows of sum_i V^i (x) R (x) V^j inside V^(x)w, base-n coded."""
-    for i in range(w - 1):
-        yield from _slice_rows(rel_rows, n, i, w - 2 - i)
+def _times_v(rows, n):
+    """Rows of S (x) V from rows of S, base-n coded: the column of c (x) v is
+    c*n + v.  A row led at p gives rows led at p*n + v, so echelon rows stay
+    echelon and RREF rows stay RREF."""
+    return [{c * n + v: x for c, x in row.items()}
+            for row in rows for v in range(n)]
 
 
 def tensor_quotient_dim(rel_rows, n, w):
-    """dim of weight w of T(V)/(R): words minus the rank of the ideal slice."""
-    if w == 0:
-        return 1
-    if w == 1:
-        return n
-    # rows are built here, so a profile charges their generation to this
-    # module rather than to the kernel's sort
-    basis = EchelonBasis().add_many(list(_ideal_slice_rows(rel_rows, n, w)))
+    """dim of weight w of T(V)/(R): words minus the rank of the ideal I_w.
+
+    I_1 = 0 and I_u = I_{u-1} (x) V + V^(u-2) (x) R.  The stored pivot rows
+    of I_{u-1}, times V, seed the basis of I_u as they are (primitive, with
+    a positive lead that stays their smallest column), so only the last
+    slice is eliminated.
+    """
+    basis = EchelonBasis()
+    for u in range(2, w + 1):
+        seed = EchelonBasis()
+        seed.pivots = {min(r): r for r in _times_v(basis.pivots.values(), n)}
+        basis = seed.add_many(_last_slice_rows(rel_rows, n, u))
     return n ** w - basis.rank
 
 
 def tensor_cofree_rows(rel_rows, n, w):
-    """Echelon rows of the weight-w component of the cofree side: the
-    intersection of all slices V^i (x) R (x) V^j."""
-    if w == 0 or w == 1:
-        raise ArityError("cofree components below weight 2 are implicit")
-    acc = None
-    for i in range(w - 1):
-        rows = echelon_rows(list(_slice_rows(rel_rows, n, i, w - 2 - i)))
-        acc = rows if acc is None else intersect_rows(acc, rows, n ** w)
+    """RREF rows of the weight-w component of the cofree side: the
+    intersection of all slices V^i (x) R (x) V^j, built as C_1 = V and
+    C_u = (C_{u-1} (x) V) & (V^(u-2) (x) R)."""
+    acc = [{i: 1} for i in range(n)] if w else [{0: 1}]
+    for u in range(2, w + 1):
         if not acc:
             return []
+        acc = intersect_rows(
+            _times_v(acc, n), _last_slice_rows(rel_rows, n, u), n ** u
+        )
     return acc
 
 
@@ -331,20 +329,14 @@ def _as_plain_for_Tc(q):
 def _component_cached(realization, q, w):
     if w < 0:
         raise ArityError("weight must be non-negative")
+    # the kernel clears the denominators of the rows it folds, so the
+    # tensor side takes the stored relation rows as they are
     if realization == "A":
         qq = _as_plain_for_A(q)
-        return tensor_quotient_dim(
-            [int_row(r) for r in qq.relations.rows], qq.gdim, w
-        )
+        return tensor_quotient_dim(qq.relations.rows, qq.gdim, w)
     if realization == "Tc":
         qq = _as_plain_for_Tc(q)
-        if w == 0:
-            return 1
-        if w == 1:
-            return qq.gdim
-        return len(
-            tensor_cofree_rows([int_row(r) for r in qq.relations.rows], qq.gdim, w)
-        )
+        return len(tensor_cofree_rows(qq.relations.rows, qq.gdim, w))
     if realization == "S":
         if q.flavor is not QDFlavor.SYM:
             raise FlavorExpected("S realisation needs symmetric data")

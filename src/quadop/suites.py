@@ -390,8 +390,9 @@ def suite_diagram_faces(seed=DEFAULT_SEED, trials=100):
     return rep
 
 
-def suite_realize_duality(seed=DEFAULT_SEED, trials=100, wmax=5):
+def suite_realize_duality(seed=DEFAULT_SEED, trials=100):
     rep = VerificationReport("realize-duality", seed)
+    wmax = 5
     fails = 0
     cases = 0
     for t in range(trials):

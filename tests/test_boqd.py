@@ -177,6 +177,20 @@ def test_psi_equivariance_and_offdiagonal_vanishing():
             assert psi_rows(a, b, [ra], [rb]) == [{}]
 
 
+def test_psi_koszul_sign_on_mixed_degrees():
+    # the black and white products both read this sign, and their laws hold
+    # with or without it, so it is pinned here: with |x| = 0, |x'| = |y| = 1,
+    # tau_1(x,x') (x) tau_1(y,y) carries (-1)^{|x'||y| + |x||y|} = -1 and
+    # tau_1(x',x') (x) tau_1(y,y) carries +1
+    a = make_boqd(trivial_module(GradedSpace(("x", "x'"), (0, 1))), [])
+    b = make_boqd(trivial_module(GradedSpace(("y",), (1,))), [])
+    spa, spb = a.space, b.space
+    rows = psi_rows(a, b, [{spa.index(1, 0, 1): 1}, {spa.index(1, 1, 1): 1}],
+                    [{spb.index(1, 0, 0): 1}])
+    spab = boqd_product("black", a, b).space
+    assert rows == [{spab.index(1, 0, 1): -1}, {spab.index(1, 1, 1): 1}]
+
+
 def test_product_relations_are_closed():
     rng = random.Random(33)
     for _ in range(6):

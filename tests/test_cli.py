@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quadop.cli import main
 
 
@@ -136,3 +138,30 @@ def test_build_rejects_a_fractional_degree(tmp_path, capsys):
     code, _, err = run_cli(["build", "--functor", "star", "--qd", str(path)], capsys)
     assert code == 2
     assert "degree" in err
+
+
+_ONE_GEN = [{"label": "x", "degree": 0}]
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"flavor": "plain", "generators": _ONE_GEN, "relations": [[0, 1]]},
+     "relation row 0"),
+    ({"flavor": "plain", "generators": _ONE_GEN, "relations": [[0, 1, 2, 3, 4]]},
+     "relation row 0"),
+    ({"flavor": "plain", "generators": [1], "relations": []}, "generator 1"),
+    ([1], "[1]"),
+    ({"flavor": "plain", "generators": _ONE_GEN, "relations": [["1/0"]]},
+     "relation row 0"),
+    ({"flavor": "plain", "generators": _ONE_GEN, "relations": [[None]]},
+     "relation row 0"),
+])
+def test_build_rejects_malformed_json(tmp_path, capsys, doc, named):
+    # a malformed document is a usage error that names the bad entry, not a
+    # traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["build", "--functor", "star", "--qd", str(path)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err

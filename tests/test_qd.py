@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -255,6 +256,20 @@ def test_json_generators_read_labels_as_strings_and_reject_duplicates():
         qd_loads(json.dumps(doc))
     with pytest.raises(ValueError):
         boqd_from_json(doc)
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"relations": [["1", "0"]]}, "relation row 0"),   # not 3 n^2 long
+    ({"action": [["1"], ["1"]]}, "action has 2 rows"),  # not n x n
+    ({"action": [["1", "0"], ["0", "1"]]}, "action row 0"),
+    ({"generators": [{"label": "x"}]}, "generator {'label': 'x'}"),
+])
+def test_boqd_json_rejects_malformed_entries(change, named):
+    doc = dict(_one_generator_doc(0), **change)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        boqd_from_json(doc)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        boqd_from_json([doc])
 
 
 def test_inj14_is_the_transpose_of_pr14():

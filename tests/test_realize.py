@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadop.graded import ArityError, GradedSpace
-from quadop.kernel import EchelonBasis
+from quadop.exactlin import nullspace_rows
+from quadop.kernel import EchelonBasis, echelon_rows
 from quadop.qd import apply_functor, make_qd
 from quadop.rand import random_qd
 from quadop.realize import (
@@ -17,6 +18,7 @@ from quadop.realize import (
     lyndon_basis_rows,
     sym_quotient_dim,
     tensor_cofree_rows,
+    tensor_quotient_dim,
     ue_compare,
     weight_component,
 )
@@ -196,3 +198,39 @@ def test_sym_quotient_dim_matches_lex_fold(case):
     rows, degrees, w = case
     assert sym_quotient_dim(rows, degrees, w) == \
         _sym_quotient_dim_oracle(rows, degrees, w)
+
+
+def _all_slices_oracle(rel_rows, n, w):
+    """Reference for the tensor side: every slice V^i (x) R (x) V^j of
+    weight w spelled out.  Returns the words minus the rank of their sum,
+    and the RREF of their intersection, taken as (sum of the slices'
+    annihilators)^perp so that it shares no code with the Zassenhaus cut."""
+    ncols = n ** w
+    slices = []
+    for i in range(w - 1):
+        j = w - 2 - i
+        slices.append([
+            {(u * n * n + c) * n ** j + v: x for c, x in row.items()}
+            for u in range(n ** i) for row in rel_rows for v in range(n ** j)
+        ])
+    total = EchelonBasis().add_many([r for s in slices for r in s]).rank
+    perps = [r for s in slices for r in nullspace_rows(s, ncols)]
+    return ncols - total, echelon_rows(nullspace_rows(perps, ncols))
+
+
+@st.composite
+def _tensor_cases(draw):
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-3, 3).filter(bool)
+    row = st.dictionaries(st.integers(0, n * n - 1), coeff, min_size=1, max_size=3)
+    rows = draw(st.lists(row, max_size=4))
+    return rows, n, draw(st.integers(0, 4 if n == 3 else 5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tensor_cases())
+def test_weight_recursion_matches_all_slices(case):
+    rows, n, w = case
+    quotient, cofree = _all_slices_oracle(rows, n, w)
+    assert tensor_quotient_dim(rows, n, w) == quotient
+    assert tensor_cofree_rows(rows, n, w) == cofree
