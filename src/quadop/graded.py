@@ -100,8 +100,9 @@ def space_from_json(gens):
 
 
 def rows_from_json(rows, ncols, what):
-    """Sparse rows of a JSON list of rows of ncols exact scalars each (ints
-    or strings such as "-1/3"); ValueError names a row of another shape."""
+    """Sparse rows of a JSON list of rows of ncols exact scalars each (JSON
+    integers or strings such as "-1/3"); ValueError names a row of another
+    shape or with another entry (1.5, true, "abc", "1/0")."""
     if not isinstance(rows, list):
         raise ValueError("%s rows %r are not a list" % (what, rows))
     out = []
@@ -110,8 +111,10 @@ def rows_from_json(rows, ncols, what):
             raise ValueError("%s row %d is not a list of %d entries: %r"
                              % (what, k, ncols, row))
         try:
+            if any(type(x) is not int and type(x) is not str for x in row):
+                raise TypeError
             out.append({i: q for i, q in enumerate(map(scalar, row)) if q})
-        except (TypeError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError("%s row %d has an entry that is not an exact "
                              "scalar: %r" % (what, k, row)) from None
     return out

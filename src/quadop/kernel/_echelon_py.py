@@ -63,6 +63,22 @@ class EchelonBasis:
     def __init__(self):
         self.pivots = {}  # pivot column -> primitive int row, positive pivot
 
+    @classmethod
+    def from_echelon_rows(cls, rows):
+        """A basis of int rows with pairwise distinct smallest columns, each
+        stored as its own pivot row, normalised but not eliminated."""
+        basis = cls()
+        for row in rows:
+            lead = min(row)
+            if lead in basis.pivots:
+                raise ValueError("two echelon rows are led at column %d" % lead)
+            basis.pivots[lead] = _normalize(row, lead)
+        return basis
+
+    def pivot_rows(self):
+        """The stored rows: primitive, led by their smallest column."""
+        return self.pivots.values()
+
     @property
     def rank(self):
         return len(self.pivots)

@@ -29,8 +29,8 @@ REALIZATIONS = ("A", "S", "Tc", "Sc", "L")
 def _last_slice_rows(rel_rows, n, w):
     """Spanning rows of V^(w-2) (x) R, base-n coded: the column of
     u (x) (p,q) is u*n^2 + p*n + q."""
-    return [{base + c: v for c, v in row.items()}
-            for base in range(0, n ** w, n * n) for row in rel_rows]
+    return [{u * n * n + c: v for c, v in row.items()}
+            for u in range(n ** (w - 2)) for row in rel_rows]
 
 
 def _times_v(rows, n):
@@ -42,17 +42,13 @@ def _times_v(rows, n):
 
 
 def tensor_quotient_dim(rel_rows, n, w):
-    """dim of weight w of T(V)/(R): words minus the rank of the ideal I_w.
-
-    I_1 = 0 and I_u = I_{u-1} (x) V + V^(u-2) (x) R.  The stored pivot rows
-    of I_{u-1}, times V, seed the basis of I_u as they are (primitive, with
-    a positive lead that stays their smallest column), so only the last
-    slice is eliminated.
-    """
+    """dim of weight w of T(V)/(R): words minus the rank of the ideal I_w,
+    built as I_1 = 0 and I_u = I_{u-1} (x) V + V^(u-2) (x) R.  The pivot
+    rows of I_{u-1}, times V, stay in echelon form and seed I_u as they are,
+    so only the last slice is eliminated."""
     basis = EchelonBasis()
     for u in range(2, w + 1):
-        seed = EchelonBasis()
-        seed.pivots = {min(r): r for r in _times_v(basis.pivots.values(), n)}
+        seed = EchelonBasis.from_echelon_rows(_times_v(basis.pivot_rows(), n))
         basis = seed.add_many(_last_slice_rows(rel_rows, n, u))
     return n ** w - basis.rank
 

@@ -21,6 +21,14 @@ def test_dims_qd_aos(capsys):
     assert out.splitlines()[0] == "S\t1\t3\t2\t0\t0"
 
 
+def test_dims_of_a_family_member_without_generators(capsys):
+    # DK at n = 1 has no generators: its realisations are the unit alone
+    code, out, _ = run_cli(["dims", "--qd", "DK", "--n", "1", "--format", "tsv"],
+                           capsys)
+    assert code == 0
+    assert out.splitlines() == ["A\t1\t0\t0\t0\t0\t0", "L\t0\t0\t0\t0\t0\t0"]
+
+
 def test_dims_family_relations(capsys):
     code, out, _ = run_cli(
         ["dims", "--family", "DK", "--relations", "--nmax", "4", "--format", "tsv"],
@@ -153,6 +161,12 @@ _ONE_GEN = [{"label": "x", "degree": 0}]
     ({"flavor": "plain", "generators": _ONE_GEN, "relations": [["1/0"]]},
      "relation row 0"),
     ({"flavor": "plain", "generators": _ONE_GEN, "relations": [[None]]},
+     "relation row 0"),
+    ({"flavor": "plain", "generators": _ONE_GEN, "relations": [["abc"]]},
+     "relation row 0"),
+    ({"flavor": "plain", "generators": _ONE_GEN, "relations": [[0.5]]},
+     "relation row 0"),
+    ({"flavor": "plain", "generators": _ONE_GEN, "relations": [[True]]},
      "relation row 0"),
 ])
 def test_build_rejects_malformed_json(tmp_path, capsys, doc, named):

@@ -113,6 +113,16 @@ def test_stored_pivot_rows_are_primitive_with_positive_pivot():
     _check_pivot_rows(basis)
 
 
+def test_from_echelon_rows_stores_without_elimination():
+    basis = _echelon_py.EchelonBasis.from_echelon_rows([{3: -6, 5: 4}, {1: 2}])
+    assert basis.pivots == {3: {3: 3, 5: -2}, 1: {1: 1}}
+    assert list(basis.pivot_rows()) == [{3: 3, 5: -2}, {1: 1}]
+    _check_pivot_rows(basis)
+    assert basis.add({3: 1, 4: 1}) and not basis.add({1: 5})
+    with pytest.raises(ValueError, match="column 2"):
+        _echelon_py.EchelonBasis.from_echelon_rows([{2: 1}, {2: 1, 4: 1}])
+
+
 def test_int_row_clears_denominators_and_zeros():
     assert int_row({1: Fraction(1, 2), 2: Fraction(-1, 3), 4: 0}) == {1: 3, 2: -2}
     row = int_row({0: Fraction(4), 3: -2, 5: Fraction(0)})

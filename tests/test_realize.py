@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadop.graded import ArityError, GradedSpace
 from quadop.exactlin import nullspace_rows
 from quadop.kernel import EchelonBasis, echelon_rows
-from quadop.qd import apply_functor, make_qd
+from quadop.qd import apply_functor, make_qd, qd_zero
 from quadop.rand import random_qd
 from quadop.realize import (
     FlavorExpected,
@@ -34,6 +34,12 @@ def test_free_and_cofree_extremes():
     )
     assert [weight_component("Tc", full, w) for w in range(4)] == [1, 2, 4, 8]
     assert [weight_component("A", full, w) for w in range(4)] == [1, 2, 0, 0]
+
+
+def test_no_generators_give_only_the_unit():
+    zero = qd_zero()
+    assert [weight_component("A", zero, w) for w in range(6)] == [1, 0, 0, 0, 0, 0]
+    assert [weight_component("Tc", zero, w) for w in range(6)] == [1, 0, 0, 0, 0, 0]
 
 
 def test_tc_intersection_example():
