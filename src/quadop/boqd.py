@@ -34,22 +34,9 @@ from .graded import (
     space_to_json,
     tensor_product,
 )
-from .kernel import EchelonBasis
+from .kernel import EchelonBasis, echelon_rows
 from .qd import _map_tensor, inj14_map, pr14_map, square_apply_rows
 from .report import Report
-
-P_ID = (1, 2, 3)
-P_12 = (2, 1, 3)
-P_13 = (3, 2, 1)
-P_23 = (1, 3, 2)
-P_123 = (2, 3, 1)
-P_132 = (3, 1, 2)
-S3 = (P_ID, P_12, P_13, P_23, P_123, P_132)
-
-
-def _compose_perm(s, t):
-    """(s o t)(x) = s(t(x))."""
-    return tuple(s[t[x] - 1] for x in range(3))
 
 
 @dataclass(frozen=True)
@@ -73,33 +60,20 @@ class S2Module:
     @cached_property
     def arity3(self):
         """The arity-3 component of the free operad on this module, built
-        once per module so its permutation action maps are shared."""
+        once per module."""
         return Arity3Space(self)
 
     def eigenbasis(self):
-        """(even vectors, odd vectors): bases of the +1 and -1 eigenspaces,
-        as sparse coordinate rows."""
-        plus, minus = [], []
-        n = self.dim
-        for i in range(n):
-            img = self.action.apply_data({i: 1})
-            for sign, box in ((1, plus), (-1, minus)):
-                row = dict(img) if sign == 1 else {c: -v for c, v in img.items()}
-                w = row.get(i, 0) + 1
-                if w:
-                    row[i] = w
-                elif i in row:
-                    del row[i]
-                if row:
-                    box.append(row)
-        def reduce(rows):
-            basis = EchelonBasis()
-            out = []
-            for r in rows:
-                if basis.add(r):
-                    out.append(r)
-            return out
-        return reduce(plus), reduce(minus)
+        """(even vectors, odd vectors): RREF bases of the +1 and -1
+        eigenspaces, the images of 1 + u and 1 - u."""
+        def image(sign):
+            rows = []
+            for i, col in enumerate(self.action.cols):
+                row = {c: sign * v for c, v in col.items()}
+                row[i] = row.get(i, 0) + 1
+                rows.append(row)
+            return echelon_rows(rows)
+        return image(1), image(-1)
 
 
 def trivial_module(space):
@@ -114,7 +88,8 @@ def sign_module(space):
 
 class Arity3Space:
     """tau basis of the arity-3 free-operad component on an involutive module,
-    with the derived permutation action."""
+    with the derived permutation action on rows: S3 is generated by (12)
+    and (123)."""
 
     def __init__(self, base):
         self.base = base
@@ -129,7 +104,6 @@ class Arity3Space:
             tuple(da + db for da in sp.degrees for db in sp.degrees) * 3,
             tuple(ka + kb for ka in sp.odds for kb in sp.odds) * 3,
         )
-        self._acts = {}
 
     @property
     def dim(self):
@@ -139,49 +113,29 @@ class Arity3Space:
         d = self.base.dim
         return (i - 1) * d * d + a * d + b
 
-    def _gen_action(self, perm):
-        d = self.base.dim
-        u = self.base.action
-        cols = []
-        if perm == P_123:
-            for i in (1, 2, 3):
-                nxt = i % 3 + 1
-                for a in range(d):
-                    for b in range(d):
-                        cols.append({self.index(nxt, a, b): 1})
-        elif perm == P_12:
-            swap = {1: 1, 2: 3, 3: 2}
-            for i in (1, 2, 3):
-                for a in range(d):
-                    for b in range(d):
-                        col = {}
-                        for bb, v in u.cols[b].items():
-                            col[self.index(swap[i], a, bb)] = v
-                        cols.append(col)
-        else:
-            raise ValueError(perm)
-        return LinearMap(self.ambient, self.ambient, cols)
+    def rotate(self, row):
+        """(123) on a tau row: tau_i(a,b) -> tau_{i+1}(a,b), i mod 3."""
+        d2 = self.base.dim * self.base.dim
+        return {(c + d2) % (3 * d2): v for c, v in row.items()}
 
-    def action(self, perm):
-        perm = tuple(perm)
-        if perm not in self._acts:
-            if perm == P_ID:
-                m = LinearMap.identity(self.ambient)
-            elif perm in (P_12, P_123):
-                m = self._gen_action(perm)
-            elif perm == P_132:
-                c = self.action(P_123)
-                m = c.compose(c)
-            elif perm == P_23:
-                # (23) = (12) o (123)
-                m = self.action(P_12).compose(self.action(P_123))
-            elif perm == P_13:
-                # (13) = (123) o (12)
-                m = self.action(P_123).compose(self.action(P_12))
-            else:
-                raise ValueError(perm)
-            self._acts[perm] = m
-        return self._acts[perm]
+    def swap(self, row):
+        """(12) on a tau row: tau_1(a,b) -> tau_1(a,ub) and tau_2(a,b) <->
+        tau_3(a,ub), with u the involution of the base module."""
+        d = self.base.dim
+        u = self.base.action.cols
+        out = {}
+        for c, v in row.items():
+            i, rest = divmod(c, d * d)
+            a, b = divmod(rest, d)
+            first = ((-i) % 3 * d + a) * d
+            for bb, x in u[b].items():
+                k = first + bb
+                w = out.get(k, 0) + v * x
+                if w:
+                    out[k] = w
+                elif k in out:
+                    del out[k]
+        return out
 
     def tau_row(self, i, rowa, rowb):
         """Bilinear tau_i on coordinate rows of the base module."""
@@ -210,11 +164,10 @@ class BOQDData:
         space = free_arity3(self.generators)
         if self.relations.ambient != space.ambient:
             raise ValueError("relations do not live in the arity-3 component")
-        for perm in (P_12, P_123):
-            act = space.action(perm)
-            for row in self.relations.rows:
-                if not self.relations.contains(act.apply_data(row)):
-                    raise ValueError("relations are not closed under the S3 action")
+        for row in self.relations.rows:
+            if not (self.relations.contains(space.swap(row))
+                    and self.relations.contains(space.rotate(row))):
+                raise ValueError("relations are not closed under the S3 action")
 
     @property
     def space(self):
@@ -240,12 +193,11 @@ def s3_closure_rows(module, rows):
     basis = EchelonBasis()
     queue = [dict(r) for r in rows]
     out = []
-    acts = [space.action(P_12), space.action(P_123)]
     while queue:
         row = queue.pop()
         if basis.add(row):
             out.append(row)
-            queue.extend(act.apply_data(row) for act in acts)
+            queue += space.swap(row), space.rotate(row)
     return out
 
 
@@ -505,10 +457,7 @@ def boqd_interchange_check(kind, a, ap, b, bp):
     spaces = [m.generators.space for m in (a, ap, b, bp)]
 
     def check(name, f, src, tgt):
-        images = square_apply_rows(
-            f, src.relations.rows, src.generators, tgt.generators
-        )
-        for img in images:
+        for img in square_apply_rows(f, src.relations.rows):
             if img and not tgt.relations.contains(img):
                 return Report(name, False, "relation image escapes",
                               witness=Vector(tgt.relations.ambient, img))

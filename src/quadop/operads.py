@@ -521,7 +521,7 @@ def verify_relation_morphism(family, nmax):
             target = family.component(n + m - 1)
             for p in range(1, n + 1):
                 c = family.comp(n, m, p)
-                images = square_apply_rows(c, rows, c.source, target.generators)
+                images = square_apply_rows(c, rows)
                 checked += len(images)
                 for img in images:
                     if img and not target.relations.contains(img):
@@ -574,7 +574,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
             if shell.symmetric:
                 for sigma in transpositions(n):
                     act = shell.action(n, sigma)
-                    for img in square_apply_rows(act, current_rows(n), target, target):
+                    for img in square_apply_rows(act, current_rows(n)):
                         if add(n, img):
                             changed = True
             # composition images
@@ -592,7 +592,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                     continue
                 for p in range(1, a + 1):
                     c = shell.comp(a, b, p)
-                    for img in square_apply_rows(c, rows, c.source, target):
+                    for img in square_apply_rows(c, rows):
                         if img and add(n, img):
                             changed = True
 

@@ -129,14 +129,14 @@ class CounterExample:
     reason: str
 
 
-def square_apply_rows(f, rows, src_space, tgt_space):
+def square_apply_rows(f, rows):
     """Push sparse rows through f(x)f (f of degree 0).
 
-    Rows live in square(src), or in the arity-3 tau basis over src: a column
-    past the square is read as a tau-block index, and f(x)f acts block-wise,
-    tau_i(x, x') -> tau_i(f x, f x').
+    Rows live in the square of f's source, or in the arity-3 tau basis over
+    it: a column past the square is read as a tau-block index, and f(x)f acts
+    block-wise, tau_i(x, x') -> tau_i(f x, f x').
     """
-    ns, nt = src_space.dim, tgt_space.dim
+    ns, nt = f.source.dim, f.target.dim
     out = []
     for row in rows:
         acc = {}
@@ -167,7 +167,7 @@ def check_morphism(f, a, b):
         for r in col:
             if b.generators.degrees[r] != d:
                 raise ValueError("generator map is not of degree zero")
-    images = square_apply_rows(f, a.relations.rows, a.generators, b.generators)
+    images = square_apply_rows(f, a.relations.rows)
     for img in images:
         if not b.relations.contains(img):
             return CounterExample(

@@ -3,9 +3,10 @@
 The associative realisation is the tensor algebra modulo the two-sided ideal
 on R, the cofree side is the intersection of the shifted relation slices, the
 commutative realisation works directly in the signed symmetric-power monomial
-basis, and the Lie realisation runs over a (super-)Lyndon basis embedded in
-the tensor ambient.  Each component is answered by its dimension alone, from
-weight-by-weight exact linear algebra; no representatives are kept.  The
+basis, and the Lie realisation counts a (super-)Lyndon basis and subtracts the
+ranks of the ideal slices, built in the tensor ambient.  Each component is
+answered by its dimension alone, from weight-by-weight exact linear algebra;
+no representatives are kept.  The
 column index of a tensor word is its base-n value, so no labels are
 materialised in the hot loops.
 """
@@ -180,13 +181,13 @@ def sym_quotient_dim(rel_rows, degrees, w):
 
 
 # ---------------------------------------------------------------------------
-# Lie side: (super-)Lyndon basis and ideal slices
+# Lie side: (super-)Lyndon counts and ideal slices
 
 
 def _lyndon_words(n, w):
     """Duval's generator of Lyndon words of length w over 0..n-1."""
     out = []
-    word = [-1]
+    word = [-1] if n else []
     while word:
         word[-1] += 1
         m = len(word)
@@ -199,105 +200,60 @@ def _lyndon_words(n, w):
     return out
 
 
-def _standard_factor(word):
-    """Standard factorization: split before the longest proper Lyndon suffix."""
-    for cut in range(1, len(word)):
-        if _is_lyndon(word[cut:]):
-            return word[:cut], word[cut:]
-    raise ValueError("not a Lyndon word")
-
-
-def _is_lyndon(word):
-    if not word:
-        return False
-    return all(word < word[k:] + word[:k] for k in range(1, len(word)))
-
-
-def _bracket_rows(x, y, degx, degy, n, wx, wy):
-    """[x, y] = x(x)y - (-1)^{|x||y|} y(x)x on base-n coded rows."""
-    sign = -1 if (degx * degy) % 2 else 1
-    acc = {}
-    shift_y = n ** wy
-    shift_x = n ** wx
-    for cx, vx in x.items():
-        for cy, vy in y.items():
-            c1 = cx * shift_y + cy
-            acc[c1] = acc.get(c1, 0) + vx * vy
-            c2 = cy * shift_x + cx
-            acc[c2] = acc.get(c2, 0) - sign * vx * vy
-    return {c: v for c, v in acc.items() if v}
-
-
-def _expand_lyndon(word, degrees, n):
-    """Expand the standard bracketing into the tensor ambient; returns
-    (row, total degree)."""
-    if len(word) == 1:
-        return {word[0]: 1}, degrees[word[0]]
-    u, v = _standard_factor(word)
-    ru, du = _expand_lyndon(u, degrees, n)
-    rv, dv = _expand_lyndon(v, degrees, n)
-    return _bracket_rows(ru, rv, du, dv, n, len(u), len(v)), du + dv
-
-
-def lyndon_basis_rows(degrees, w):
-    """(row, degree) pairs of the free-Lie weight-w basis: standard Lyndon
-    bracketings plus squares of odd-degree Lyndon elements (the super part)."""
+def free_lie_dims_by_parity(degrees, w):
+    """(even dim, odd dim) of weight w of the free Lie superalgebra: the
+    Lyndon words by degree parity, plus the even square [x, x] of each odd
+    Lyndon word x of length w/2."""
     n = len(degrees)
-    if w < 1 or n == 0:
-        return []
-    out = []
+    dims = [0, 0]
     for word in _lyndon_words(n, w):
-        out.append(_expand_lyndon(word, degrees, n))
+        dims[sum(degrees[g] for g in word) % 2] += 1
     if w % 2 == 0:
         for word in _lyndon_words(n, w // 2):
-            row, d = _expand_lyndon(word, degrees, n)
-            if d % 2:
-                out.append((_bracket_rows(row, row, d, d, n, w // 2, w // 2), 2 * d))
-    return out
-
-
-def _row_degree(row, degrees, n, w):
-    degs = set()
-    for col in row:
-        total = 0
-        c = col
-        for _ in range(w):
-            c, letter = divmod(c, n)
-            total += degrees[letter]
-        degs.add(total)
-    if len(degs) != 1:
-        raise ValueError("non-homogeneous row in a graded computation")
-    return degs.pop()
+            dims[0] += sum(degrees[g] for g in word) % 2
+    return tuple(dims)
 
 
 def lie_dims_by_parity(rel_rows, degrees, wmax):
     """{w: (even dim, odd dim)} of L(V,R) for w = 1..wmax.
 
-    The ideal slices are I_2 = R and I_u = [V, I_{u-1}], each built once.
-    Every count is a rank: the relation rows are RREF, an ideal row is kept
-    only when it raises the rank, and the (super-)Lyndon rows are a basis.
+    The ideal slices are I_2 = R and I_u = [V, I_{u-1}], each built once and
+    kept per degree parity.  The bracket [g, s] = g(x)s - (-1)^{|g||s|} s(x)g
+    of a generator and a weight-(u-1) row puts g(x)c at column g*n^(u-1) + c
+    and c(x)g at c*n + g.  Every count is a rank: the relation rows are RREF,
+    and a bracket row is kept only when it raises the rank.
     """
     n = len(degrees)
-    ideal = []
+    ideal = ([], [])
     out = {}
     for w in range(1, wmax + 1):
         if w == 2:
-            ideal = [(r, _row_degree(r, degrees, n, 2)) for r in rel_rows]
+            for r in rel_rows:
+                degs = {degrees[c // n] + degrees[c % n] for c in r}
+                if len(degs) != 1:
+                    raise ValueError("non-homogeneous row in a graded computation")
+                ideal[degs.pop() % 2].append(r)
         elif w > 2:
             basis = EchelonBasis()
-            rows = []
-            for s, ds in ideal:
-                for g in range(n):
-                    row = _bracket_rows({g: 1}, s, degrees[g], ds, n, 1, w - 1)
-                    if row and basis.add(row):
-                        rows.append((row, degrees[g] + ds))
-            ideal = rows
-        dims = [0, 0]
-        for _, d in lyndon_basis_rows(degrees, w):
-            dims[d % 2] += 1
-        for _, d in ideal:
-            dims[d % 2] -= 1
-        out[w] = tuple(dims)
+            top = n ** (w - 1)
+            slices = ([], [])
+            for p, rows in enumerate(ideal):
+                for s in rows:
+                    for g in range(n):
+                        sign = -1 if p and degrees[g] % 2 else 1
+                        row = {g * top + c: v for c, v in s.items()}
+                        for c, v in s.items():
+                            k = c * n + g
+                            x = row.get(k, 0) - sign * v
+                            if x:
+                                row[k] = x
+                            else:
+                                del row[k]
+                        if row and basis.add(row):
+                            slices[(p + degrees[g]) % 2].append(row)
+            ideal = slices
+        even, odd = free_lie_dims_by_parity(degrees, w)
+        out[w] = (even - len(ideal[0]), odd - len(ideal[1]))
     return out
 
 

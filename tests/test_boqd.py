@@ -4,11 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quadop.boqd import (
-    P_12,
-    P_123,
-    S3,
     S2Module,
-    _compose_perm,
     boqd_dual,
     boqd_from_json,
     boqd_interchange_check,
@@ -28,25 +24,41 @@ from quadop.qd import inj14_map, pr14_map, square_apply_rows
 from quadop.rand import random_boqd, random_s2module
 
 
+def _group_words(sp):
+    """The six elements of S3 acting on tau rows, as words in (12), (123)."""
+    s, r = sp.swap, sp.rotate
+    return (lambda x: x, s, r, lambda x: r(r(x)), lambda x: s(r(x)),
+            lambda x: r(s(x)))
+
+
 def test_action_identities_trivial_generator():
-    com = com_data()
-    sp = com.space
-    m12, m123 = sp.action(P_12), sp.action(P_123)
-    t = lambda i: {sp.index(i, 0, 0): Fraction(1)}
-    assert m12.apply_data(t(1)) == t(1)
-    assert m12.apply_data(t(2)) == t(3)
-    assert m12.apply_data(t(3)) == t(2)
-    assert m123.apply_data(t(1)) == t(2)
-    assert m123.apply_data(t(2)) == t(3)
-    assert m123.apply_data(t(3)) == t(1)
+    sp = com_data().space
+    t = lambda i: {sp.index(i, 0, 0): 1}
+    assert sp.swap(t(1)) == t(1)
+    assert sp.swap(t(2)) == t(3)
+    assert sp.swap(t(3)) == t(2)
+    assert sp.rotate(t(1)) == t(2)
+    assert sp.rotate(t(2)) == t(3)
+    assert sp.rotate(t(3)) == t(1)
 
 
 def test_action_identities_anti_invariant():
+    # (12) applies u to the second slot: -1 on the sign module, and the
+    # exchange of x and y on a module that swaps them
     anti = sign_module(GradedSpace(("z",), (0,)))
     sp = free_arity3(anti)
-    t = lambda i: {sp.index(i, 0, 0): Fraction(1)}
-    assert sp.action(P_12).apply_data(t(1)) == {sp.index(1, 0, 0): Fraction(-1)}
-    assert sp.action(P_123).apply_data(t(1)) == t(2)
+    t = lambda i: {sp.index(i, 0, 0): 1}
+    assert sp.swap(t(1)) == {sp.index(1, 0, 0): -1}
+    assert sp.swap(t(2)) == {sp.index(3, 0, 0): -1}
+    assert sp.swap(t(3)) == {sp.index(2, 0, 0): -1}
+    assert sp.rotate(t(1)) == t(2)
+    assert sp.rotate(t(3)) == t(1)
+    v = GradedSpace(("x", "y"), (0, 0))
+    sp = free_arity3(S2Module(v, LinearMap(v, v, [{1: 1}, {0: 1}])))
+    assert sp.swap({sp.index(1, 0, 0): 1}) == {sp.index(1, 0, 1): 1}
+    assert sp.swap({sp.index(2, 1, 0): 1}) == {sp.index(3, 1, 1): 1}
+    assert sp.swap({sp.index(3, 0, 1): 1}) == {sp.index(2, 0, 0): 1}
+    assert sp.rotate({sp.index(2, 0, 1): 1}) == {sp.index(3, 0, 1): 1}
 
 
 def test_action_is_group_action():
@@ -54,10 +66,12 @@ def test_action_is_group_action():
     for _ in range(6):
         mod = random_s2module(rng, "m")
         sp = free_arity3(mod)
-        for s1 in S3:
-            for s2 in S3:
-                assert sp.action(s1).compose(sp.action(s2)) == \
-                    sp.action(_compose_perm(s1, s2))
+        s, r = sp.swap, sp.rotate
+        for c in range(sp.dim):
+            row = {c: 1}
+            assert s(s(row)) == row
+            assert r(r(r(row))) == row
+            assert s(r(s(row))) == r(r(row))
 
 
 def test_involution_required():
@@ -155,16 +169,13 @@ def test_psi_equivariance_and_offdiagonal_vanishing():
     from quadop.boqd import _module_tensor
 
     spab = free_arity3(_module_tensor(a, b))
-    for s in S3:
+    for ga, gb, gab in zip(_group_words(spa), _group_words(spb),
+                           _group_words(spab)):
         for _ in range(6):
             ca = rng.randrange(spa.ambient.dim)
             cb = rng.randrange(spb.ambient.dim)
-            lhs = psi_rows(
-                a, b,
-                [spa.action(s).apply_data({ca: 1})],
-                [spb.action(s).apply_data({cb: 1})],
-            )[0]
-            rhs = spab.action(s).apply_data(psi_rows(a, b, [{ca: 1}], [{cb: 1}])[0])
+            lhs = psi_rows(a, b, [ga({ca: 1})], [gb({cb: 1})])[0]
+            rhs = gab(psi_rows(a, b, [{ca: 1}], [{cb: 1}])[0])
             assert lhs == rhs
     # off-diagonal tau indices vanish under the pairing map
     da = a.gdim
@@ -237,7 +248,7 @@ def _assert_square_apply_is_lift(rng, f, src_mod, tgt_mod):
     rows += [
         {rng.randrange(n): rng.randint(-2, 2) for _ in range(3)} for _ in range(6)
     ]
-    got = square_apply_rows(f, rows, src_mod, tgt_mod)
+    got = square_apply_rows(f, rows)
     assert got == [lift.apply_data(r) for r in rows]
 
 

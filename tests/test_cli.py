@@ -29,6 +29,20 @@ def test_dims_of_a_family_member_without_generators(capsys):
     assert out.splitlines() == ["A\t1\t0\t0\t0\t0\t0", "L\t0\t0\t0\t0\t0\t0"]
 
 
+def test_dims_rejects_a_non_homogeneous_relation(tmp_path, capsys):
+    # x even, y odd: x(x)y - y(x)x has degree 1 and y(x)y degree 2, so the
+    # Lie side has no degree to book the relation under
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({
+        "flavor": "skew",
+        "generators": [{"label": "x", "degree": 0}, {"label": "y", "degree": 1}],
+        "relations": [[0, 1, -1, 1]],
+    }))
+    code, out, err = run_cli(["dims", "--qd", str(path)], capsys)
+    assert code == 2
+    assert "non-homogeneous" in err
+
+
 def test_dims_family_relations(capsys):
     code, out, _ = run_cli(
         ["dims", "--family", "DK", "--relations", "--nmax", "4", "--format", "tsv"],

@@ -141,9 +141,7 @@ def test_action_preserves_relations():
                 continue
             for sigma in transpositions(n):
                 act = fam.action(n, sigma)
-                imgs = square_apply_rows(
-                    act, comp.relations.rows, comp.generators, comp.generators
-                )
+                imgs = square_apply_rows(act, comp.relations.rows)
                 for img in imgs:
                     assert comp.relations.contains(img)
 
@@ -194,7 +192,7 @@ def test_bracket_image_spot():
     bracket = Subspace(square(src), mixed_bracket(ta, tb, -1))
     assert bracket.dim == 1
     c = bkw.comp(2, 2, 1)
-    imgs = square_apply_rows(c, bracket.rows, src, bkw.gen_space(3))
+    imgs = square_apply_rows(c, bracket.rows)
     img = Subspace(square(bkw.gen_space(3)), imgs)
     assert img.dim == 1
     l3 = bkw.gen_space(3).labels

@@ -165,7 +165,6 @@ def test_annihilated_summand():
     rows = _s23_rows(
         phi.source.generators, phi.source.generators, [], []
     )  # shape check only
-    src = phi.source
     # build R(A) (x) R(B') inside the big square: index 0 is a, index 3 is b'
     na = 2
     arow = {0 * na + 0: Fraction(1)}  # a (x) a in (A1+A'1)^2 coordinates
@@ -174,7 +173,7 @@ def test_annihilated_summand():
         GradedSpace(("a", "a'"), (0, 0)), GradedSpace(("b", "b'"), (0, 0)),
         [arow], [brow],
     )
-    imgs = square_apply_rows(phi.map, cross, src.generators, phi.target.generators)
+    imgs = square_apply_rows(phi.map, cross)
     assert all(not img for img in imgs)
 
 

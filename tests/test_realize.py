@@ -14,8 +14,9 @@ from quadop.realize import (
     _sort_mono,
     _sym_monomials,
     hilbert_series,
+    free_lie_dims_by_parity,
     koszul_euler_check,
-    lyndon_basis_rows,
+    pbw_series,
     sym_quotient_dim,
     tensor_cofree_rows,
     tensor_quotient_dim,
@@ -65,28 +66,22 @@ def test_weight_component_flavor_guards():
 
 
 def test_lyndon_counts():
-    two = GradedSpace.from_labels(["x", "y"])
     for w, expect in ((1, 2), (2, 1), (3, 2), (4, 3)):
-        assert len(lyndon_basis_rows(two.degrees, w)) == expect
+        assert sum(free_lie_dims_by_parity((0, 0), w)) == expect
     # one odd generator: the square survives at weight 2 and nothing above
-    odd = GradedSpace(("z",), (1,))
-    assert len(lyndon_basis_rows(odd.degrees, 2)) == 1
-    free_odd = make_qd("skew", odd, [])
+    assert free_lie_dims_by_parity((1,), 1) == (0, 1)
+    assert free_lie_dims_by_parity((1,), 2) == (1, 0)
+    free_odd = make_qd("skew", GradedSpace(("z",), (1,)), [])
     assert [weight_component("L", free_odd, w) for w in range(1, 4)] == [1, 1, 0]
 
 
-def test_lyndon_rank_matches_count():
-    # the Lie dims count Lyndon rows per parity, so the rows must be
-    # independent, also with odd generators (the super squares)
-    from quadop.kernel import EchelonBasis
-
-    three = GradedSpace.from_labels(["x", "y", "z"])
-    for w in (2, 3, 4):
-        rows = [r for r, _ in lyndon_basis_rows(three.degrees, w)]
-        assert EchelonBasis().add_many(rows).rank == len(rows)
-    for w in (2, 3, 4, 5):
-        rows = [r for r, _ in lyndon_basis_rows((0, 1, 1), w)]
-        assert EchelonBasis().add_many(rows).rank == len(rows)
+def test_free_lie_counts_satisfy_pbw():
+    # U of the free Lie superalgebra on n generators is the tensor algebra,
+    # so the counts, odd squares included, must give n^w in every weight
+    for degrees in ((), (1,), (0, 1, 1), (2, -1, 3)):
+        free = {w: free_lie_dims_by_parity(degrees, w) for w in range(1, 8)}
+        n = len(degrees)
+        assert pbw_series(free, 7) == [n ** w for w in range(8)]
 
 
 def test_ue_compare_cases():
