@@ -6,12 +6,16 @@ commutative realisation works directly in the signed symmetric-power monomial
 basis, and the Lie realisation counts a (super-)Lyndon basis and subtracts the
 ranks of the ideal slices, built in the tensor ambient.  Each component is
 answered by its dimension alone, from weight-by-weight exact linear algebra;
-no representatives are kept.  The
+no representatives are kept.  From weight 4 on, A, S and L are counted
+instead when the quadratic leads of the relations are certified as a PBW
+basis by one exact check at weight 3; otherwise they are eliminated.  The
 column index of a tensor word is its base-n value, so no labels are
 materialised in the hot loops.
 """
 
 from functools import lru_cache
+from math import comb
+from typing import NamedTuple
 
 from .exactlin import intersect_rows
 from .kernel import EchelonBasis, int_row
@@ -132,6 +136,14 @@ def _project_rel_to_sym(rel_rows, degrees):
     return out
 
 
+def _reverse_lex_columns(degrees, w):
+    """The signed monomials of weight w in lex order, and their columns in
+    reverse lex order: a row's pivot is its lex-largest monomial."""
+    monos = _sym_monomials(degrees, w)
+    top = len(monos) - 1
+    return monos, {m: top - k for k, m in enumerate(monos)}
+
+
 def sym_quotient_dim(rel_rows, degrees, w):
     """dim of weight w of S(V)/(R) in the signed monomial basis.
 
@@ -154,9 +166,7 @@ def sym_quotient_dim(rel_rows, degrees, w):
     if w == 1:
         return len(degrees)
     odd = [d % 2 for d in degrees]
-    monos = _sym_monomials(degrees, w)
-    top = len(monos) - 1
-    index = {m: top - k for k, m in enumerate(monos)}
+    monos, index = _reverse_lex_columns(degrees, w)
     rel_sym = [
         [(s, sum(1 << x for x in s if odd[x]), v) for s, v in row.items()]
         for row in _project_rel_to_sym(rel_rows, degrees)
@@ -258,6 +268,161 @@ def lie_dims_by_parity(rel_rows, degrees, wmax):
 
 
 # ---------------------------------------------------------------------------
+# certified PBW counts
+#
+# A quadratic datum is PBW when the leading terms of its relations, in a
+# monomial order, span the leading terms of the whole ideal.  Then the
+# normal words (or standard monomials) that avoid every quadratic lead are a
+# basis in every weight.  They always span, and every overlap of two
+# quadratic leads lies in weight 3, so by the diamond lemma (Bergman 1978)
+# the leads certify the data exactly when the count at weight 3 equals the
+# dim at weight 3 found by elimination.  Weights >= 4 are then counted.
+
+
+def _tensor_leads(rel_rows, n, order):
+    """The quadratic leads (a, b) of the relations in one letter order.
+    The kernel's pivot is a row's smallest base-n column, its lex-smallest
+    word, and lex order on words of one length is multiplicative.  The
+    reversed order relabels letter g as n-1-g, which numbers column c as
+    n^2-1-c, so its leads are the lex-largest words and need no labels."""
+    def flip(c):
+        return c if order == "given" else n * n - 1 - c
+    basis = EchelonBasis().add_many(
+        [{flip(c): v for c, v in row.items()} for row in rel_rows]
+    )
+    return frozenset(divmod(flip(c), n) for c in basis.pivot_columns())
+
+
+def _normal_words_by_parity(leads, parity, w):
+    """(even, odd) numbers of words of length w with no adjacent lead pair,
+    by the degree parity of their letters: a transfer matrix whose state is
+    the last letter and the parity so far."""
+    n = len(parity)
+    if w == 0:
+        return 1, 0
+    ends = [[1 - p, p] for p in parity]
+    follow = [[b for b in range(n) if (a, b) not in leads] for a in range(n)]
+    for _ in range(w - 1):
+        step = [[0, 0] for _ in range(n)]
+        for a, (even, odd) in enumerate(ends):
+            if even or odd:
+                for b in follow[a]:
+                    p = parity[b]
+                    step[b][p] += even
+                    step[b][1 - p] += odd
+        ends = step
+    return sum(e for e, _ in ends), sum(o for _, o in ends)
+
+
+def _sym_leads(rel_rows, degrees):
+    """The quadratic leads (a, b), a <= b, of the projected relations in
+    `sym_quotient_dim`'s numbering: the lex-largest monomial of each pivot
+    row.  Read on exponent vectors this is graded reverse lex with the
+    letters ordered n-1 > ... > 0, a monomial order."""
+    monos, index = _reverse_lex_columns(degrees, 2)
+    basis = EchelonBasis().add_many(
+        [{index[m]: v for m, v in row.items()}
+         for row in _project_rel_to_sym(rel_rows, degrees)]
+    )
+    top = len(monos) - 1
+    return frozenset(monos[top - c] for c in basis.pivot_columns())
+
+
+def _standard_monomials(leads, odd, w):
+    """Number of signed monomials of weight w, odd letters squarefree, that
+    no lead divides.  A recursion over the letters in increasing order picks
+    each exponent; a lead a*b with a < b bans b once a is taken, and a lead
+    a*a caps a at exponent 1 as oddness does.  Subcounts are memoised on
+    (letter, weight left, banned letters), so the work follows the count,
+    not the number of all monomials."""
+    n = len(odd)
+    after = [0] * n
+    capped = [bool(x) for x in odd]
+    for a, b in leads:
+        if a == b:
+            capped[a] = True
+        else:
+            after[a] |= 1 << b
+    memo = {}
+
+    def count(i, left, banned):
+        # banned holds no letter below i
+        if left == 0:
+            return 1
+        if i == n:
+            return 0
+        key = (i, left, banned)
+        if key not in memo:
+            total = count(i + 1, left, banned & ~(1 << i))
+            if not banned >> i & 1:
+                for k in range(1, (1 if capped[i] else left) + 1):
+                    total += count(i + 1, left - k, banned | after[i])
+            memo[key] = total
+        return memo[key]
+
+    return count(0, w, 0)
+
+
+class PBWCertificate(NamedTuple):
+    """The outcome of the weight-3 check for one side of one datum.
+
+    side is "A" (tensor) or "S" (symmetric); tried lists (order, count at
+    weight 3) for each order tried; dim3 is the eliminated dim at weight 3;
+    order is the first order whose count equals dim3, or None when no order
+    does and every weight is eliminated; leads are that order's leads."""
+    side: str
+    order: str | None
+    tried: tuple
+    dim3: int
+    leads: frozenset
+
+
+@lru_cache(maxsize=256)
+def pbw_certificate(side, q):
+    """The PBW certificate of A(q) (side "A": the given letter order, then
+    the reversed one) or of S(q) (side "S": the reverse-lex order).  dim3
+    always comes from elimination, never from the counter."""
+    dim3 = _component_cached(side, q, 3)
+    parity = [d % 2 for d in q.generators.degrees]
+    if side == "A":
+        qq = _as_plain_for_A(q)
+        orders = {order: _tensor_leads(qq.relations.rows, qq.gdim, order)
+                  for order in ("given", "reversed")}
+        tried = tuple((order, sum(_normal_words_by_parity(leads, parity, 3)))
+                      for order, leads in orders.items())
+    else:
+        orders = {"reverse-lex": _sym_leads(
+            [int_row(r) for r in q.relations.rows], q.generators.degrees
+        )}
+        tried = (("reverse-lex",
+                  _standard_monomials(orders["reverse-lex"], parity, 3)),)
+    for order, count in tried:
+        if count == dim3:
+            return PBWCertificate(side, order, tried, dim3, orders[order])
+    return PBWCertificate(side, None, tried, dim3, frozenset())
+
+
+def _certified_dim(realization, q, w):
+    """The counted dim at weight w >= 4, or None when the leads do not
+    certify.  L comes from A = U(L): the parity-split normal-word series is
+    the super PBW product of L's dims, inverted weight by weight."""
+    cert = pbw_certificate("A" if realization == "L" else realization, q)
+    if cert.order is None:
+        return None
+    parity = [d % 2 for d in q.generators.degrees]
+    if realization == "S":
+        return _standard_monomials(cert.leads, parity, w)
+    if realization == "A":
+        return sum(_normal_words_by_parity(cert.leads, parity, w))
+    lie = {}
+    for u in range(1, w + 1):
+        even, odd = _normal_words_by_parity(cert.leads, parity, u)
+        pe, po = pbw_series_by_parity(lie, u)[u]
+        lie[u] = (even - pe, odd - po)
+    return sum(lie[w])
+
+
+# ---------------------------------------------------------------------------
 # public weight components
 
 
@@ -281,6 +446,16 @@ def _as_plain_for_Tc(q):
 def _component_cached(realization, q, w):
     if w < 0:
         raise ArityError("weight must be non-negative")
+    if realization in ("A", "S", "L", "Sc") and w >= 2:
+        # each of these (Sc is S of the dual) is generated in weight 1, so a
+        # zero weight ends the series; L_0 = 0 is only a convention, hence
+        # w >= 2
+        if _component_cached(realization, q, w - 1) == 0:
+            return 0
+    if realization in ("A", "S", "L") and w >= 4:
+        dim = _certified_dim(realization, q, w)
+        if dim is not None:
+            return dim
     # the kernel clears the denominators of the rows it folds, so the
     # tensor side takes the stored relation rows as they are
     if realization == "A":
@@ -339,23 +514,35 @@ def _poly_mul(a, b, cap):
     return out
 
 
+def pbw_series_by_parity(by_parity, wmax):
+    """[(even dim, odd dim) at weight 0..wmax] of the enveloping algebra of
+    a Lie superalgebra with dims {w: (even, odd)}: the super PBW product
+    prod_w (1 + s t^w)^{odd_w} / (1 - t^w)^{even_w}, with s^2 = 1 marking
+    the odd part."""
+    out = [(1, 0)] + [(0, 0)] * wmax
+    for w, (ev, od) in by_parity.items():
+        top = wmax // w
+        # the factor's coefficient of t^(w*j), split by parity: C(ev+a-1, a)
+        # from the even part times C(od, b) s^b from the odd part, a + b = j
+        geo = [comb(ev + a - 1, a) if ev else int(a == 0) for a in range(top + 1)]
+        factor = [[0, 0] for _ in range(top + 1)]
+        for b in range(min(od, top) + 1):
+            for a in range(top + 1 - b):
+                factor[a + b][b % 2] += geo[a] * comb(od, b)
+        step = [[0, 0] for _ in range(wmax + 1)]
+        for i, (even, odd) in enumerate(out):
+            for j, (f_even, f_odd) in enumerate(factor[: (wmax - i) // w + 1]):
+                k = i + j * w
+                step[k][0] += even * f_even + odd * f_odd
+                step[k][1] += even * f_odd + odd * f_even
+        out = [tuple(x) for x in step]
+    return out
+
+
 def pbw_series(by_parity, wmax):
     """Weight series of the enveloping algebra from Lie dims split by parity:
-    prod_w (1+t^w)^{odd_w} / (1-t^w)^{even_w}."""
-    out = [0] * (wmax + 1)
-    out[0] = 1
-    for w, (ev, od) in by_parity.items():
-        for _ in range(od):
-            factor = [0] * (wmax + 1)
-            factor[0] = 1
-            if w <= wmax:
-                factor[w] = 1
-            out = _poly_mul(out, factor, wmax)
-        for _ in range(ev):
-            # 1/(1-t^w) = 1 + t^w + t^{2w} + ...
-            geo = [1 if (k % w == 0) else 0 for k in range(wmax + 1)]
-            out = _poly_mul(out, geo, wmax)
-    return out
+    the total of `pbw_series_by_parity`."""
+    return [even + odd for even, odd in pbw_series_by_parity(by_parity, wmax)]
 
 
 def ue_compare(q, wmax):

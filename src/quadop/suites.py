@@ -8,7 +8,7 @@ import math
 
 from . import boqd as boqd_mod
 from . import graphs, realize
-from .catalog import aos_data, arnold_rows, pentagon_rows
+from .catalog import aos_data, arnold_rows, named_qd, pentagon_rows
 from .operads import (
     build_family,
     compare_families,
@@ -33,6 +33,7 @@ from .qd import (
     interchange_psi,
     verify_diagram_face,
     FACES,
+    QDFlavor,
 )
 from .rand import child_rng, random_boqd, random_qd
 from .report import Report, VerificationReport
@@ -314,6 +315,60 @@ def suite_koszul_duals(nmax=6, seed=DEFAULT_SEED):
     return rep
 
 
+# (named datum, its arities, k): the holonomy and Arnold data whose
+# quadratic leads are tried as a PBW basis
+_PBW_DATA = (
+    ("DK", range(3, 7), None), ("BKW", (4, 5), None), ("LG", range(4, 7), None),
+    ("HG", (4, 5), 3), ("EHKR", range(4, 7), None), ("AOS", range(3, 7), None),
+)
+
+
+def _pbw_side(q):
+    return "S" if q.flavor is QDFlavor.SYM else "A"
+
+
+def _certificate_case(name, cert):
+    what = ("normal words of length 3" if cert.side == "A"
+            else "standard monomials of weight 3")
+    if cert.order is None:
+        return Report(name, True,
+                      "elimination: no order certifies %s; %s %s against "
+                      "dim %s_3 %d" % (cert.side, what,
+                                       ", ".join("%s %d" % t for t in cert.tried),
+                                       cert.side, cert.dim3),
+                      status="INFO")
+    return Report(name, True,
+                  "%s PBW in the %s order: %d %s = dim %s_3 %d"
+                  % (cert.side, cert.order, dict(cert.tried)[cert.order], what,
+                     cert.side, cert.dim3))
+
+
+def suite_koszul_pbw(seed=DEFAULT_SEED):
+    """Certified PBW bases of the named data (diamond lemma, Bergman 1978):
+    a case is PASS only when the normal count of some order's quadratic
+    leads equals the eliminated dim at weight 3.  Where q and q^! are both
+    PBW, both are Koszul (Priddy 1970) and h(t) h^!(-t) = 1 must hold; it
+    is checked to weight 8, which only counting reaches at these sizes."""
+    rep = VerificationReport("koszul-pbw", seed)
+    for name, arities, k in _PBW_DATA:
+        for n in arities:
+            label = "%s%s.n%d" % (name.lower(), k or "", n)
+            q = named_qd(name, n, k=k)
+            cert = realize.pbw_certificate(_pbw_side(q), q)
+            rep.add(_certificate_case("pbw." + label, cert))
+            bang = apply_functor(FunctorName.SHRIEK, q)
+            dual = realize.pbw_certificate(_pbw_side(bang), bang)
+            rep.add(_certificate_case("pbw-dual." + label, dual))
+            if cert.order is not None and dual.order is not None:
+                r = realize.koszul_euler_check(q, 8)
+                r.name = "koszul-euler." + label
+                if r.status != "PASS":
+                    r.passed = False
+                    r.status = "FAIL"
+                rep.add(r)
+    return rep
+
+
 def suite_gra_iso(seed=DEFAULT_SEED):
     rep = VerificationReport("gra-iso", seed)
     for r in graphs.sc_iso_check(build_family("BKW", 6), 2, True, 4, 3):
@@ -458,6 +513,7 @@ SUITES = {
     "operad-axioms": suite_operad_axioms,
     "minimality": suite_minimality,
     "koszul-duals": suite_koszul_duals,
+    "koszul-pbw": suite_koszul_pbw,
     "gra-iso": suite_gra_iso,
     "diagram-faces": suite_diagram_faces,
     "realize-duality": suite_realize_duality,

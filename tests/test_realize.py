@@ -3,19 +3,24 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quadop import realize
+from quadop.cli import main
 from quadop.graded import ArityError, GradedSpace
 from quadop.exactlin import nullspace_rows
-from quadop.kernel import EchelonBasis, echelon_rows
+from quadop.kernel import EchelonBasis, echelon_rows, int_row
 from quadop.qd import apply_functor, make_qd, qd_zero
 from quadop.rand import random_qd
 from quadop.realize import (
     FlavorExpected,
+    _certified_dim,
     _project_rel_to_sym,
     _sort_mono,
     _sym_monomials,
     hilbert_series,
     free_lie_dims_by_parity,
     koszul_euler_check,
+    lie_dims_by_parity,
+    pbw_certificate,
     pbw_series,
     sym_quotient_dim,
     tensor_cofree_rows,
@@ -235,3 +240,112 @@ def test_weight_recursion_matches_all_slices(case):
     quotient, cofree = _all_slices_oracle(rows, n, w)
     assert tensor_quotient_dim(rows, n, w) == quotient
     assert tensor_cofree_rows(rows, n, w) == cofree
+
+
+def test_certified_counts_match_elimination():
+    # every value at weights 4-5 against the elimination routines called
+    # directly; the certified share shows the counting path is exercised
+    rng = random.Random(20261018)
+    certified = {"plain": 0, "symmetric": 0, "skew": 0}
+    with_odd = {"symmetric": 0, "skew": 0}
+    for _ in range(300):
+        for flavor in certified:
+            q = random_qd(rng, flavor, "r")
+            rows = [int_row(r) for r in q.relations.rows]
+            degrees = q.generators.degrees
+            side = "S" if flavor == "symmetric" else "A"
+            if pbw_certificate(side, q).order is not None:
+                certified[flavor] += 1
+                if flavor in with_odd and any(d % 2 for d in degrees):
+                    with_odd[flavor] += 1
+            if flavor == "skew":
+                lie = lie_dims_by_parity(rows, degrees, 5)
+            for w in (4, 5):
+                if side == "S":
+                    assert weight_component("S", q, w) == \
+                        sym_quotient_dim(rows, degrees, w)
+                    continue
+                assert weight_component("A", q, w) == \
+                    tensor_quotient_dim(rows, q.gdim, w)
+                if flavor == "skew":
+                    assert weight_component("L", q, w) == sum(lie[w])
+    assert min(certified.values()) >= 200, certified
+    assert min(with_odd.values()) >= 150, with_odd
+
+
+def test_reversed_order_certifies_dk4_and_ehkr6_falls_back():
+    dk4 = named_qd("DK", 4)
+    cert = pbw_certificate("A", dk4)
+    # the given order leaves three normal words too many at weight 3
+    assert cert.tried == (("given", 93), ("reversed", 90))
+    assert (cert.order, cert.dim3, len(cert.leads)) == ("reversed", 90, 11)
+    aos = pbw_certificate("S", aos_data(4))
+    assert (aos.order, aos.tried, aos.dim3) == ("reverse-lex", (("reverse-lex", 6),), 6)
+    ehkr6 = named_qd("EHKR", 6)
+    cert = pbw_certificate("A", ehkr6)
+    assert cert.order is None
+    assert cert.tried == (("given", 5500), ("reversed", 5485))
+    assert cert.dim3 == 5440
+    assert _certified_dim("A", ehkr6, 4) is None
+
+
+def _witt(k, w):
+    """Dim of weight w of the free Lie algebra on k letters."""
+    def mobius(d):
+        sign, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if d > 1 else sign
+    return sum(mobius(d) * k ** (w // d) for d in range(1, w + 1) if w % d == 0) // w
+
+
+def test_dk6_dims_match_the_fibration_oracle(tmp_path):
+    # U(L(DK(n))) is a product of the free algebras on 1..n-1 letters: A has
+    # series prod_k 1/(1-kt), and L is the sum of the free Lie dims.
+    # Without the certificate, weight 8 would eliminate over 15^8 columns.
+    assert pbw_certificate("A", named_qd("DK", 6)).order == "reversed"
+    out = tmp_path / "dk6.tsv"
+    assert main(["dims", "--qd", "DK", "--n", "6", "--wmax", "8",
+                 "--format", "tsv", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    a = [1] + [0] * 8
+    for k in range(1, 6):
+        for w in range(1, 9):
+            a[w] += k * a[w - 1]
+    assert rows[0] == ["A"] + [str(x) for x in a]
+    assert a[8] == 7508501
+    lie = [0] + [sum(_witt(k, w) for k in range(1, 6)) for w in range(1, 9)]
+    assert rows[1] == ["L"] + [str(x) for x in lie]
+
+
+def test_a_zero_weight_ends_the_series(monkeypatch):
+    # Sc of AOS(6) is zero from weight 3 on, and its weight-3 leads do not
+    # certify: only the zero rule keeps weights >= 4 from eliminating
+    seen = []
+    fold = realize.sym_quotient_dim
+
+    def recorded(rel_rows, degrees, w):
+        seen.append(w)
+        return fold(rel_rows, degrees, w)
+
+    monkeypatch.setattr(realize, "sym_quotient_dim", recorded)
+    realize._component_cached.cache_clear()
+    realize.pbw_certificate.cache_clear()
+    try:
+        q = aos_data(6)
+        star = apply_functor("star", q)
+        assert pbw_certificate("S", star).order is None
+        assert hilbert_series("Sc", q, 6) == [1, 15, 20, 0, 0, 0, 0]
+        assert max(seen) == 3
+        # L of one odd generator is 1, 1, 0 and then zero for good; L_1 is
+        # not ruled by L_0 = 0
+        free_odd = make_qd("skew", GradedSpace(("z",), (1,)), [])
+        assert hilbert_series("L", free_odd, 6) == [0, 1, 1, 0, 0, 0, 0]
+    finally:
+        realize._component_cached.cache_clear()
+        realize.pbw_certificate.cache_clear()
