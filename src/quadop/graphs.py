@@ -12,6 +12,7 @@ unshuffle signs.
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
+from weakref import WeakValueDictionary
 
 from .kernel import EchelonBasis
 from .operads import build_family, inflate_outer, transpositions
@@ -33,29 +34,40 @@ def _perm_sign(items):
     return sign
 
 
+_INTERNED = WeakValueDictionary()
+
+
 class LabeledHypergraph:
     """Canonical labeled hypergraph: n vertices, ordered distinct k-edges.
 
-    Instances are immutable by convention: they key dicts and the
-    composition caches, so the hash is computed once."""
+    Interned (hash-consed): construction returns the one instance of its
+    canonical key, so equal graphs are identical and compare and hash by
+    identity.  Instances are immutable by convention, as every holder of the
+    key shares them.  Only a key that validates is interned, so invalid edges
+    raise on every call.  The table holds its graphs weakly, so it never
+    outgrows the graphs in use."""
 
-    __slots__ = ("n", "k", "symmetric", "edges", "_hash")
+    __slots__ = ("n", "k", "symmetric", "edges", "__weakref__")
 
-    def __init__(self, n, k, symmetric, edges):
-        self.n = n
-        self.k = k
-        self.symmetric = symmetric
-        self.edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        if len(set(self.edges)) != len(self.edges):
+    def __new__(cls, n, k, symmetric, edges):
+        edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        key = (n, k, symmetric, edges)
+        g = _INTERNED.get(key)
+        if g is not None:
+            return g
+        if len(set(edges)) != len(edges):
             raise ValueError("edges must be pairwise distinct")
-        for e in self.edges:
+        for e in edges:
             if len(e) != k or len(set(e)) != k:
                 raise ValueError("edges must have %d distinct vertices" % k)
             if not all(1 <= v <= n for v in e):
                 raise ValueError("edge out of vertex range")
             if not symmetric and tuple(range(e[0], e[0] + k)) != e:
                 raise ValueError("linear graphs only carry intervals")
-        self._hash = hash(self.key())
+        g = object.__new__(cls)
+        g.n, g.k, g.symmetric, g.edges = key
+        _INTERNED[key] = g
+        return g
 
     @property
     def weight(self):
@@ -67,12 +79,6 @@ class LabeledHypergraph:
 
     def key(self):
         return (self.n, self.k, self.symmetric, self.edges)
-
-    def __eq__(self, other):
-        return isinstance(other, LabeledHypergraph) and self.key() == other.key()
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -504,13 +510,7 @@ def sc_iso_check(family, k, symmetric, nmax, wmax=3):
 
 
 # ---------------------------------------------------------------------------
-# holonomy dims and the n!-dimension check
-
-
-def holonomy_dims(family, n, wmax):
-    """Weight dimensions of the quadratic-Lie realisation of a component."""
-    comp = family.component(n)
-    return tuple(weight_component("L", comp, w) for w in range(1, wmax + 1))
+# the n!-dimension check
 
 
 def gerstenhaber_dim_check(k, nmax):
@@ -586,25 +586,3 @@ def _ternary_forest_dims(n):
                 seen.add(row)
         return (w0, w1, comb(5, 3) - seen.rank)
     return (w0, w1, None)
-
-
-def graph_sum_to_json(s):
-    return [
-        {"coeff": str(c), "graph": serialize_graph(g)}
-        for g, c in sorted(s.terms.items())
-    ]
-
-
-def parse_graph(text, symmetric=True):
-    """Inverse of serialize_graph; the canonical string does not carry the
-    symmetric flag, so the caller supplies it."""
-    fields = dict(part.split("=", 1) for part in text.split(";"))
-    n, k = int(fields["n"]), int(fields["k"])
-    edges = []
-    if fields.get("edges"):
-        for tok in fields["edges"].split(","):
-            if "." in tok:
-                edges.append(tuple(int(v) for v in tok.split(".")))
-            else:
-                edges.append(tuple(int(v) for v in tok))
-    return LabeledHypergraph(n, k, symmetric, edges)

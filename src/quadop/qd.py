@@ -9,6 +9,7 @@ skew flavors additionally constrain R to the signed (anti)symmetric part.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .exactlin import (
     AmbientMismatch,
@@ -335,7 +336,15 @@ def _shift_qd(a, step):
 
 
 def apply_functor(name, a):
-    name = FunctorName(name)
+    """The image of `a` under the functor `name` (a FunctorName or its value).
+
+    Data are frozen, so each image is built once per (functor, datum) and
+    shared by every caller."""
+    return _functor_image(FunctorName(name), a)
+
+
+@lru_cache(maxsize=1024)
+def _functor_image(name, a):
     if name is FunctorName.LAMBDA:
         return _reflavor(a, QDFlavor.SKEW, QDFlavor.PLAIN)
     if name is FunctorName.SIGMA:

@@ -1,10 +1,12 @@
 """Golden reports: every suite's default-seed report is byte-identical to the
 one frozen in golden_reports.json (sha256 of the command's standard output).
 
-Each command runs in a fresh process, so the process-wide caches (component
-and family lru_caches) cannot leak between cases.  To
-refreeze after an intended change of a report, store the sha256 of the
-standard output of `python -m quadop <command>` under the command's key.
+Each command runs in a fresh process, so the process-wide caches (component,
+family and functor lru_caches, interned graphs) cannot leak between cases;
+one test runs two suites in one process, in both orders, to show that the
+caches do not change a report either.  To refreeze after an intended change
+of a report, store the sha256 of the standard output of
+`python -m quadop <command>` under the command's key.
 """
 
 import hashlib
@@ -23,11 +25,40 @@ SRC = str(HERE.parent / "src")
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_report_matches_golden_digest(command):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "quadop"] + command.split(),
-        capture_output=True, env=env,
+        capture_output=True, env=_env(),
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[command]
+
+
+def _env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
+# runs each argument as a quadop command in this one process and prints the
+# exit code and the sha256 of the command's standard output
+IN_ONE_PROCESS = """
+import contextlib, hashlib, io, sys
+from quadop.cli import main
+for command in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    print(code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("commands", [
+    ("verify realize-duality", "verify gra-iso"),
+    ("verify gra-iso", "verify realize-duality"),
+])
+def test_reports_do_not_depend_on_suite_order(commands):
+    proc = subprocess.run(
+        [sys.executable, "-c", IN_ONE_PROCESS, *commands],
+        capture_output=True, env=_env(), text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 " + GOLDEN[c] for c in commands]

@@ -5,18 +5,47 @@ import pytest
 
 from quadop.graphs import (
     GraphSum,
+    LabeledHypergraph,
     compose_graphs,
     coproduct,
     gerstenhaber_dim_check,
     graph,
     graph_action,
     graph_operad_axioms,
-    holonomy_dims,
     hopf_check,
     sc_iso_check,
     serialize_graph,
 )
 from quadop.operads import build_family
+from quadop.realize import weight_component
+
+
+def graph_sum_to_json(s):
+    return [
+        {"coeff": str(c), "graph": serialize_graph(g)}
+        for g, c in sorted(s.terms.items())
+    ]
+
+
+def parse_graph(text, symmetric=True):
+    """Inverse of serialize_graph; the canonical string does not carry the
+    symmetric flag, so the caller supplies it."""
+    fields = dict(part.split("=", 1) for part in text.split(";"))
+    n, k = int(fields["n"]), int(fields["k"])
+    edges = []
+    if fields.get("edges"):
+        for tok in fields["edges"].split(","):
+            if "." in tok:
+                edges.append(tuple(int(v) for v in tok.split(".")))
+            else:
+                edges.append(tuple(int(v) for v in tok))
+    return LabeledHypergraph(n, k, symmetric, edges)
+
+
+def holonomy_dims(family, n, wmax):
+    """Weight dimensions of the quadratic-Lie realisation of a component."""
+    comp = family.component(n)
+    return tuple(weight_component("L", comp, w) for w in range(1, wmax + 1))
 
 
 def test_canonical_form_and_serialization():
@@ -27,6 +56,38 @@ def test_canonical_form_and_serialization():
         graph(4, 2, True, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         graph(4, 2, False, [(1, 3)])  # not an interval
+
+
+def test_equal_graphs_are_one_object():
+    g = graph(5, 2, True, [(4, 5), (2, 1), (3, 1)])
+    assert graph(5, 2, True, [(1, 3), (5, 4), (1, 2)]) is g
+    assert LabeledHypergraph(5, 2, True, ((1, 2), (1, 3), (4, 5))) is g
+    assert graph(5, 2, True, [(1, 2), (1, 3)]) is not g
+    assert graph(5, 2, False, [(4, 5)]) is not graph(5, 2, True, [(4, 5)])
+    # compositions and coproducts hand out the interned instances
+    assert all(gg is graph(gg.n, gg.k, gg.symmetric, gg.edges)
+               for gg in compose_graphs(g, 2, graph(2, 2, True, [(1, 2)])).terms)
+    assert all(gl is graph(5, 2, True, gl.edges) for _, gl, _ in coproduct(g))
+
+
+@pytest.mark.parametrize("symmetric, edges", [
+    (True, [(1, 2), (2, 1)]),      # duplicate edge
+    (True, [(1, 2), (2, 5)]),      # vertex out of range
+    (True, [(1, 1)]),              # repeated vertex
+    (True, [(1, 2, 3)]),           # wrong edge size
+    (False, [(1, 3)]),             # not an interval
+])
+def test_invalid_graphs_raise_on_every_call(symmetric, edges):
+    # a failed construction is never interned, also when valid graphs on the
+    # same vertices exist before and after it, and while the earlier errors
+    # (whose tracebacks hold the constructor's frame) are kept
+    graph(4, 2, symmetric, [(1, 2)])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            graph(4, 2, symmetric, edges)
+        errors.append(err)
+        graph(4, 2, symmetric, [(2, 3)])
 
 
 def test_displayed_insertion_sum():
@@ -178,8 +239,6 @@ def test_gerstenhaber_dims():
 
 
 def test_graph_serialization_round_trip():
-    from quadop.graphs import graph_sum_to_json, parse_graph, serialize_graph
-
     g = graph(4, 2, True, [(1, 2), (3, 4)])
     assert parse_graph(serialize_graph(g)) == g
     big = graph(12, 3, True, [(1, 2, 10), (3, 11, 12)])

@@ -26,6 +26,7 @@ from quadop.qd import (
     CounterExample,
     FlavorMismatch,
     FlavorViolation,
+    FunctorName,
     QDFlavor,
     QDMorphism,
     STRONG_MONOIDALITY_TABLE,
@@ -49,6 +50,7 @@ from quadop.qd import (
     qd_loads,
     qd_zero,
     verify_diagram_face,
+    _functor_image,
 )
 from quadop.rand import _flavor_pool, random_qd
 from quadop.catalog import aos_data, named_qd
@@ -118,6 +120,44 @@ def test_star_involutive_random():
     for _ in range(25):
         a = random_qd(rng, rng.choice(["plain", "symmetric", "skew"]), "a", max_dim=4)
         assert qd_equal(apply_functor("star", apply_functor("star", a)), a)
+
+
+def test_memoised_functor_images_equal_fresh_ones():
+    rng = random.Random(12)
+    # one label prefix, so that data share generator spaces and differ in
+    # their relations; the references start from an empty cache each
+    data = [random_qd(rng, flavor, "a")
+            for flavor in ("plain", "symmetric", "skew") for _ in range(8)]
+    fresh = {}
+    for j, a in enumerate(data):
+        for name in FunctorName:
+            _functor_image.cache_clear()
+            try:
+                fresh[j, name] = _functor_image.__wrapped__(name, a)
+            except FlavorMismatch:
+                pass
+    _functor_image.cache_clear()
+    for j, a in enumerate(data):
+        for name in FunctorName:
+            if (j, name) not in fresh:
+                # a functor that does not apply raises on every call
+                for _ in range(2):
+                    with pytest.raises(FlavorMismatch):
+                        apply_functor(name, a)
+                continue
+            image = apply_functor(name.value, a)
+            assert image == fresh[j, name], (a, name)
+            assert apply_functor(name, a) is image
+
+
+def test_functor_name_spellings_share_one_cache_entry():
+    a = dk3()
+    _functor_image.cache_clear()
+    shifted = apply_functor("antishriek", a)
+    assert apply_functor(FunctorName.ANTISHRIEK, a) is shifted
+    info = _functor_image.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert info.maxsize is not None
 
 
 def test_interchange_degenerate_and_random():
