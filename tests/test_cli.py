@@ -93,6 +93,26 @@ def test_build_product_from_files(tmp_path, capsys):
     assert len(doc["generators"]) == 9
 
 
+def test_build_prints_rows_with_unit_pivots(tmp_path, capsys):
+    # relation rows whose pivots are not 1 print divided by the pivot, so
+    # entries with a denominator print as "p/q"
+    path = tmp_path / "halves.json"
+    path.write_text(json.dumps({
+        "flavor": "plain",
+        "generators": [{"label": "x", "degree": 0}, {"label": "y", "degree": 0}],
+        "relations": [["2", "3", "0", "0"], ["0", "0", "4", "6"]],
+    }))
+    code, out, _ = run_cli(["build", "--qd", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["relations"] == [
+        ["1", "3/2", "0", "0"], ["0", "0", "1", "3/2"]]
+    code, out, _ = run_cli(["build", "--functor", "shriek", "--qd", str(path)],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["relations"] == [
+        ["1", "-2/3", "0", "0"], ["0", "0", "1", "-2/3"]]
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(["verify", "nosuch"], capsys)
     assert code == 2
