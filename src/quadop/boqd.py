@@ -30,6 +30,7 @@ from .graded import (
     direct_sum,
     dual,
     rows_from_json,
+    rows_to_json,
     space_from_json,
     space_to_json,
     tensor_product,
@@ -379,8 +380,8 @@ def boqd_product(name, a, b):
     space = free_arity3(mod)
     na, nb = a.gdim, b.gdim
     nt = mod.dim
-    rows = _embed_arity3_rows([dict(r) for r in a.relations.rows], na, 0, nt)
-    rows += _embed_arity3_rows([dict(r) for r in b.relations.rows], nb, na, nt)
+    rows = _embed_arity3_rows(a.relations.rows, na, 0, nt)
+    rows += _embed_arity3_rows(b.relations.rows, nb, na, nt)
     arange = range(na)
     brange = range(na, nt)
     if name == "vee":
@@ -419,7 +420,7 @@ def _dual_module(m):
 def boqd_dual(a):
     """(generators*, relations^perp) with the tau-diagonal pairing."""
     dmod = _dual_module(a.generators)
-    rows = nullspace_rows([dict(r) for r in a.relations.rows], a.space.dim)
+    rows = nullspace_rows(a.relations.rows, a.space.dim)
     dspace = free_arity3(dmod)
     return BOQDData(dmod, Subspace(dspace.ambient, rows))
 
@@ -498,12 +499,10 @@ def boqd_to_json(a):
     n = a.gdim
     act = [[str(a.generators.action.cols[j].get(i, 0)) for j in range(n)]
            for i in range(n)]
-    dim3 = a.space.dim
-    rows = [[str(r.get(c, 0)) for c in range(dim3)] for r in a.relations.rows]
     return {
         "generators": space_to_json(a.generators.space),
         "action": act,
-        "relations": rows,
+        "relations": rows_to_json(a.relations.rows, a.space.dim),
     }
 
 

@@ -4,19 +4,20 @@ An ambient is a graded.GradedSpace; this module reads only its dim, its
 labels and (in basis_vector and LinearMap.from_label_map) its index(label),
 so it imports nothing from graded.  Ambients compare with ==.
 
-Exact scalars have one normal form: an int when the value is integral, a
-Fraction only when it has a denominator (see scalar()).  Equality and hashing
-are by value, so the normal form changes no comparison; it keeps the 0/±1
-maps and relation rows that dominate the checks in machine-int arithmetic.
-
-Subspaces are canonical: stored as the reduced row-echelon form of their
-span, so two subspaces of the same ambient are equal iff their stored rows
-are equal.  Membership queries reduce against the stored RREF rows directly,
-indexed by pivot column, and run no elimination.  All values are immutable
-after construction.
+Subspaces are canonical: stored as the kernel's integer RREF of their span
+(each row primitive, with a positive pivot and zeros in every other pivot
+column), so two subspaces of the same ambient are equal iff their stored
+rows are equal.  Their rows, membership residuals and the rows derived
+from them are int rows.  A Fraction appears only at parse and render:
+scalar() reads an exact scalar (an int when integral, a Fraction only with
+a denominator, the normal form of the scalars of vectors and maps), and
+graded.rows_to_json prints each row divided by its pivot.  Membership
+queries reduce against the stored rows, indexed by pivot column, and run no
+elimination.  All values are immutable after construction.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .kernel import EchelonBasis
 
@@ -48,13 +49,6 @@ class Vector:
             if len(data) != ambient.dim:
                 raise ValueError("coordinate list does not match ambient dimension")
             self.data = {i: scalar(v) for i, v in enumerate(data) if v}
-
-    @property
-    def coords(self):
-        out = [0] * self.ambient.dim
-        for c, v in self.data.items():
-            out[c] = v
-        return out
 
     def __add__(self, other):
         if other.ambient != self.ambient:
@@ -100,7 +94,7 @@ def basis_vector(ambient, label):
 class Subspace:
     """Canonical echelon-form subspace of a labeled ambient."""
 
-    __slots__ = ("ambient", "rows", "_by_pivot")
+    __slots__ = ("ambient", "rows", "_by_pivot", "_hash")
 
     def __init__(self, ambient, rows):
         self.ambient = ambient
@@ -109,26 +103,32 @@ class Subspace:
         )
         self.rows = tuple(basis.rref())
         self._by_pivot = None
+        self._hash = None
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def basis_vectors(self):
-        return [Vector(self.ambient, dict(r)) for r in self.rows]
-
     def _residual(self, data):
-        """data minus its projection along the RREF rows; empty iff contained.
+        """A nonzero multiple of data minus its projection along the stored
+        rows; empty iff contained.
 
-        Every pivot column is zero in all other rows, so subtracting
-        data[p] * row_p for each pivot p in the support is exact in one pass.
+        Every pivot column is zero in all other rows, so the pivots to clear
+        are those in the support of data, and res <- lead_p*res - res[p]*row_p
+        clears each of them in one pass without a division.
         """
         by_pivot = self._by_pivot
         if by_pivot is None:
-            by_pivot = self._by_pivot = {min(r): r for r in self.rows}
+            by_pivot = self._by_pivot = {next(iter(r)): r for r in self.rows}
         res = {c: v for c, v in data.items() if v}
-        for p, x in [(c, v) for c, v in res.items() if c in by_pivot]:
-            for c, w in by_pivot[p].items():
+        for p in [c for c in res if c in by_pivot]:
+            row = by_pivot[p]
+            a = row[p]
+            x = res[p]
+            if a != 1:
+                for c in res:
+                    res[c] *= a
+            for c, w in row.items():
                 u = res.get(c, 0) - x * w
                 if u:
                     res[c] = u
@@ -161,9 +161,13 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash(
-            (self.ambient.labels, tuple(tuple(sorted(r.items())) for r in self.rows))
-        )
+        # stored rows are column-sorted, so their items are in canonical order
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(
+                (self.ambient.labels, tuple(tuple(r.items()) for r in self.rows))
+            )
+        return h
 
     def __repr__(self):
         return "Subspace(dim=%d of %d)" % (self.dim, self.ambient.dim)
@@ -180,10 +184,6 @@ def span(vectors, ambient=None):
         if v.ambient != ambient:
             raise AmbientMismatch("span of vectors over mixed ambients")
     return Subspace(ambient, vectors)
-
-
-def full_space(ambient):
-    return Subspace(ambient, [{i: 1} for i in range(ambient.dim)])
 
 
 def zero_space(ambient):
@@ -219,19 +219,21 @@ def intersect(a, b):
 
 
 def nullspace_rows(rows, ncols):
-    """Basis of {x : row.x = 0 for all rows}, as sparse rows over ncols."""
-    rref = EchelonBasis().add_many(rows).rref()
-    pivots = [min(r) for r in rref]
-    pivot_set = set(pivots)
+    """Basis of {x : row.x = 0 for all rows}, as sparse int rows over ncols:
+    one per free column f, which gets the lcm of the pivot entries of the
+    RREF rows that meet it."""
+    # rref() rows are column-sorted, so a row's first column is its pivot
+    led = [(next(iter(r)), r) for r in EchelonBasis().add_many(rows).rref()]
+    pivot_set = {p for p, _ in led}
     out = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = {f: 1}
-        for r in rref:
-            coef = r.get(f)
-            if coef:
-                vec[min(r)] = -coef
+        hits = [(p, r) for p, r in led if f in r]
+        scale = lcm(*(r[p] for p, r in hits))
+        vec = {f: scale}
+        for p, r in hits:
+            vec[p] = -r[f] * (scale // r[p])
         out.append(vec)
     return out
 

@@ -11,6 +11,7 @@ equalities.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exactlin import LinearMap, Subspace, scalar
@@ -117,6 +118,17 @@ def rows_from_json(rows, ncols, what):
         except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError("%s row %d has an entry that is not an exact "
                              "scalar: %r" % (what, k, row)) from None
+    return out
+
+
+def rows_to_json(rows, ncols):
+    """JSON rows of ncols scalar strings of Subspace rows, each divided by
+    its pivot (its first entry), so a subspace prints as its pivot-1 RREF."""
+    out = []
+    for r in rows:
+        lead = next(iter(r.values()))
+        out.append([str(Fraction(r[c], lead)) if c in r else "0"
+                    for c in range(ncols)])
     return out
 
 

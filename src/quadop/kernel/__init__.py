@@ -1,7 +1,7 @@
 """Sparse fraction-free echelon kernel over exact rationals (pure Python)."""
 
-from ._echelon_py import EchelonBasis, echelon_rows, int_row
+from ._echelon_py import EchelonBasis, echelon_rows
 
 BACKEND = "python"
 
-__all__ = ["EchelonBasis", "echelon_rows", "int_row", "BACKEND"]
+__all__ = ["EchelonBasis", "echelon_rows", "BACKEND"]

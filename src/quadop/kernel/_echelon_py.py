@@ -17,14 +17,14 @@ arrive with a new lead and are stored without elimination; the span, the
 pivot columns and the RREF do not depend on the order.  Callers that need to
 know which rows raised the rank call add row by row instead.
 
-rref() produces the reduced row-echelon form, which is the canonical
-representative used for subspace equality everywhere else.  Its entries are
-in quadop's scalar normal form: an int when the entry is integral, a
-Fraction only when it has a denominator.
+rref() produces the reduced row-echelon form in integers, which is the
+canonical representative used for subspace equality everywhere else: each
+row is primitive with a positive pivot, and is zero in every other row's
+pivot column.  Such a row is the unique positive primitive multiple of the
+pivot-1 RREF row, so no entry is ever divided by its pivot.
 This module is quadop's only elimination path; quadop.kernel re-exports it.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -41,8 +41,8 @@ def _normalize(row, lead):
 
 
 def int_row(row):
-    """Clear denominators of a {col: Fraction|int} row into an int row,
-    dropping zero entries; the row is scaled by the lcm of its denominators."""
+    """Clear denominators of a {col: rational} row into an int row, dropping
+    zero entries; the row is scaled by the lcm of its denominators."""
     lcm = 1
     for v in row.values():
         d = v.denominator
@@ -129,7 +129,7 @@ class EchelonBasis:
         return None
 
     def add(self, row):
-        """Fold a {col: int|Fraction} row in; True iff the rank increased."""
+        """Fold a {col: rational} row in; True iff the rank increased."""
         row = int_row(row)
         lead = self._reduce_int(row)
         if lead is None:
@@ -150,13 +150,13 @@ class EchelonBasis:
         return sorted(self.pivots)
 
     def rref(self):
-        """Canonical reduced row-echelon form: list of {col: int|Fraction} rows.
+        """Canonical reduced row-echelon form: list of {col: int} rows.
 
-        Rows are sorted by pivot column, pivot entries are 1 and every pivot
-        column is cleared in all other rows.  Clearing is fraction-free: a
-        stored row's minimum column is its pivot, so cleaning in decreasing
-        pivot order only ever meets already-cleaned integer rows, and each
-        row is divided by its pivot once, at the end.
+        Rows are sorted by pivot column and each row by column; every row is
+        primitive with a positive pivot, and every pivot column is cleared
+        in all other rows.  A stored row's minimum column is its pivot, so
+        cleaning in decreasing pivot order only ever meets already-cleaned
+        rows, and a cross-multiplication clears each column.
         """
         pivots = self.pivots
         cols = sorted(pivots)
@@ -186,16 +186,7 @@ class EchelonBasis:
                             del row[kk]
                 _normalize(row, c)
             reduced[c] = row
-        out = []
-        for c in cols:
-            row = reduced[c]
-            lead = row[c]
-            if lead == 1:
-                out.append(dict(sorted(row.items())))
-            else:
-                out.append({k: v // lead if v % lead == 0 else Fraction(v, lead)
-                            for k, v in sorted(row.items())})
-        return out
+        return [dict(sorted(reduced[c].items())) for c in cols]
 
 
 def echelon_rows(rows):

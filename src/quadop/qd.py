@@ -30,6 +30,7 @@ from .graded import (
     in_signed_square,
     mixed_bracket,
     rows_from_json,
+    rows_to_json,
     shift,
     shift_square_map,
     signed_square,
@@ -453,14 +454,10 @@ def interchange_psi(a, ap, b, bp):
 
 
 def qd_to_json(a):
-    rows = []
-    n2 = a.gdim * a.gdim
-    for r in a.relations.rows:
-        rows.append([str(r.get(c, 0)) for c in range(n2)])
     return {
         "flavor": a.flavor.value,
         "generators": space_to_json(a.generators),
-        "relations": rows,
+        "relations": rows_to_json(a.relations.rows, a.gdim * a.gdim),
     }
 
 

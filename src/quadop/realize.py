@@ -18,7 +18,7 @@ from math import comb
 from typing import NamedTuple
 
 from .exactlin import intersect_rows
-from .kernel import EchelonBasis, int_row
+from .kernel import EchelonBasis
 from .qd import FunctorName, QDFlavor, apply_functor
 from .graded import ArityError
 from .report import Report
@@ -391,9 +391,8 @@ def pbw_certificate(side, q):
         tried = tuple((order, sum(_normal_words_by_parity(leads, parity, 3)))
                       for order, leads in orders.items())
     else:
-        orders = {"reverse-lex": _sym_leads(
-            [int_row(r) for r in q.relations.rows], q.generators.degrees
-        )}
+        orders = {"reverse-lex": _sym_leads(q.relations.rows,
+                                            q.generators.degrees)}
         tried = (("reverse-lex",
                   _standard_monomials(orders["reverse-lex"], parity, 3)),)
     for order, count in tried:
@@ -456,8 +455,6 @@ def _component_cached(realization, q, w):
         dim = _certified_dim(realization, q, w)
         if dim is not None:
             return dim
-    # the kernel clears the denominators of the rows it folds, so the
-    # tensor side takes the stored relation rows as they are
     if realization == "A":
         qq = _as_plain_for_A(q)
         return tensor_quotient_dim(qq.relations.rows, qq.gdim, w)
@@ -467,9 +464,7 @@ def _component_cached(realization, q, w):
     if realization == "S":
         if q.flavor is not QDFlavor.SYM:
             raise FlavorExpected("S realisation needs symmetric data")
-        return sym_quotient_dim(
-            [int_row(r) for r in q.relations.rows], q.generators.degrees, w
-        )
+        return sym_quotient_dim(q.relations.rows, q.generators.degrees, w)
     if realization == "Sc":
         if q.flavor is not QDFlavor.SYM:
             raise FlavorExpected("Sc realisation needs symmetric data")
@@ -479,9 +474,8 @@ def _component_cached(realization, q, w):
             raise FlavorExpected("L realisation needs skew data")
         if w == 0:
             return 0
-        return sum(lie_dims_by_parity(
-            [int_row(r) for r in q.relations.rows], q.generators.degrees, w
-        )[w])
+        return sum(lie_dims_by_parity(q.relations.rows, q.generators.degrees,
+                                      w)[w])
     raise ValueError(realization)
 
 
@@ -550,9 +544,7 @@ def ue_compare(q, wmax):
     prediction from the Lie dims of L(q)."""
     if q.flavor is not QDFlavor.SKEW:
         raise FlavorExpected("ue_compare needs skew data")
-    by_parity = lie_dims_by_parity(
-        [int_row(r) for r in q.relations.rows], q.generators.degrees, wmax
-    )
+    by_parity = lie_dims_by_parity(q.relations.rows, q.generators.degrees, wmax)
     predicted = pbw_series(by_parity, wmax)
     actual = hilbert_series("A", q, wmax)
     ok = actual == predicted

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadop import exactlin
 from quadop.exactlin import (
@@ -13,7 +13,6 @@ from quadop.exactlin import (
     annihilator,
     apply_map,
     basis_vector,
-    full_space,
     intersect,
     span,
     zero_space,
@@ -67,8 +66,9 @@ def test_annihilator_trivial_and_double():
     amb = GradedSpace.from_labels(tuple("abcd"))
     dual = GradedSpace.from_labels(tuple(l + "*" for l in "abcd"))
     signs = (1, 1, 1, 1)
-    assert annihilator(zero_space(amb), dual, signs) == full_space(dual)
-    assert annihilator(full_space(amb), dual, signs).dim == 0
+    full = [{i: 1} for i in range(4)]
+    assert annihilator(zero_space(amb), dual, signs) == Subspace(dual, full)
+    assert annihilator(Subspace(amb, full), dual, signs).dim == 0
     rng = random.Random(3)
     for _ in range(30):
         a = rand_subspace(rng, amb)
@@ -96,11 +96,11 @@ def test_annihilator_signed_pairing():
 
 
 def test_pairing_shape_mismatch():
-    amb = GradedSpace.from_labels(("p", "q"))
+    full = Subspace(GradedSpace.from_labels(("p", "q")), [{0: 1}, {1: 1}])
     with pytest.raises(ValueError, match="pairing shape mismatch"):
-        annihilator(full_space(amb), GradedSpace.from_labels(("p*",)), (1, 1))
+        annihilator(full, GradedSpace.from_labels(("p*",)), (1, 1))
     with pytest.raises(ValueError, match="pairing shape mismatch"):
-        annihilator(full_space(amb), GradedSpace.from_labels(("p*", "q*")), (1,))
+        annihilator(full, GradedSpace.from_labels(("p*", "q*")), (1,))
 
 
 def test_apply_map_composition_and_identity():
@@ -121,7 +121,7 @@ def test_apply_map_composition_and_identity():
 def test_vector_coords_roundtrip():
     A = GradedSpace.from_labels(("x", "y", "z"))
     v = Vector(A, [Fraction(1, 2), 0, -3])
-    assert v.coords == [Fraction(1, 2), Fraction(0), Fraction(-3)]
+    assert v.data == {0: Fraction(1, 2), 2: -3}
     assert Vector(A, {0: Fraction(1, 2), 2: -3}) == v
 
 
@@ -160,7 +160,6 @@ def test_maps_and_vectors_store_integral_values_as_ints():
     assert doubled.data == {0: 4, 1: 1}
     assert all(type(x) is int for x in doubled.data.values())
     assert all(type(x) is int for x in (v + v).data.values())
-    assert v.coords == [2, Fraction(1, 2)]
 
 
 # Membership queries reduce against the stored RREF; the kernel is the
@@ -168,6 +167,7 @@ def test_maps_and_vectors_store_integral_values_as_ints():
 
 QN = 6
 QAMB = GradedSpace.from_labels(tuple("abcdef"))
+QFULL = Subspace(QAMB, [{i: 1} for i in range(QN)])
 _coef = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
@@ -198,6 +198,16 @@ def _combination(rows, coeffs, zeros):
     st.lists(_coef, max_size=QN + 1),
     st.sets(st.integers(0, QN - 1), max_size=3),
 )
+# the span of 2a + 3b + c and 2c + 3d - 5e is stored as 4a + 6b - 3d + 5e
+# and 2c + 3d - 5e, with pivots 4 and 2, so residuals cross-multiply: the
+# queries are half a row, a vector that escapes and a sum of both rows
+@example(
+    [{0: 2, 1: 3, 2: 1}, {2: 2, 3: 3, 4: -5}],
+    [{0: 1, 1: Fraction(3, 2), 2: Fraction(1, 2)}, {0: 2, 1: 3},
+     {0: 4, 1: 6, 2: 4, 3: 3, 4: -5}],
+    [3, -2],
+    {5},
+)
 def test_queries_agree_with_fresh_elimination(rows, queries, coeffs, zeros):
     sub = Subspace(QAMB, rows)
     queries = queries + [_combination(rows, coeffs, zeros)]
@@ -215,10 +225,22 @@ def test_queries_agree_with_fresh_elimination(rows, queries, coeffs, zeros):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_row, max_size=QN + 1))
+def test_stored_null_and_cut_rows_are_int_rows(rows):
+    sub = Subspace(QAMB, rows)
+    null = exactlin.nullspace_rows(rows, QN)
+    for r in list(sub.rows) + null + exactlin.rows_past(rows, 2):
+        assert all(type(v) is int and v for v in r.values())
+    assert Subspace(QAMB, null).dim == len(null) == QN - sub.dim
+    for r in sub.rows:
+        assert all(sum(v * x.get(c, 0) for c, v in r.items()) == 0 for x in null)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_row, max_size=4))
 def test_queries_on_zero_and_full_space(queries):
-    zero, full = zero_space(QAMB), full_space(QAMB)
+    zero, full = zero_space(QAMB), QFULL
     for q in queries:
         assert full.contains(q)
         assert zero.contains(q) is not any(q.values())
@@ -239,7 +261,7 @@ def test_queries_ignore_explicit_zero_coefficients():
 
 def test_queries_reject_other_ambients():
     other = GradedSpace.from_labels(tuple("uvwxyz"))
-    sub = full_space(QAMB)
+    sub = QFULL
     with pytest.raises(AmbientMismatch):
         sub.contains(basis_vector(other, "u"))
     with pytest.raises(AmbientMismatch):
@@ -252,7 +274,7 @@ def test_queries_run_no_elimination(monkeypatch):
     rng = random.Random(13)
     sub = rand_subspace(rng, QAMB, max_rank=4)
     probes = [rand_subspace(rng, QAMB, max_rank=3) for _ in range(5)]
-    probes += [sub, zero_space(QAMB), full_space(QAMB)]
+    probes += [sub, zero_space(QAMB), QFULL]
     expected = [
         ([sub.contains(r) for r in p.rows], sub.contains_subspace(p)) for p in probes
     ]
@@ -264,5 +286,5 @@ def test_queries_run_no_elimination(monkeypatch):
     monkeypatch.setattr(exactlin, "EchelonBasis", NoElimination)
     for p, (members, inside) in zip(probes, expected):
         assert [sub.contains(r) for r in p.rows] == members
-        assert [sub.contains(v) for v in p.basis_vectors()] == members
+        assert [sub.contains(Vector(QAMB, r)) for r in p.rows] == members
         assert sub.contains_subspace(p) is inside

@@ -3,9 +3,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quadop.kernel import _echelon_py, int_row
+from quadop.kernel import _echelon_py
 
 
 def sparse_rows(max_rows=8, max_cols=6):
@@ -31,19 +31,6 @@ def test_rref_idempotent_and_order_free(kernel):
         b = kernel.echelon_rows(shuffled)
         assert a == b
         assert kernel.echelon_rows([dict(r) for r in a]) == a
-
-
-@given(sparse_rows())
-@settings(max_examples=120, deadline=None)
-def test_rref_pivots_are_unit_and_cleared(rows):
-    rref = _echelon_py.echelon_rows([dict(r) for r in rows])
-    pivots = [min(r) for r in rref if r]
-    assert pivots == sorted(pivots)
-    for r in rref:
-        assert r[min(r)] == 1
-        for other in rref:
-            if other is not r:
-                assert min(other) not in r or min(other) == min(r)
 
 
 @given(sparse_rows())
@@ -124,6 +111,7 @@ def test_from_echelon_rows_stores_without_elimination():
 
 
 def test_int_row_clears_denominators_and_zeros():
+    int_row = _echelon_py.int_row
     assert int_row({1: Fraction(1, 2), 2: Fraction(-1, 3), 4: 0}) == {1: 3, 2: -2}
     row = int_row({0: Fraction(4), 3: -2, 5: Fraction(0)})
     assert row == {0: 4, 3: -2}
@@ -132,8 +120,9 @@ def test_int_row_clears_denominators_and_zeros():
 
 
 def _reference_rref(basis):
-    """rref() recomputed in Fraction arithmetic from the stored pivot rows,
-    dividing each row by its pivot first: the reference for the values."""
+    """The pivot-1 RREF recomputed in Fraction arithmetic from the stored
+    pivot rows, dividing each row by its pivot first: each rref() row is
+    this row times its pivot."""
     pivots = basis.pivots
     reduced = {}
     for c in sorted(pivots, reverse=True):
@@ -151,20 +140,17 @@ def _reference_rref(basis):
 
 
 @given(_mixed_rows)
+@example([{0: 2, 1: 1}])  # its own RREF: 2x + y keeps its pivot 2
 @settings(max_examples=200, deadline=None)
-def test_rref_entries_are_int_unless_they_have_a_denominator(rows):
+def test_rref_rows_are_primitive_int_multiples_of_unit_pivot_rref(rows):
     basis = _echelon_py.EchelonBasis().add_many(rows)
     rref = basis.rref()
-    for r in rref:
-        for v in r.values():
-            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
-    assert rref == _reference_rref(basis)
-
-
-def test_rref_divides_by_the_pivot_only_where_it_must():
-    (row,) = _echelon_py.echelon_rows([{0: 2, 1: 4}])
-    assert row == {0: 1, 1: 2}
-    assert all(type(v) is int for v in row.values())
-    (row,) = _echelon_py.echelon_rows([{0: 2, 1: 1}])
-    assert row == {0: 1, 1: Fraction(1, 2)}
-    assert type(row[0]) is int and type(row[1]) is Fraction
+    reference = _reference_rref(basis)
+    pivots = [min(r) for r in rref]
+    assert pivots == sorted(pivots) == basis.pivot_columns()
+    for r, ref, p in zip(rref, reference, pivots):
+        assert list(r) == sorted(r)
+        assert all(type(v) is int and v for v in r.values())
+        assert r[p] > 0 and gcd(*r.values()) == 1
+        assert not any(q in r for q in pivots if q != p)
+        assert r == {k: v * r[p] for k, v in ref.items()}

@@ -7,7 +7,7 @@ from quadop import realize
 from quadop.cli import main
 from quadop.graded import ArityError, GradedSpace
 from quadop.exactlin import nullspace_rows
-from quadop.kernel import EchelonBasis, echelon_rows, int_row
+from quadop.kernel import EchelonBasis, echelon_rows
 from quadop.qd import apply_functor, make_qd, qd_zero
 from quadop.rand import random_qd
 from quadop.realize import (
@@ -251,7 +251,7 @@ def test_certified_counts_match_elimination():
     for _ in range(300):
         for flavor in certified:
             q = random_qd(rng, flavor, "r")
-            rows = [int_row(r) for r in q.relations.rows]
+            rows = q.relations.rows
             degrees = q.generators.degrees
             side = "S" if flavor == "symmetric" else "A"
             if pbw_certificate(side, q).order is not None:
