@@ -139,18 +139,44 @@ def _reference_rref(basis):
     return [dict(sorted(reduced[c].items())) for c in sorted(pivots)]
 
 
+# rref() rows are the pivot-1 RREF scaled to primitive integers: each row's
+# content is a unit (gcd 1) and its pivot is positive, and no row is divided
+# by its pivot.
+
+
+@given(_mixed_rows)
+@settings(max_examples=200, deadline=None)
+def test_rref_pivots_are_unit_and_cleared(rows):
+    basis = _echelon_py.EchelonBasis().add_many(rows)
+    rref = basis.rref()
+    pivots = [min(r) for r in rref]
+    assert pivots == sorted(pivots) == basis.pivot_columns()
+    for r, p in zip(rref, pivots):
+        assert list(r) == sorted(r)
+        assert r[p] > 0 and gcd(*r.values()) == 1
+        assert not any(q in r for q in pivots if q != p)
+
+
 @given(_mixed_rows)
 @example([{0: 2, 1: 1}])  # its own RREF: 2x + y keeps its pivot 2
 @settings(max_examples=200, deadline=None)
-def test_rref_rows_are_primitive_int_multiples_of_unit_pivot_rref(rows):
+def test_rref_entries_are_int_unless_they_have_a_denominator(rows):
+    # with rows kept primitive no entry has a denominator: all are ints
     basis = _echelon_py.EchelonBasis().add_many(rows)
     rref = basis.rref()
-    reference = _reference_rref(basis)
-    pivots = [min(r) for r in rref]
-    assert pivots == sorted(pivots) == basis.pivot_columns()
-    for r, ref, p in zip(rref, reference, pivots):
-        assert list(r) == sorted(r)
+    for r, ref in zip(rref, _reference_rref(basis)):
         assert all(type(v) is int and v for v in r.values())
-        assert r[p] > 0 and gcd(*r.values()) == 1
-        assert not any(q in r for q in pivots if q != p)
-        assert r == {k: v * r[p] for k, v in ref.items()}
+        assert r == {k: v * r[min(r)] for k, v in ref.items()}
+
+
+def test_rref_divides_by_the_pivot_only_where_it_must():
+    # only the row's content is divided out, never a pivot it still needs
+    (row,) = _echelon_py.echelon_rows([{0: 2, 1: 4}])
+    assert row == {0: 1, 1: 2}
+    assert all(type(v) is int for v in row.values())
+    (row,) = _echelon_py.echelon_rows([{0: 2, 1: 1}])
+    assert row == {0: 2, 1: 1}
+    assert all(type(v) is int for v in row.values())
+    (row,) = _echelon_py.echelon_rows([{0: Fraction(2, 3), 1: Fraction(1, 3)}])
+    assert row == {0: 2, 1: 1}
+    assert all(type(v) is int for v in row.values())
