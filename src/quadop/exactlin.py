@@ -1,8 +1,8 @@
 """Exact rational linear algebra on labeled ambient bases.
 
 An ambient is a graded.GradedSpace; this module reads only its dim, its
-labels and (in basis_vector and LinearMap.from_label_map) its index(label),
-so it imports nothing from graded.  Ambients compare with ==.
+labels and (in LinearMap.from_label_map) its index(label), so it imports
+nothing from graded.  Ambients compare with ==.
 
 Subspaces are canonical: stored as the kernel's integer RREF of their span
 (each row primitive, with a positive pivot and zeros in every other pivot
@@ -87,10 +87,6 @@ class Vector:
         return " + ".join(terms) if terms else "0"
 
 
-def basis_vector(ambient, label):
-    return Vector(ambient, {ambient.index(label): 1})
-
-
 class Subspace:
     """Canonical echelon-form subspace of a labeled ambient."""
 
@@ -171,19 +167,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim=%d of %d)" % (self.dim, self.ambient.dim)
-
-
-def span(vectors, ambient=None):
-    """Canonical span; with an empty vector list the ambient is required."""
-    vectors = list(vectors)
-    if ambient is None:
-        if not vectors:
-            raise ValueError("ambient required for an empty span")
-        ambient = vectors[0].ambient
-    for v in vectors:
-        if v.ambient != ambient:
-            raise AmbientMismatch("span of vectors over mixed ambients")
-    return Subspace(ambient, vectors)
 
 
 def zero_space(ambient):

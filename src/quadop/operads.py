@@ -4,8 +4,10 @@ Built-in families are indexed by combinatorics on the vertex set {1..n}:
 edges for BKW and DK, k-element subsets for HG(k) and its refinement RHG(k)
 (RHG(2) is DK, RHG(3) is EHKR), and length-k intervals for the nonsymmetric
 LG and LHG(k).  Partial compositions insert m vertices at a slot and follow
-the family's per-generator formula; the axiom verifier checks everything
-exhaustively at bounded arity on generator bases.
+the index scheme's per-generator formula.  The scheme owns the generator
+spaces, compositions and group action, built once per process for each
+scheme and k; a family adds only its relations.  The axiom verifier checks
+everything exhaustively at bounded arity on generator bases.
 """
 
 from functools import lru_cache
@@ -77,12 +79,80 @@ def inflate_inner(tau, n, m, p):
 # generator index schemes
 
 
-class _SubsetScheme:
-    """Hyperedges: sorted k-subsets of {1..n}."""
+def _label(I):
+    return "t_" + ".".join(str(i) for i in I)
+
+
+def _tagged(space, tag):
+    return GradedSpace(
+        tuple(tag + l for l in space.labels), space.degrees, space.odds
+    )
+
+
+class _Scheme:
+    """Generator spaces, partial compositions and, when symmetric, the
+    vertex-relabeling group action of one index scheme.  They are the same
+    for every family on the scheme; only the relations differ."""
+
+    symmetric = True
 
     def __init__(self, k):
         self.k = k
-        self.symmetric = True
+        self._spaces = {}
+        self._comps = {}
+        self._actions = {}
+
+    def gen_space(self, n):
+        if n not in self._spaces:
+            self._spaces[n] = GradedSpace.from_labels(map(_label, self.indices(n)))
+        return self._spaces[n]
+
+    def comp(self, n, m, p):
+        """The partial composition V(n) ⊕ V(m) -> V(n+m-1) at slot p; the
+        source is outer/inner tagged to keep labels distinct when n = m."""
+        if not 1 <= p <= n:
+            raise ValueError("slot out of range")
+        if m == 0 and not self.symmetric:
+            # deletion needs the reconnection sum of the symmetric case to be
+            # associative; linear families have no arity-0 insertions
+            raise ValueError("nonsymmetric families do not compose with arity 0")
+        key = (n, m, p)
+        if key not in self._comps:
+            src = direct_sum(
+                _tagged(self.gen_space(n), "o:"), _tagged(self.gen_space(m), "i:")
+            )
+            pos = {I: i for i, I in enumerate(self.indices(n + m - 1))}
+            cols = []
+            for rule, arity in ((self.compose_outer, n), (self.compose_inner, m)):
+                for I in self.indices(arity):
+                    col = {}
+                    for coeff, J in rule(I, n, m, p):
+                        col[pos[J]] = col.get(pos[J], 0) + coeff
+                    cols.append(col)
+            self._comps[key] = LinearMap(src, self.gen_space(n + m - 1), cols)
+        return self._comps[key]
+
+    def action(self, n, sigma):
+        """Right action t_I . sigma = t_{sigma^{-1}(I)} as a LinearMap."""
+        if not self.symmetric:
+            raise ValueError("nonsymmetric family has no symmetric-group action")
+        key = (n, tuple(sigma))
+        if key not in self._actions:
+            idx = self.indices(n)
+            pos = {I: i for i, I in enumerate(idx)}
+            inv = perm_inverse(sigma)
+            amb = self.gen_space(n)
+            cols = [{pos[self.act(I, inv)]: 1} for I in idx]
+            self._actions[key] = LinearMap(amb, amb, cols)
+        return self._actions[key]
+
+    def compose_inner(self, I, n, m, p):
+        """Every scheme shifts an inner generator past the first p-1 vertices."""
+        return [(1, tuple(i + p - 1 for i in I))]
+
+
+class _SubsetScheme(_Scheme):
+    """Hyperedges: sorted k-subsets of {1..n}."""
 
     def indices(self, n):
         if n < self.k:
@@ -100,19 +170,14 @@ class _SubsetScheme:
             return out
         return [(1, tuple(i if i < p else i + m - 1 for i in I))]
 
-    def compose_inner(self, I, n, m, p):
-        return [(1, tuple(i + p - 1 for i in I))]
-
     def act(self, I, sigma_inv):
         return tuple(sorted(sigma_inv[i - 1] for i in I))
 
 
-class _IntervalScheme:
+class _IntervalScheme(_Scheme):
     """Linear hyperedges: intervals [i, i+k-1] in {1..n}."""
 
-    def __init__(self, k):
-        self.k = k
-        self.symmetric = False
+    symmetric = False
 
     def indices(self, n):
         if n < self.k:
@@ -129,43 +194,38 @@ class _IntervalScheme:
             return [(1, I)]
         return []
 
-    def compose_inner(self, I, n, m, p):
-        return [(1, tuple(i + p - 1 for i in I))]
 
-    def act(self, I, sigma_inv):
-        raise ValueError("nonsymmetric family has no symmetric-group action")
-
-
-def _label(I):
-    return "t_" + ".".join(str(i) for i in I)
-
-
-def _tagged(space, tag):
-    return GradedSpace(
-        tuple(tag + l for l in space.labels), space.degrees, space.odds
-    )
+@lru_cache(maxsize=64)
+def _scheme(cls, k):
+    """The one scheme of this class and k that every family on it shares."""
+    return cls(k)
 
 
 class OperadFamily:
-    """Arity-indexed skew quadratic data with partial compositions and,
-    for symmetric families, the vertex-relabeling group action."""
+    """Arity-indexed skew quadratic data: the generators, partial
+    compositions and group action of a shared scheme, plus the family's own
+    relations."""
 
-    def __init__(self, name, scheme, relation_fn, max_arity, k=None):
+    def __init__(self, name, scheme, relation_fn, max_arity):
         self.name = name
         self.scheme = scheme
         self.symmetric = scheme.symmetric
+        self.k = scheme.k
         self.max_arity = max_arity
-        self.k = k
         self._relation_fn = relation_fn
         self._components = {}
-        self._comps = {}
-        self._actions = {}
 
     def gen_indices(self, n):
         return self.scheme.indices(n)
 
     def gen_space(self, n):
-        return self.component(n).generators
+        return self.scheme.gen_space(n)
+
+    def comp(self, n, m, p):
+        return self.scheme.comp(n, m, p)
+
+    def action(self, n, sigma):
+        return self.scheme.action(n, sigma)
 
     def component(self, n):
         if n not in self._components:
@@ -173,59 +233,10 @@ class OperadFamily:
             if not idx:
                 self._components[n] = qd_zero(QDFlavor.SKEW)
             else:
-                gens = GradedSpace.from_labels(_label(I) for I in idx)
+                gens = self.gen_space(n)
                 rows = self._relation_fn(self, n, idx, gens)
                 self._components[n] = make_qd(QDFlavor.SKEW, gens, rows)
         return self._components[n]
-
-    def comp_source(self, n, m):
-        """Generator space of V(n) ⊕ V(m), outer/inner tagged to keep labels
-        distinct when n = m."""
-        return direct_sum(
-            _tagged(self.gen_space(n), "o:"), _tagged(self.gen_space(m), "i:")
-        )
-
-    def comp(self, n, m, p):
-        """The partial composition V(n) ⊕ V(m) -> V(n+m-1) at slot p."""
-        if not 1 <= p <= n:
-            raise ValueError("slot out of range")
-        if m == 0 and not self.symmetric:
-            # deletion needs the reconnection sum of the symmetric case to be
-            # associative; linear families have no arity-0 insertions
-            raise ValueError("nonsymmetric families do not compose with arity 0")
-        key = (n, m, p)
-        if key not in self._comps:
-            src = self.comp_source(n, m)
-            tgt_idx = self.gen_indices(n + m - 1)
-            tgt = self.gen_space(n + m - 1)
-            pos = {I: i for i, I in enumerate(tgt_idx)}
-            cols = []
-            for I in self.gen_indices(n):
-                col = {}
-                for coeff, J in self.scheme.compose_outer(I, n, m, p):
-                    col[pos[J]] = col.get(pos[J], 0) + coeff
-                cols.append(col)
-            for I in self.gen_indices(m):
-                col = {}
-                for coeff, J in self.scheme.compose_inner(I, n, m, p):
-                    col[pos[J]] = col.get(pos[J], 0) + coeff
-                cols.append(col)
-            self._comps[key] = LinearMap(src, tgt, cols)
-        return self._comps[key]
-
-    def action(self, n, sigma):
-        """Right action t_I . sigma = t_{sigma^{-1}(I)} as a LinearMap."""
-        if not self.symmetric:
-            raise ValueError("nonsymmetric family has no symmetric-group action")
-        key = (n, tuple(sigma))
-        if key not in self._actions:
-            idx = self.gen_indices(n)
-            pos = {I: i for i, I in enumerate(idx)}
-            inv = perm_inverse(sigma)
-            amb = self.gen_space(n)
-            cols = [{pos[self.scheme.act(I, inv)]: 1} for I in idx]
-            self._actions[key] = LinearMap(amb, amb, cols)
-        return self._actions[key]
 
 
 # relation builders ---------------------------------------------------------
@@ -277,57 +288,47 @@ def _rel_zero(family, n, idx, gens):
     return []
 
 
+# name -> (scheme class, relation builder, k); k None is read from the caller
+_FAMILIES = {
+    "BKW": (_SubsetScheme, _rel_full, 2),
+    "DK": (_SubsetScheme, _rel_refined, 2),
+    "EHKR": (_SubsetScheme, _rel_refined, 3),
+    "HG": (_SubsetScheme, _rel_full, None),
+    "RHG": (_SubsetScheme, _rel_refined, None),
+    "LG": (_IntervalScheme, _rel_full, 2),
+    "LHG": (_IntervalScheme, _rel_full, None),
+}
+
+
 @lru_cache(maxsize=64)
 def build_family(name, max_arity, k=None):
     """Built-in families; RHG(2) = DK, RHG(3) = EHKR, HG(2) = BKW, LHG(2) = LG."""
     name = name.upper()
-    if name == "BKW":
-        return OperadFamily("BKW", _SubsetScheme(2), _rel_full, max_arity, k=2)
-    if name == "DK":
-        return OperadFamily("DK", _SubsetScheme(2), _rel_refined, max_arity, k=2)
-    if name == "EHKR":
-        return OperadFamily("EHKR", _SubsetScheme(3), _rel_refined, max_arity, k=3)
-    if name == "HG":
+    if name not in _FAMILIES:
+        raise ValueError("unknown family %r" % name)
+    cls, relation_fn, fixed_k = _FAMILIES[name]
+    if fixed_k is None:
         if not k or k < 2:
-            raise ValueError("HG needs k >= 2")
-        return OperadFamily("HG(%d)" % k, _SubsetScheme(k), _rel_full, max_arity, k=k)
-    if name == "RHG":
-        if not k or k < 2:
-            raise ValueError("RHG needs k >= 2")
-        return OperadFamily(
-            "RHG(%d)" % k, _SubsetScheme(k), _rel_refined, max_arity, k=k
-        )
-    if name == "LG":
-        return OperadFamily("LG", _IntervalScheme(2), _rel_full, max_arity, k=2)
-    if name == "LHG":
-        if not k or k < 2:
-            raise ValueError("LHG needs k >= 2")
-        return OperadFamily(
-            "LHG(%d)" % k, _IntervalScheme(k), _rel_full, max_arity, k=k
-        )
-    raise ValueError("unknown family %r" % name)
+            raise ValueError("%s needs k >= 2" % name)
+        name = "%s(%d)" % (name, k)
+    else:
+        k = fixed_k
+    return OperadFamily(name, _scheme(cls, k), relation_fn, max_arity)
 
 
 def family_shell(family):
     """Same generators, compositions and actions, but empty relations."""
-    shell = OperadFamily(
-        family.name + "-shell", family.scheme, _rel_zero, family.max_arity, family.k
+    return OperadFamily(
+        family.name + "-shell", family.scheme, _rel_zero, family.max_arity
     )
-    return shell
 
 
 # ---------------------------------------------------------------------------
 # composition evaluation and exhaustive axiom checks
 
 
-def compose(family, n, m, p, x):
-    """Apply the partial composition to a vector of V(n) ⊕ V(m)."""
-    return family.comp(n, m, p)(x)
-
-
 def _sequential_cases(family, n, m, l, i, j):
     """Both composites on every generator of the three components."""
-    N = n + m + l - 2
     cml = family.comp(m, l, j)
     c1 = family.comp(n, m + l - 1, i)
     cnm = family.comp(n, m, i)
@@ -335,23 +336,22 @@ def _sequential_cases(family, n, m, l, i, j):
     dn = family.gen_space(n).dim
     dm = family.gen_space(m).dim
     dl = family.gen_space(l).dim
-    dml = family.gen_space(m + l - 1).dim
     dnm = family.gen_space(n + m - 1).dim
-    for src, ofs in (("n", 0), ("m", dn), ("l", dn + dm)):
+    for src in ("n", "m", "l"):
         count = {"n": dn, "m": dm, "l": dl}[src]
         for g in range(count):
             if src == "n":
-                v1 = c1.apply_data({g: 1})
-                v2 = c2.apply_data(cnm.apply_data({g: 1}))
+                v1 = c1.cols[g]
+                v2 = c2.apply_data(cnm.cols[g])
             elif src == "m":
-                inner = cml.apply_data({g: 1})
+                inner = cml.cols[g]
                 v1 = c1.apply_data({dn + c: v for c, v in inner.items()})
-                mid = cnm.apply_data({dn + g: 1})
+                mid = cnm.cols[dn + g]
                 v2 = c2.apply_data(mid)
             else:
-                inner = cml.apply_data({dm + g: 1})
+                inner = cml.cols[dm + g]
                 v1 = c1.apply_data({dn + c: v for c, v in inner.items()})
-                v2 = c2.apply_data({dnm + g: 1})
+                v2 = c2.cols[dnm + g]
             if v1 != v2:
                 return (src, g, v1, v2)
     return None
@@ -372,14 +372,14 @@ def _parallel_cases(family, n, m, l, i, j):
         count = {"n": dn, "m": dm, "l": dl}[src]
         for g in range(count):
             if src == "n":
-                v1 = c1.apply_data(cnm.apply_data({g: 1}))
-                v2 = c2.apply_data(cnl.apply_data({g: 1}))
+                v1 = c1.apply_data(cnm.cols[g])
+                v2 = c2.apply_data(cnl.cols[g])
             elif src == "m":
-                v1 = c1.apply_data(cnm.apply_data({dn + g: 1}))
-                v2 = c2.apply_data({dnl + g: 1})
+                v1 = c1.apply_data(cnm.cols[dn + g])
+                v2 = c2.cols[dnl + g]
             else:
-                v1 = c1.apply_data({dnm + g: 1})
-                v2 = c2.apply_data(cnl.apply_data({dn + g: 1}))
+                v1 = c1.cols[dnm + g]
+                v2 = c2.apply_data(cnl.cols[dn + g])
             if v1 != v2:
                 return (src, g, v1, v2)
     return None
@@ -388,7 +388,9 @@ def _parallel_cases(family, n, m, l, i, j):
 def verify_axioms(family, nmax):
     """Sequential, parallel, unit, and (for symmetric families) both
     equivariance axioms, exhaustively on generator bases for all admissible
-    arity/slot combinations with output arity <= nmax."""
+    arity/slot combinations with output arity <= nmax.  Reads only the
+    generator spaces, compositions and action, so the verdict is one per
+    scheme and a scheme may stand for its families."""
     reports = []
     skipped = 0
     lo = 0 if family.symmetric else 1
@@ -402,7 +404,7 @@ def verify_axioms(family, nmax):
         for p in range(1, n + 1):
             c = family.comp(n, 1, p)
             for g in range(dn):
-                if c.apply_data({g: 1}) != {g: 1}:
+                if c.cols[g] != {g: 1}:
                     ok = False
                     reports.append(
                         Report("unit.right.n%d.p%d" % (n, p), False,
@@ -410,7 +412,7 @@ def verify_axioms(family, nmax):
                     )
         c = family.comp(1, n, 1)
         for g in range(dn):
-            if c.apply_data({g: 1}) != {g: 1}:
+            if c.cols[g] != {g: 1}:
                 ok = False
                 reports.append(Report("unit.left.n%d" % n, False, ""))
     if ok:
@@ -470,8 +472,8 @@ def verify_axioms(family, nmax):
                         infl = family.action(N, inflate_outer(sigma, n, m, p)) if N >= 1 else None
                         act_n = family.action(n, sigma)
                         for g in range(dn):
-                            lhs = c.apply_data(act_n.apply_data({g: 1}))
-                            rhs = cq.apply_data({g: 1})
+                            lhs = c.apply_data(act_n.cols[g])
+                            rhs = cq.cols[g]
                             if infl is not None:
                                 rhs = infl.apply_data(rhs)
                             checked += 1
@@ -482,9 +484,9 @@ def verify_axioms(family, nmax):
                         act_m = family.action(m, tau)
                         for g in range(dm):
                             lhs = c.apply_data(
-                                {dn + r: v for r, v in act_m.apply_data({g: 1}).items()}
+                                {dn + r: v for r, v in act_m.cols[g].items()}
                             )
-                            rhs = c.apply_data({dn + g: 1})
+                            rhs = c.cols[dn + g]
                             if infl is not None:
                                 rhs = infl.apply_data(rhs)
                             checked += 1
@@ -596,9 +598,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                         if img and add(n, img):
                             changed = True
 
-    out = OperadFamily(
-        shell.name + "-min", shell.scheme, _rel_zero, shell.max_arity, shell.k
-    )
+    out = OperadFamily(shell.name + "-min", shell.scheme, _rel_zero, shell.max_arity)
     for n in range(nmax + 1):
         gens = shell.gen_space(n)
         if gens.dim == 0:

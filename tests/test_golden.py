@@ -2,9 +2,9 @@
 one frozen in golden_reports.json (sha256 of the command's standard output).
 
 Each command runs in a fresh process, so the process-wide caches (component,
-family and functor lru_caches, interned graphs) cannot leak between cases;
-one test runs two suites in one process, in both orders, to show that the
-caches do not change a report either.  To refreeze after an intended change
+family, scheme and functor lru_caches, interned graphs) cannot leak between
+cases; one test runs suites that share those caches in one process, in both
+orders, to show that the caches do not change a report either.  To refreeze after an intended change
 of a report, store the sha256 of the standard output of
 `python -m quadop <command>` under the command's key.
 """
@@ -54,6 +54,9 @@ for command in sys.argv[1:]:
 @pytest.mark.parametrize("commands", [
     ("verify realize-duality", "verify gra-iso"),
     ("verify gra-iso", "verify realize-duality"),
+    # these share the process-wide generator schemes of the operad families
+    ("verify operad-axioms", "verify minimality", "verify koszul-duals"),
+    ("verify koszul-duals", "verify minimality", "verify operad-axioms"),
 ])
 def test_reports_do_not_depend_on_suite_order(commands):
     proc = subprocess.run(

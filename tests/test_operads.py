@@ -8,13 +8,14 @@ from quadop.operads import (
     OperadFamily,
     build_family,
     compare_families,
-    compose,
     family_shell,
     minimal_suboperad,
     verify_axioms,
     verify_relation_morphism,
+    _SubsetScheme,
     _rel_zero,
 )
+from quadop.suites import _FAMILY_BOUNDS, suite_operad_axioms
 
 
 def labels(fam, n):
@@ -59,11 +60,11 @@ def test_composition_spot_checks():
     lhg = build_family("LHG", 8, k=3)
     i13 = lhg.gen_indices(5).index((1, 2, 3))
     assert lhg.comp(5, 3, 2).apply_data({i13: 1}) == {}
-    # compose() wrapper on an explicit vector
-    src = bkw.comp_source(2, 2)
-    v = Vector(src, {0: 1})
-    out = compose(bkw, 2, 2, 1, v)
-    assert out.data == img if False else out.ambient == bkw.gen_space(3)
+    # the map applied to an explicit vector of V(2) ⊕ V(2)
+    c = bkw.comp(2, 2, 1)
+    out = c(Vector(c.source, {0: 1}))
+    assert out.ambient == bkw.gen_space(3)
+    assert out.data == c.cols[0]
 
 
 def test_deletion_is_fi_consistent():
@@ -91,21 +92,50 @@ def test_axioms_pass_small():
 
 
 def test_axioms_negative_control():
-    # flip one sign in a composition table: the sequential axiom must fail
-    dk = build_family("DK", 5)
-    corrupted = OperadFamily("corrupt", dk.scheme, dk._relation_fn, 5, k=2)
+    # flip one sign in a composition table of a private scheme: the
+    # sequential axiom must fail, and the shared scheme must stay intact
+    scheme = _SubsetScheme(2)
     key = (2, 2, 1)
-    good = dk.comp(*key)
+    good = scheme.comp(*key)
     bad_cols = [dict(c) for c in good.cols]
     bad_cols[0] = {k: -v for k, v in bad_cols[0].items()}
-    corrupted._comps[key] = LinearMap(good.source, good.target, bad_cols)
-    reports = verify_axioms(corrupted, 4)
+    scheme._comps[key] = LinearMap(good.source, good.target, bad_cols)
+    reports = verify_axioms(scheme, 4)
     assert any(r.status == "FAIL" for r in reports)
+    assert build_family("DK", 5).comp(*key).cols == good.cols
+
+
+def test_families_on_one_scheme_share_its_maps():
+    bkw = build_family("BKW", 6)
+    assert bkw.comp(3, 2, 1) is build_family("DK", 4).comp(3, 2, 1)
+    assert bkw.action(3, (2, 1, 3)) is build_family("HG", 5, k=2).action(3, (2, 1, 3))
+    assert build_family("LG", 6).comp(3, 2, 1) is build_family("LHG", 8, k=2).comp(3, 2, 1)
+    assert build_family("EHKR", 6).scheme is not build_family("HG", 6, k=4).scheme
+    shell = family_shell(bkw)
+    mini = minimal_suboperad(shell, 4)
+    assert shell.scheme is mini.scheme is bkw.scheme
+    assert mini.comp(2, 2, 1) is bkw.comp(2, 2, 1)
+    assert mini.gen_space(4) is bkw.gen_space(4) is bkw.component(4).generators
+
+
+def test_axiom_cases_once_per_scheme_match_a_private_scheme():
+    # the suite checks the axioms once per shared scheme and bound; every
+    # family's cases must equal a check on a freshly built private scheme
+    cases = {c.name: c for c in suite_operad_axioms().cases}
+    for name, k, bound in _FAMILY_BOUNDS:
+        fam = build_family(name, bound, k=k)
+        private = type(fam.scheme)(fam.scheme.k)
+        for r in verify_axioms(private, bound):
+            got = cases.pop("%s.%s" % (fam.name, r.name))
+            assert (got.status, got.passed, got.details, str(got.witness)) == (
+                r.status, r.passed, r.details, str(r.witness))
+        assert cases.pop("%s.relation-morphism" % fam.name).passed
+    assert not cases
 
 
 def test_relation_morphism_negative_control():
     bkw = build_family("BKW", 5)
-    shrunk = OperadFamily("shrunk", bkw.scheme, _rel_zero, 5, k=2)
+    shrunk = OperadFamily("shrunk", bkw.scheme, _rel_zero, 5)
     # keep generators and maps but declare empty relations in every arity:
     # the bracket image escapes the (empty) target relation space
     reports = verify_relation_morphism(shrunk, 4)
@@ -188,10 +218,9 @@ def test_bracket_image_spot():
     bkw = build_family("BKW", 4)
     ta = _tagged(bkw.gen_space(2), "o:")
     tb = _tagged(bkw.gen_space(2), "i:")
-    src = bkw.comp_source(2, 2)
-    bracket = Subspace(square(src), mixed_bracket(ta, tb, -1))
-    assert bracket.dim == 1
     c = bkw.comp(2, 2, 1)
+    bracket = Subspace(square(c.source), mixed_bracket(ta, tb, -1))
+    assert bracket.dim == 1
     imgs = square_apply_rows(c, bracket.rows)
     img = Subspace(square(bkw.gen_space(3)), imgs)
     assert img.dim == 1
