@@ -35,7 +35,7 @@ from .graded import (
     space_to_json,
     tensor_product,
 )
-from .kernel import EchelonBasis, echelon_rows
+from .kernel import echelon_rows
 from .qd import _map_tensor, inj14_map, pr14_map, square_apply_rows
 from .report import Report
 
@@ -79,12 +79,6 @@ class S2Module:
 
 def trivial_module(space):
     return S2Module(space, LinearMap.identity(space))
-
-
-def sign_module(space):
-    return S2Module(
-        space, LinearMap(space, space, [{i: -1} for i in range(space.dim)])
-    )
 
 
 class Arity3Space:
@@ -152,17 +146,13 @@ class Arity3Space:
         return out
 
 
-def free_arity3(module):
-    return module.arity3
-
-
 @dataclass(frozen=True)
 class BOQDData:
     generators: S2Module
     relations: Subspace
 
     def __post_init__(self):
-        space = free_arity3(self.generators)
+        space = self.generators.arity3
         if self.relations.ambient != space.ambient:
             raise ValueError("relations do not live in the arity-3 component")
         for row in self.relations.rows:
@@ -172,7 +162,7 @@ class BOQDData:
 
     @property
     def space(self):
-        return free_arity3(self.generators)
+        return self.generators.arity3
 
     @property
     def gdim(self):
@@ -184,39 +174,20 @@ class BOQDData:
 
 
 def make_boqd(module, rows):
-    space = free_arity3(module)
+    space = module.arity3
     return BOQDData(module, Subspace(space.ambient, list(rows)))
-
-
-def s3_closure_rows(module, rows):
-    """Close a set of arity-3 rows under the permutation action."""
-    space = free_arity3(module)
-    basis = EchelonBasis()
-    queue = [dict(r) for r in rows]
-    out = []
-    while queue:
-        row = queue.pop()
-        if basis.add(row):
-            out.append(row)
-            queue += space.swap(row), space.rotate(row)
-    return out
 
 
 def com_data(label="c"):
     """One even invariant generator with the associativity-like relations
     tau_1 - tau_2, tau_2 - tau_3 (fully commutative binary structure)."""
     mod = trivial_module(GradedSpace((label,), (0,)))
-    sp = free_arity3(mod)
+    sp = mod.arity3
     rows = [
         {sp.index(1, 0, 0): 1, sp.index(2, 0, 0): -1},
         {sp.index(2, 0, 0): 1, sp.index(3, 0, 0): -1},
     ]
     return make_boqd(mod, rows)
-
-
-def zero_boqd():
-    mod = trivial_module(GradedSpace((), ()))
-    return make_boqd(mod, [])
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +295,12 @@ def _diagonal_cols(a, b):
 
 
 def psi_rows(a, b, rows_a, rows_b):
-    """The black product's relations before S3 closure: each pair of an
-    arity-3 row of A and one of B, tensored and pulled back along the tree
-    duplication, so the tau-off-diagonal terms die.  One row per pair; the
-    duplication is injective, so no two terms of a pair share a column."""
+    """The black product's relations: each pair of an arity-3 row of A and
+    one of B, tensored and pulled back along the tree duplication, so the
+    tau-off-diagonal terms die.  One row per pair; the duplication is
+    injective, so no two terms of a pair share a column.  It is also
+    S3-equivariant, so rows that span S3-stable spaces give an S3-stable
+    span: the image of R_A (x) R_B."""
     diag = _diagonal_cols(a, b)
     dim_b3 = 3 * b.gdim * b.gdim
     out = []
@@ -344,8 +317,9 @@ def psi_rows(a, b, rows_a, rows_b):
 
 
 def _white_rows(a, b):
-    """The white product's relations before S3 closure: the preimage under
-    the tree duplication of R_A (x) T_B(3) + T_A(3) (x) R_B.  Off-diagonal
+    """The white product's relations: the preimage under the tree
+    duplication of R_A (x) T_B(3) + T_A(3) (x) R_B, which is S3-stable
+    because that space is and the duplication is equivariant.  Off-diagonal
     columns keep their numbers and each diagonal column moves past all of
     them to its signed product column, so the rows led there are the
     preimage."""
@@ -368,6 +342,12 @@ def _white_rows(a, b):
 
 
 def boqd_product(name, a, b):
+    """One of the eight products.  Each relation span is S3-stable as built,
+    so no closure is taken; BOQDData still checks it.  vee is R_A + R_B;
+    oplus, tril and trir add whole tau blocks, which rotate permutes and
+    swap keeps; ucirc and circ take all three tau_i of each eigenvector
+    pair; black and white are an image and a preimage under the
+    equivariant tree duplication."""
     name = name.lower()
     if name in ("black", "white"):
         mod = _module_tensor(a, b)
@@ -375,9 +355,9 @@ def boqd_product(name, a, b):
             rows = psi_rows(a, b, a.relations.rows, b.relations.rows)
         else:
             rows = _white_rows(a, b)
-        return make_boqd(mod, s3_closure_rows(mod, rows))
+        return make_boqd(mod, rows)
     mod = _module_sum(a, b)
-    space = free_arity3(mod)
+    space = mod.arity3
     na, nb = a.gdim, b.gdim
     nt = mod.dim
     rows = _embed_arity3_rows(a.relations.rows, na, 0, nt)
@@ -400,7 +380,7 @@ def boqd_product(name, a, b):
         rows += _matched_pair_rows(space, a, b, -1)
     else:
         raise ValueError(name)
-    return make_boqd(mod, s3_closure_rows(mod, rows))
+    return make_boqd(mod, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +401,7 @@ def boqd_dual(a):
     """(generators*, relations^perp) with the tau-diagonal pairing."""
     dmod = _dual_module(a.generators)
     rows = nullspace_rows(a.relations.rows, a.space.dim)
-    dspace = free_arity3(dmod)
+    dspace = dmod.arity3
     return BOQDData(dmod, Subspace(dspace.ambient, rows))
 
 

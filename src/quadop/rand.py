@@ -7,9 +7,10 @@ reproducible byte-for-byte.
 import random
 import zlib
 
-from .boqd import S2Module, free_arity3, make_boqd, s3_closure_rows
+from .boqd import S2Module, make_boqd
 from .exactlin import LinearMap
 from .graded import GradedSpace, _pair_vector, square
+from .kernel import EchelonBasis
 from .qd import QDFlavor, make_qd
 
 
@@ -102,9 +103,25 @@ def random_s2module(rng, prefix, max_dim=2):
     return S2Module(gens, LinearMap(gens, gens, cols))
 
 
+def s3_closure_rows(module, rows):
+    """Close a set of arity-3 rows under the permutation action."""
+    space = module.arity3
+    basis = EchelonBasis()
+    queue = [dict(r) for r in rows]
+    out = []
+    while queue:
+        row = queue.pop()
+        if basis.add(row):
+            out.append(row)
+            queue += space.swap(row), space.rotate(row)
+    return out
+
+
 def random_boqd(rng, prefix, max_dim=2):
+    """Random relations, closed under S3 here because BOQDData only checks
+    closure."""
     mod = random_s2module(rng, prefix, max_dim)
-    amb = free_arity3(mod).ambient
+    amb = mod.arity3.ambient
     rows = []
     for _ in range(rng.randint(0, 3)):
         d = rng.choice(sorted(set(amb.degrees)))

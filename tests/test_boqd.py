@@ -11,17 +11,25 @@ from quadop.boqd import (
     boqd_product,
     boqd_to_json,
     com_data,
-    free_arity3,
     koszul_involution_check,
     make_boqd,
     psi_rows,
-    sign_module,
     trivial_module,
 )
-from quadop.exactlin import LinearMap
+from quadop.exactlin import LinearMap, Subspace
 from quadop.graded import GradedSpace
 from quadop.qd import inj14_map, pr14_map, square_apply_rows
-from quadop.rand import random_boqd, random_s2module
+from quadop.rand import random_boqd, random_s2module, s3_closure_rows
+
+
+def sign_module(space):
+    return S2Module(
+        space, LinearMap(space, space, [{i: -1} for i in range(space.dim)])
+    )
+
+
+def zero_boqd():
+    return make_boqd(trivial_module(GradedSpace((), ())), [])
 
 
 def _group_words(sp):
@@ -46,7 +54,7 @@ def test_action_identities_anti_invariant():
     # (12) applies u to the second slot: -1 on the sign module, and the
     # exchange of x and y on a module that swaps them
     anti = sign_module(GradedSpace(("z",), (0,)))
-    sp = free_arity3(anti)
+    sp = anti.arity3
     t = lambda i: {sp.index(i, 0, 0): 1}
     assert sp.swap(t(1)) == {sp.index(1, 0, 0): -1}
     assert sp.swap(t(2)) == {sp.index(3, 0, 0): -1}
@@ -54,7 +62,7 @@ def test_action_identities_anti_invariant():
     assert sp.rotate(t(1)) == t(2)
     assert sp.rotate(t(3)) == t(1)
     v = GradedSpace(("x", "y"), (0, 0))
-    sp = free_arity3(S2Module(v, LinearMap(v, v, [{1: 1}, {0: 1}])))
+    sp = S2Module(v, LinearMap(v, v, [{1: 1}, {0: 1}])).arity3
     assert sp.swap({sp.index(1, 0, 0): 1}) == {sp.index(1, 0, 1): 1}
     assert sp.swap({sp.index(2, 1, 0): 1}) == {sp.index(3, 1, 1): 1}
     assert sp.swap({sp.index(3, 0, 1): 1}) == {sp.index(2, 0, 0): 1}
@@ -65,7 +73,7 @@ def test_action_is_group_action():
     rng = random.Random(2)
     for _ in range(6):
         mod = random_s2module(rng, "m")
-        sp = free_arity3(mod)
+        sp = mod.arity3
         s, r = sp.swap, sp.rotate
         for c in range(sp.dim):
             row = {c: 1}
@@ -168,7 +176,7 @@ def test_psi_equivariance_and_offdiagonal_vanishing():
     spa, spb = a.space, b.space
     from quadop.boqd import _module_tensor
 
-    spab = free_arity3(_module_tensor(a, b))
+    spab = _module_tensor(a, b).arity3
     for ga, gb, gab in zip(_group_words(spa), _group_words(spb),
                            _group_words(spab)):
         for _ in range(6):
@@ -202,13 +210,30 @@ def test_psi_koszul_sign_on_mixed_degrees():
     assert rows == [{spab.index(1, 0, 1): -1}, {spab.index(1, 1, 1): 1}]
 
 
+def test_closure_check_rejects_open_relations():
+    # tau_1(x,x) alone is not closed: (123) sends it to tau_2(x,x)
+    mod = trivial_module(GradedSpace(("x",), (0,)))
+    with pytest.raises(ValueError, match="not closed"):
+        make_boqd(mod, [{mod.arity3.index(1, 0, 0): 1}])
+
+
 def test_product_relations_are_closed():
+    # the products take no closure, so each must span its own S3 closure;
+    # max_dim 2 brings in odd degrees and involutions that swap a pair
     rng = random.Random(33)
-    for _ in range(6):
-        a = random_boqd(rng, "a", 1)
-        b = random_boqd(rng, "b", 1)
+    odd = swapped = False
+    for _ in range(30):
+        a = random_boqd(rng, "a", 2)
+        b = random_boqd(rng, "b", 2)
+        for m in (a.generators, b.generators):
+            odd = odd or any(d % 2 for d in m.space.degrees)
+            swapped = swapped or any(
+                list(col) != [i] for i, col in enumerate(m.action.cols))
         for name in ("black", "white", "vee", "oplus", "tril", "trir", "ucirc", "circ"):
-            boqd_product(name, a, b)  # construction re-validates S3 closure
+            p = boqd_product(name, a, b)
+            closed = s3_closure_rows(p.generators, p.relations.rows)
+            assert p.relations == Subspace(p.space.ambient, closed), name
+    assert odd and swapped
 
 
 def test_json_round_trip():
@@ -220,8 +245,6 @@ def test_json_round_trip():
 
 
 def test_degenerate_interchange_and_zero_involutions():
-    from quadop.boqd import zero_boqd
-
     z = zero_boqd()
     a, b = com_data("a"), com_data("b")
     for r in boqd_interchange_check("phi", a, z, b, zero_boqd()):
@@ -232,7 +255,7 @@ def test_degenerate_interchange_and_zero_involutions():
 
 def _arity3_lift(f, src_mod, tgt_mod):
     """T(f)(3) column by column: tau_i(x, x') -> tau_i(f x, f x')."""
-    src, tgt = free_arity3(src_mod), free_arity3(tgt_mod)
+    src, tgt = src_mod.arity3, tgt_mod.arity3
     d = src_mod.dim
     cols = [
         tgt.tau_row(i, f.cols[x], f.cols[xp])
@@ -243,7 +266,7 @@ def _arity3_lift(f, src_mod, tgt_mod):
 
 def _assert_square_apply_is_lift(rng, f, src_mod, tgt_mod):
     lift = _arity3_lift(f, src_mod, tgt_mod)
-    n = free_arity3(src_mod).dim
+    n = src_mod.arity3.dim
     rows = [{c: 1} for c in range(n)]
     rows += [
         {rng.randrange(n): rng.randint(-2, 2) for _ in range(3)} for _ in range(6)
