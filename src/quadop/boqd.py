@@ -29,14 +29,17 @@ from .graded import (
     GradedSpace,
     direct_sum,
     dual,
-    rows_from_json,
-    rows_to_json,
-    space_from_json,
-    space_to_json,
     tensor_product,
 )
 from .kernel import echelon_rows
-from .qd import _map_tensor, inj14_map, pr14_map, square_apply_rows
+from .qd import (
+    _map_tensor,
+    escaping_image,
+    inj14_map,
+    interchange_sides,
+    pr14_map,
+    sum_relation_rows,
+)
 from .report import Report
 
 
@@ -211,21 +214,6 @@ def _module_tensor(a, b):
     )
 
 
-def _embed_arity3_rows(rows, src_dim, offset, tgt_dim):
-    """Re-index tau rows of arity3(A) into arity3(A ⊕ B)."""
-    out = []
-    d2s = src_dim * src_dim
-    d2t = tgt_dim * tgt_dim
-    for row in rows:
-        new = {}
-        for col, v in row.items():
-            i, rest = divmod(col, d2s)
-            aa, bb = divmod(rest, src_dim)
-            new[i * d2t + (aa + offset) * tgt_dim + (bb + offset)] = v
-        out.append(new)
-    return out
-
-
 def _circ1_rows(space, outer_range, inner_range):
     """span{tau_i(y, x)} for y in the outer block, x in the inner block."""
     rows = []
@@ -358,10 +346,9 @@ def boqd_product(name, a, b):
         return make_boqd(mod, rows)
     mod = _module_sum(a, b)
     space = mod.arity3
-    na, nb = a.gdim, b.gdim
-    nt = mod.dim
-    rows = _embed_arity3_rows(a.relations.rows, na, 0, nt)
-    rows += _embed_arity3_rows(b.relations.rows, nb, na, nt)
+    na, nt = a.gdim, mod.dim
+    rows = sum_relation_rows(a.generators.space, b.generators.space,
+                             a.relations.rows, b.relations.rows, None)
     arange = range(na)
     brange = range(na, nt)
     if name == "vee":
@@ -438,30 +425,24 @@ def boqd_interchange_check(kind, a, ap, b, bp):
     spaces = [m.generators.space for m in (a, ap, b, bp)]
 
     def check(name, f, src, tgt):
-        for img in square_apply_rows(f, src.relations.rows):
-            if img and not tgt.relations.contains(img):
-                return Report(name, False, "relation image escapes",
-                              witness=Vector(tgt.relations.ambient, img))
+        img = escaping_image(f, src.relations.rows, tgt.relations)
+        if img is not None:
+            return Report(name, False, "relation image escapes",
+                          witness=Vector(tgt.relations.ambient, img))
         return Report(name, True, "dims %d -> %d" % (src.rdim, tgt.rdim))
 
+    def sides(box, dia):
+        return interchange_sides(boqd_product, box, dia, a, ap, b, bp)
+
     if kind == "phi":
-        src = boqd_product("black", boqd_product("ucirc", a, ap),
-                           boqd_product("ucirc", b, bp))
-        tgt = boqd_product("ucirc", boqd_product("black", a, b),
-                           boqd_product("black", ap, bp))
+        src, tgt = sides("black", "ucirc")
         return [check("phi.black-ucirc", pr14_map(*spaces), src, tgt)]
     if kind == "psi":
-        src = boqd_product("circ", boqd_product("white", a, b),
-                           boqd_product("white", ap, bp))
-        tgt = boqd_product("white", boqd_product("circ", a, ap),
-                           boqd_product("circ", b, bp))
+        tgt, src = sides("white", "circ")
         return [check("psi.circ-white", inj14_map(*spaces), src, tgt)]
     if isinstance(kind, tuple) and kind[0] == "quintuple":
         box, dia = kind[1], kind[2]
-        lax_src = boqd_product(box, boqd_product(dia, a, ap),
-                               boqd_product(dia, b, bp))
-        lax_tgt = boqd_product(dia, boqd_product(box, a, b),
-                               boqd_product(box, ap, bp))
+        lax_src, lax_tgt = sides(box, dia)
         return [
             check("quintuple.%s-%s.lax" % (box, dia), pr14_map(*spaces),
                   lax_src, lax_tgt),
@@ -469,32 +450,3 @@ def boqd_interchange_check(kind, a, ap, b, bp):
                   lax_tgt, lax_src),
         ]
     raise ValueError(kind)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def boqd_to_json(a):
-    n = a.gdim
-    act = [[str(a.generators.action.cols[j].get(i, 0)) for j in range(n)]
-           for i in range(n)]
-    return {
-        "generators": space_to_json(a.generators.space),
-        "action": act,
-        "relations": rows_to_json(a.relations.rows, a.space.dim),
-    }
-
-
-def boqd_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("BOQD data %r is not a JSON object" % (doc,))
-    gens = space_from_json(doc["generators"])
-    n = gens.dim
-    act = rows_from_json(doc["action"], n, "action")
-    if len(act) != n:
-        raise ValueError("the action has %d rows, not %d" % (len(act), n))
-    cols = [{i: row[j] for i, row in enumerate(act) if j in row}
-            for j in range(n)]
-    mod = S2Module(gens, LinearMap(gens, gens, cols))
-    return make_boqd(mod, rows_from_json(doc["relations"], 3 * n * n, "relation"))

@@ -1,8 +1,7 @@
 """Exact rational linear algebra on labeled ambient bases.
 
-An ambient is a graded.GradedSpace; this module reads only its dim, its
-labels and (in LinearMap.from_label_map) its index(label), so it imports
-nothing from graded.  Ambients compare with ==.
+An ambient is a graded.GradedSpace; this module reads only its dim and its
+labels, so it imports nothing from graded.  Ambients compare with ==.
 
 Subspaces are canonical: stored as the kernel's integer RREF of their span
 (each row primitive, with a positive pivot and zeros in every other pivot
@@ -43,31 +42,7 @@ class Vector:
 
     def __init__(self, ambient, data):
         self.ambient = ambient
-        if isinstance(data, dict):
-            self.data = {c: scalar(v) for c, v in data.items() if v}
-        else:
-            if len(data) != ambient.dim:
-                raise ValueError("coordinate list does not match ambient dimension")
-            self.data = {i: scalar(v) for i, v in enumerate(data) if v}
-
-    def __add__(self, other):
-        if other.ambient != self.ambient:
-            raise AmbientMismatch("vectors live in different ambients")
-        data = dict(self.data)
-        for c, v in other.data.items():
-            w = data.get(c, 0) + v
-            if w:
-                data[c] = w
-            elif c in data:
-                del data[c]
-        return Vector(self.ambient, data)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, s):
-        s = scalar(s)
-        return Vector(self.ambient, {c: s * v for c, v in self.data.items()})
+        self.data = {c: scalar(v) for c, v in data.items() if v}
 
     def __eq__(self, other):
         return (
@@ -75,9 +50,6 @@ class Vector:
             and self.ambient == other.ambient
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.ambient.labels, tuple(sorted(self.data.items()))))
 
     def __repr__(self):
         terms = [
@@ -94,10 +66,7 @@ class Subspace:
 
     def __init__(self, ambient, rows):
         self.ambient = ambient
-        basis = EchelonBasis().add_many(
-            r.data if isinstance(r, Vector) else r for r in rows
-        )
-        self.rows = tuple(basis.rref())
+        self.rows = tuple(EchelonBasis().add_many(rows).rref())
         self._by_pivot = None
         self._hash = None
 
@@ -251,15 +220,6 @@ class LinearMap:
         )
 
     @classmethod
-    def from_label_map(cls, source, target, images):
-        """images: source label -> {target label: coeff}; missing labels map to 0."""
-        cols = []
-        for l in source.labels:
-            img = images.get(l, {})
-            cols.append({target.index(tl): scalar(v) for tl, v in img.items()})
-        return cls(source, target, cols)
-
-    @classmethod
     def identity(cls, ambient):
         return cls(ambient, ambient, [{i: 1} for i in range(ambient.dim)])
 
@@ -273,11 +233,6 @@ class LinearMap:
                 elif r in acc:
                     del acc[r]
         return acc
-
-    def __call__(self, v):
-        if v.ambient != self.source:
-            raise AmbientMismatch("vector is not in the source ambient")
-        return Vector(self.target, self.apply_data(v.data))
 
     def compose(self, inner):
         """self o inner."""
@@ -294,10 +249,6 @@ class LinearMap:
             and self.target == other.target
             and self.cols == other.cols
         )
-
-    def __hash__(self):
-        return hash((self.source.labels, self.target.labels,
-                     tuple(tuple(sorted(c.items())) for c in self.cols)))
 
 
 def apply_map(f, a):

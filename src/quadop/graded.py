@@ -64,15 +64,6 @@ class GradedSpace:
     def dim(self):
         return len(self.labels)
 
-    def index(self, label):
-        try:
-            return self._index[label]
-        except AttributeError:
-            object.__setattr__(
-                self, "_index", {l: i for i, l in enumerate(self.labels)}
-            )
-            return self._index[label]
-
 
 ZERO = GradedSpace((), ())
 
@@ -100,24 +91,24 @@ def space_from_json(gens):
     return GradedSpace(tuple(labels), tuple(degrees))
 
 
-def rows_from_json(rows, ncols, what):
-    """Sparse rows of a JSON list of rows of ncols exact scalars each (JSON
-    integers or strings such as "-1/3"); ValueError names a row of another
-    shape or with another entry (1.5, true, "abc", "1/0")."""
+def rows_from_json(rows, ncols):
+    """Sparse rows of a JSON list of relation rows of ncols exact scalars each
+    (JSON integers or strings such as "-1/3"); ValueError names a row of
+    another shape or with another entry (1.5, true, "abc", "1/0")."""
     if not isinstance(rows, list):
-        raise ValueError("%s rows %r are not a list" % (what, rows))
+        raise ValueError("relation rows %r are not a list" % (rows,))
     out = []
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
-            raise ValueError("%s row %d is not a list of %d entries: %r"
-                             % (what, k, ncols, row))
+            raise ValueError("relation row %d is not a list of %d entries: %r"
+                             % (k, ncols, row))
         try:
             if any(type(x) is not int and type(x) is not str for x in row):
                 raise TypeError
             out.append({i: q for i, q in enumerate(map(scalar, row)) if q})
         except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError("%s row %d has an entry that is not an exact "
-                             "scalar: %r" % (what, k, row)) from None
+            raise ValueError("relation row %d has an entry that is not an "
+                             "exact scalar: %r" % (k, row)) from None
     return out
 
 
@@ -130,21 +121,6 @@ def rows_to_json(rows, ncols):
         out.append([str(Fraction(r[c], lead)) if c in r else "0"
                     for c in range(ncols)])
     return out
-
-
-def koszul_sign(degrees, perm):
-    """Sign of permuting homogeneous factors: the permuted word places the
-    original factor perm[k] at slot k; each crossing of two odd factors
-    contributes -1."""
-    n = len(degrees)
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise ArityError("permutation does not act on the degree list")
-    sign = 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
-                sign = -sign
-    return sign
 
 
 def tensor_product(v, w):

@@ -19,6 +19,7 @@ from .kernel import EchelonBasis
 from .qd import (
     QDFlavor,
     QuadraticData,
+    escaping_image,
     make_qd,
     qd_zero,
     square_apply_rows,
@@ -507,7 +508,6 @@ def verify_axioms(family, nmax):
 
 def verify_relation_morphism(family, nmax):
     """(o_p)^(x)2 maps R(n) ⊕ [V(n),V(m)]_- ⊕ R(m) into R(n+m-1)."""
-    fail = None
     checked = 0
     lo = 0 if family.symmetric else 1
     for n in range(1, nmax + 1):
@@ -522,23 +522,14 @@ def verify_relation_morphism(family, nmax):
                 continue
             target = family.component(n + m - 1)
             for p in range(1, n + 1):
-                c = family.comp(n, m, p)
-                images = square_apply_rows(c, rows)
-                checked += len(images)
-                for img in images:
-                    if img and not target.relations.contains(img):
-                        if fail is None:
-                            fail = (n, m, p, img)
-    return [
-        Report(
-            "relation-morphism",
-            fail is None,
-            "%d relation images checked" % checked
-            if fail is None
-            else "escape at (n,m,p)=%s" % (fail[:3],),
-            witness=None if fail is None else fail[3],
-        )
-    ]
+                img = escaping_image(family.comp(n, m, p), rows, target.relations)
+                if img is not None:
+                    return [Report("relation-morphism", False,
+                                   "escape at (n,m,p)=%s" % ((n, m, p),),
+                                   witness=img)]
+                checked += len(rows)
+    return [Report("relation-morphism", True,
+                   "%d relation images checked" % checked)]
 
 
 def minimal_suboperad(shell, nmax, schedule_rng=None):

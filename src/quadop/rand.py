@@ -1,6 +1,6 @@
 """Seeded random instances for the property suites.
 
-Every suite derives per-case生成 from one 64-bit seed so reports are
+Every suite derives per-case generators from one 64-bit seed so reports are
 reproducible byte-for-byte.
 """
 

@@ -1,6 +1,5 @@
 """PASS/FAIL case records and machine-readable verification reports."""
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -38,9 +37,6 @@ class VerificationReport:
     def add(self, report):
         self.cases.append(report)
 
-    def extend(self, reports):
-        self.cases.extend(reports)
-
     @property
     def failed(self):
         return [c for c in self.cases if c.status == "FAIL"]
@@ -58,6 +54,3 @@ class VerificationReport:
                 (c.as_case() for c in self.cases), key=lambda c: c["name"]
             ),
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True, indent=1)

@@ -6,10 +6,8 @@ import pytest
 from quadop.boqd import (
     S2Module,
     boqd_dual,
-    boqd_from_json,
     boqd_interchange_check,
     boqd_product,
-    boqd_to_json,
     com_data,
     koszul_involution_check,
     make_boqd,
@@ -234,14 +232,6 @@ def test_product_relations_are_closed():
             closed = s3_closure_rows(p.generators, p.relations.rows)
             assert p.relations == Subspace(p.space.ambient, closed), name
     assert odd and swapped
-
-
-def test_json_round_trip():
-    rng = random.Random(40)
-    a = random_boqd(rng, "a")
-    back = boqd_from_json(boqd_to_json(a))
-    assert back.relations == a.relations
-    assert back.generators.action == a.generators.action
 
 
 def test_degenerate_interchange_and_zero_involutions():

@@ -1,18 +1,14 @@
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from quadop.exactlin import LinearMap, Subspace, apply_map, intersect
 from quadop.graded import (
-    ArityError,
     GradedSpace,
     braiding_map,
     direct_sum,
     dual,
-    koszul_sign,
     mixed_bracket,
     shift,
     shift_square_map,
@@ -20,32 +16,6 @@ from quadop.graded import (
     square,
     tensor_product,
 )
-
-
-def test_koszul_sign_examples():
-    assert koszul_sign((0, 0, 0), (2, 0, 1)) == 1
-    assert koszul_sign((1, 1), (1, 0)) == -1
-    assert koszul_sign((1, 1, 1), (1, 2, 0)) == 1
-
-
-def test_koszul_sign_arity_error():
-    with pytest.raises(ArityError):
-        koszul_sign((1, 0), (0, 1, 2))
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_koszul_sign_cocycle(degs):
-    # multiplicative along composition, with the second factor evaluated on
-    # the permuted degree pattern (the value group depends on the pattern)
-    n = len(degs)
-    perms = list(permutations(range(n)))[:12]
-    for p in perms:
-        for q in perms:
-            comp = tuple(q[p[i]] for i in range(n))
-            permuted = [degs[q[i]] for i in range(n)]
-            assert koszul_sign(degs, comp) == \
-                koszul_sign(permuted, p) * koszul_sign(degs, q)
 
 
 def test_tensor_product_degrees_and_dims():

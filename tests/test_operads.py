@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadop.exactlin import LinearMap, Vector
+from quadop.exactlin import LinearMap
 from quadop.operads import (
     OperadFamily,
     build_family,
@@ -60,11 +60,10 @@ def test_composition_spot_checks():
     lhg = build_family("LHG", 8, k=3)
     i13 = lhg.gen_indices(5).index((1, 2, 3))
     assert lhg.comp(5, 3, 2).apply_data({i13: 1}) == {}
-    # the map applied to an explicit vector of V(2) ⊕ V(2)
+    # the map lands in V(3) and sends a basis vector of V(2) ⊕ V(2) to its column
     c = bkw.comp(2, 2, 1)
-    out = c(Vector(c.source, {0: 1}))
-    assert out.ambient == bkw.gen_space(3)
-    assert out.data == c.cols[0]
+    assert c.target == bkw.gen_space(3)
+    assert c.apply_data({0: 1}) == c.cols[0]
 
 
 def test_deletion_is_fi_consistent():
