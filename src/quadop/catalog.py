@@ -7,35 +7,19 @@ from .operads import build_family
 from .qd import QDFlavor, make_qd
 
 
-def _edge_pairs(n):
-    return list(combinations(range(1, n + 1), 2))
-
-
 def aos_data(n):
     """Generators one per edge in degree -1; relations the three-term cyclic
     sums over increasing vertex triples."""
-    edges = _edge_pairs(n)
-    pos = {e: i for i, e in enumerate(edges)}
+    edges = list(combinations(range(1, n + 1), 2))
     gens = GradedSpace.from_labels(("w_%d.%d" % e for e in edges), -1)
-    d = len(edges)
-
-    def odot(a, b):
-        # odd generators: x odot y = x(x)y - y(x)x
-        return ((a * d + b, 1), (b * d + a, -1))
-
-    rows = []
-    for i, j, k in combinations(range(1, n + 1), 3):
-        row = {}
-        for (e, f) in (((i, j), (j, k)), ((j, k), (i, k)), ((i, k), (i, j))):
-            for c, v in odot(pos[e], pos[f]):
-                row[c] = row.get(c, 0) + v
-        rows.append({c: v for c, v in row.items() if v})
-    return make_qd(QDFlavor.SYM, gens, rows)
+    pos = {e: i for i, e in enumerate(edges)}
+    return make_qd(QDFlavor.SYM, gens, arnold_rows(n, pos, len(edges)))
 
 
 def arnold_rows(n, pos, d):
-    """The same three-term sums expressed on an arbitrary edge indexing of a
-    d-dimensional generator space (used to compare against computed duals)."""
+    """The three-term cyclic sums over increasing vertex triples, with odd
+    generators (x odot y = x(x)y - y(x)x), on an edge indexing pos of a
+    d-dimensional generator space: the AOS relations and the DK duals."""
     rows = []
     for i, j, k in combinations(range(1, n + 1), 3):
         row = {}
@@ -74,10 +58,8 @@ def pentagon_rows(n, pos, d):
     return rows
 
 
-def named_qd(name, n, k=None, max_arity=None):
+def named_qd(name, n, k=None):
     """Resolve a named quadratic datum: a family component or AOS."""
-    name = name.upper()
-    if name == "AOS":
+    if name.upper() == "AOS":
         return aos_data(n)
-    fam = build_family(name, max_arity or max(n, k or 2), k=k)
-    return fam.component(n)
+    return build_family(name, k=k).component(n)

@@ -7,6 +7,7 @@ included with --timings.
 """
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -48,13 +49,28 @@ def _resolve_qd(args, spec_value=None):
             return qd_loads(fh.read())
     if args.n is None:
         raise UsageError("--qd %s needs --n" % value)
-    return named_qd(value, args.n, k=args.k, max_arity=args.nmax)
+    return named_qd(value, args.n, k=args.k)
+
+
+# options that only some commands read; every command reads --seed, --format
+# and --out (a command that draws nothing at random ignores its seed)
+_SELECTIVE = ("family", "qd", "k", "n", "nmax", "wmax", "trials", "timings",
+              "relations", "shell", "functor", "product")
+
+
+def _reads(args, command, *names):
+    """Reject a selective option outside names: one that the command would
+    ignore is a usage error, not a silent no-op."""
+    for name in _SELECTIVE:
+        if name not in names and getattr(args, name, None) not in (None, False):
+            raise UsageError("%s does not read --%s" % (command, name))
 
 
 def cmd_dims(args):
     if args.family:
+        _reads(args, "dims --family", "family", "k", "nmax", "relations")
         nmax = 6 if args.nmax is None else args.nmax
-        fam = build_family(args.family, nmax, k=args.k)
+        fam = build_family(args.family, k=args.k)
         if args.relations:
             dims = [fam.component(n).rdim for n in range(1, nmax + 1)]
             _emit(args, {"family": fam.name, "relation_dims": dims},
@@ -66,6 +82,8 @@ def cmd_dims(args):
         return 0
     if not args.qd:
         raise UsageError("dims needs --family or --qd")
+    _reads(args, "dims --qd", "qd", "n", "k",
+           "relations" if args.relations else "wmax")
     q = _resolve_qd(args)
     if args.relations:
         _emit(args, {"qd": args.qd, "relation_dim": q.rdim}, tsv_rows=[[q.rdim]])
@@ -93,17 +111,17 @@ def cmd_verify(args):
         raise UsageError("unknown suite %r (choose from %s)"
                          % (args.suite, ", ".join(sorted(SUITES))))
     fn = SUITES[args.suite]
-    kwargs = {"seed": args.seed}
-    if args.suite in ("qd-coherence", "boqd-coherence", "diagram-faces",
-                      "realize-duality"):
-        if args.trials is not None:
-            kwargs["trials"] = args.trials
-    if args.suite == "operad-axioms" and args.family:
-        kwargs.update(family=args.family, k=args.k, nmax=args.nmax)
-    if args.suite == "minimality" and args.shell:
-        kwargs.update(shell=args.shell, k=args.k, nmax=args.nmax)
-    if args.suite == "koszul-duals" and args.nmax is not None:
-        kwargs["nmax"] = args.nmax
+    params = inspect.signature(fn).parameters
+    command, reads = "verify " + args.suite, set(params)
+    for owner in ("family", "shell"):
+        if owner in params and getattr(args, owner) is None:
+            # --k and --nmax qualify the family or shell given; without one
+            # the suite runs its own table of cases
+            command += " without --" + owner
+            reads -= {"k", "nmax"}
+    _reads(args, command, "timings", *reads)
+    kwargs = {p: getattr(args, p) for p in params
+              if getattr(args, p) is not None}
     t0 = time.perf_counter()
     report = fn(**kwargs)
     if args.timings:
@@ -114,13 +132,15 @@ def cmd_verify(args):
 
 def cmd_build(args):
     if args.family and not args.functor and not args.product:
+        _reads(args, "build --family", "family", "k", "nmax")
         nmax = 6 if args.nmax is None else args.nmax
-        fam = build_family(args.family, nmax, k=args.k)
+        fam = build_family(args.family, k=args.k)
         _emit(args, _family_descriptor(fam, nmax))
         return 0
     if args.functor:
         if not args.qd:
             raise UsageError("build --functor needs --qd")
+        _reads(args, "build --functor", "functor", "qd", "n", "k")
         q = _resolve_qd(args)
         out = apply_functor(args.functor, q)
         _emit(args, qd_to_json(out))
@@ -128,12 +148,14 @@ def cmd_build(args):
     if args.product:
         if len(args.qd_multi) != 2:
             raise UsageError("build --product needs exactly two --qd arguments")
+        _reads(args, "build --product", "product", "qd", "n", "k")
         a = _resolve_qd(args, args.qd_multi[0])
         b = _resolve_qd(args, args.qd_multi[1])
         out = monoidal_product(args.product, a, b)
         _emit(args, qd_to_json(out))
         return 0
     if args.qd:
+        _reads(args, "build --qd", "qd", "n", "k")
         _emit(args, qd_to_json(_resolve_qd(args)))
         return 0
     raise UsageError("build needs --family, --functor, --product, or --qd")

@@ -18,7 +18,7 @@ elimination.  All values are immutable after construction.
 from fractions import Fraction
 from math import lcm
 
-from .kernel import EchelonBasis
+from .kernel import echelon_rows
 
 
 def scalar(v):
@@ -66,7 +66,7 @@ class Subspace:
 
     def __init__(self, ambient, rows):
         self.ambient = ambient
-        self.rows = tuple(EchelonBasis().add_many(rows).rref())
+        self.rows = tuple(echelon_rows(rows))
         self._by_pivot = None
         self._hash = None
 
@@ -149,7 +149,7 @@ def rows_past(rows, ncols):
     columns from ncols on."""
     return [
         {c - ncols: v for c, v in row.items()}
-        for row in EchelonBasis().add_many(rows).rref()
+        for row in echelon_rows(rows)
         if min(row) >= ncols
     ]
 
@@ -175,7 +175,7 @@ def nullspace_rows(rows, ncols):
     one per free column f, which gets the lcm of the pivot entries of the
     RREF rows that meet it."""
     # rref() rows are column-sorted, so a row's first column is its pivot
-    led = [(next(iter(r)), r) for r in EchelonBasis().add_many(rows).rref()]
+    led = [(next(iter(r)), r) for r in echelon_rows(rows)]
     pivot_set = {p for p, _ in led}
     out = []
     for f in range(ncols):

@@ -207,12 +207,11 @@ class OperadFamily:
     compositions and group action of a shared scheme, plus the family's own
     relations."""
 
-    def __init__(self, name, scheme, relation_fn, max_arity):
+    def __init__(self, name, scheme, relation_fn):
         self.name = name
         self.scheme = scheme
         self.symmetric = scheme.symmetric
         self.k = scheme.k
-        self.max_arity = max_arity
         self._relation_fn = relation_fn
         self._components = {}
 
@@ -302,26 +301,29 @@ _FAMILIES = {
 
 
 @lru_cache(maxsize=64)
-def build_family(name, max_arity, k=None):
-    """Built-in families; RHG(2) = DK, RHG(3) = EHKR, HG(2) = BKW, LHG(2) = LG."""
+def build_family(name, k=None):
+    """Built-in families; RHG(2) = DK, RHG(3) = EHKR, HG(2) = BKW, LHG(2) = LG.
+    Every spelling of one family (any case, k given or not where the family
+    fixes it) returns the same object, so its components are built once."""
     name = name.upper()
     if name not in _FAMILIES:
         raise ValueError("unknown family %r" % name)
+    fixed_k = _FAMILIES[name][2]
+    if fixed_k is None and (not k or k < 2):
+        raise ValueError("%s needs k >= 2" % name)
+    return _family(name, fixed_k or k)
+
+
+@lru_cache(maxsize=64)
+def _family(name, k):
     cls, relation_fn, fixed_k = _FAMILIES[name]
-    if fixed_k is None:
-        if not k or k < 2:
-            raise ValueError("%s needs k >= 2" % name)
-        name = "%s(%d)" % (name, k)
-    else:
-        k = fixed_k
-    return OperadFamily(name, _scheme(cls, k), relation_fn, max_arity)
+    label = name if fixed_k else "%s(%d)" % (name, k)
+    return OperadFamily(label, _scheme(cls, k), relation_fn)
 
 
 def family_shell(family):
     """Same generators, compositions and actions, but empty relations."""
-    return OperadFamily(
-        family.name + "-shell", family.scheme, _rel_zero, family.max_arity
-    )
+    return OperadFamily(family.name + "-shell", family.scheme, _rel_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +591,7 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                         if img and add(n, img):
                             changed = True
 
-    out = OperadFamily(shell.name + "-min", shell.scheme, _rel_zero, shell.max_arity)
+    out = OperadFamily(shell.name + "-min", shell.scheme, _rel_zero)
     for n in range(nmax + 1):
         gens = shell.gen_space(n)
         if gens.dim == 0:

@@ -692,7 +692,11 @@ FACES = (
 )
 
 
-def verify_diagram_face(face, a, wmax=4):
+# the weight bound of every face that compares weight dimensions
+FACE_WMAX = 3
+
+
+def verify_diagram_face(face, a):
     from . import realize
 
     if face == "shift_square":
@@ -717,21 +721,21 @@ def verify_diagram_face(face, a, wmax=4):
         ok = qd_equal(lhs, rhs)
         return Report(face, ok, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
     if face == "tensor_coalgebra_dual":
-        lhs = realize.hilbert_series("Tc", a, wmax)
-        rhs = realize.hilbert_series("A", apply_functor(FunctorName.STAR, a), wmax)
+        lhs = realize.hilbert_series("Tc", a, FACE_WMAX)
+        rhs = realize.hilbert_series("A", apply_functor(FunctorName.STAR, a), FACE_WMAX)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     if face == "sym_coalgebra_dual":
-        lhs = realize.hilbert_series("Sc", a, wmax)
-        rhs = realize.hilbert_series("S", apply_functor(FunctorName.STAR, a), wmax)
+        lhs = realize.hilbert_series("Sc", a, FACE_WMAX)
+        rhs = realize.hilbert_series("S", apply_functor(FunctorName.STAR, a), FACE_WMAX)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     if face == "sym_vs_cofree":
-        lhs = realize.hilbert_series("Sc", a, wmax)
-        rhs = realize.hilbert_series("Tc", apply_functor(FunctorName.SIGMA, a), wmax)
+        lhs = realize.hilbert_series("Sc", a, FACE_WMAX)
+        rhs = realize.hilbert_series("Tc", apply_functor(FunctorName.SIGMA, a), FACE_WMAX)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     if face == "envelope_pbw":
-        return realize.ue_compare(a, wmax)
+        return realize.ue_compare(a, FACE_WMAX)
     if face == "sym_quotient":
-        lhs = realize.hilbert_series("S", a, wmax)
-        rhs = realize.hilbert_series("A", apply_functor(FunctorName.SCRIPT_S, a), wmax)
+        lhs = realize.hilbert_series("S", a, FACE_WMAX)
+        rhs = realize.hilbert_series("A", apply_functor(FunctorName.SCRIPT_S, a), FACE_WMAX)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
     raise ValueError("unknown face %r" % face)

@@ -9,7 +9,7 @@ import zlib
 
 from .boqd import S2Module, make_boqd
 from .exactlin import LinearMap
-from .graded import GradedSpace, _pair_vector, square
+from .graded import GradedSpace, signed_square, square
 from .kernel import EchelonBasis
 from .qd import QDFlavor, make_qd
 
@@ -28,20 +28,12 @@ def random_graded_space(rng, prefix, max_dim=3):
 
 
 def _flavor_pool(gens, flavor):
-    """Basis rows of the flavor square of gens.  For SYM/SKEW these are the
-    signed pair rows x_i (x) x_j +- swap, i <= j, with the diagonal scaled
-    to 1: already the RREF rows of the symmetric/antisymmetric part."""
-    n = gens.dim
+    """Basis rows of the flavor square of gens: for SYM/SKEW the RREF rows
+    of its symmetric/antisymmetric part, one per pair i <= j whose signed
+    pair vector is nonzero."""
     if flavor is QDFlavor.PLAIN:
-        return [{c: 1} for c in range(n * n)]
-    sign = 1 if flavor is QDFlavor.SYM else -1
-    pool = []
-    for i in range(n):
-        for j in range(i, n):
-            row = _pair_vector(gens, i, j, sign)
-            if row:
-                pool.append({i * n + i: 1} if i == j else row)
-    return pool
+        return [{c: 1} for c in range(gens.dim ** 2)]
+    return list(signed_square(gens, 1 if flavor is QDFlavor.SYM else -1).rows)
 
 
 def random_relation_rows(rng, gens, flavor):

@@ -173,6 +173,31 @@ def test_arguments_below_one_are_usage_errors(capsys):
         assert "must be at least %d" % low in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    # gra-iso runs no random trials
+    (["verify", "gra-iso", "--trials", "3"], "--trials"),
+    # without --family the suite runs its own table of families and bounds
+    (["verify", "operad-axioms", "--nmax", "2"], "--nmax"),
+    (["verify", "minimality", "--k", "3"], "--k"),
+    # a named component has no arity bound
+    (["dims", "--qd", "DK", "--n", "4", "--nmax", "1"], "--nmax"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv, named):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and named in err
+
+
+def test_every_command_accepts_a_seed(capsys):
+    # the benchmark passes --seed to every command, dims included
+    for argv in (["dims", "--qd", "DK", "--n", "3", "--wmax", "2"],
+                 ["dims", "--family", "DK", "--nmax", "3"],
+                 ["build", "--qd", "AOS", "--n", "3"]):
+        code, _, err = run_cli(argv + ["--seed", "7"], capsys)
+        assert code == 0, err
+
+
 def test_build_rejects_a_fractional_degree(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(json.dumps({"flavor": "plain", "relations": [],

@@ -23,26 +23,26 @@ def labels(fam, n):
 
 
 def test_family_dimensions():
-    bkw = build_family("BKW", 6)
+    bkw = build_family("BKW")
     assert bkw.component(4).gdim == 6
     assert bkw.component(4).rdim == 15
     assert bkw.component(2).rdim == 0
-    dk = build_family("DK", 6)
+    dk = build_family("DK")
     assert dk.component(3).rdim == 2
     assert dk.component(4).rdim == 11
-    ehkr = build_family("EHKR", 6)
+    ehkr = build_family("EHKR")
     assert ehkr.component(5).gdim == 10
     assert ehkr.component(4).rdim == 0
-    lhg = build_family("LHG", 8, k=3)
+    lhg = build_family("LHG", k=3)
     assert lhg.component(5).gdim == 3
 
 
 def test_special_cases_coincide():
     for a, b in (
-        (build_family("HG", 5, k=2), build_family("BKW", 5)),
-        (build_family("RHG", 5, k=2), build_family("DK", 5)),
-        (build_family("RHG", 5, k=3), build_family("EHKR", 5)),
-        (build_family("LHG", 6, k=2), build_family("LG", 6)),
+        (build_family("HG", k=2), build_family("BKW")),
+        (build_family("RHG", k=2), build_family("DK")),
+        (build_family("RHG", k=3), build_family("EHKR")),
+        (build_family("LHG", k=2), build_family("LG")),
     ):
         for n in range(6):
             assert a.component(n).generators == b.component(n).generators
@@ -50,14 +50,14 @@ def test_special_cases_coincide():
 
 
 def test_composition_spot_checks():
-    bkw = build_family("BKW", 6)
+    bkw = build_family("BKW")
     l3 = labels(bkw, 3)
     img = bkw.comp(2, 2, 1).apply_data({0: 1})
     assert img == {l3.index("t_1.3"): Fraction(1), l3.index("t_2.3"): Fraction(1)}
     img = bkw.comp(2, 2, 2).apply_data({1: 1})  # inner generator
     assert img == {l3.index("t_2.3"): Fraction(1)}
     assert bkw.comp(2, 0, 1).apply_data({0: 1}) == {}
-    lhg = build_family("LHG", 8, k=3)
+    lhg = build_family("LHG", k=3)
     i13 = lhg.gen_indices(5).index((1, 2, 3))
     assert lhg.comp(5, 3, 2).apply_data({i13: 1}) == {}
     # the map lands in V(3) and sends a basis vector of V(2) ⊕ V(2) to its column
@@ -67,7 +67,7 @@ def test_composition_spot_checks():
 
 
 def test_deletion_is_fi_consistent():
-    bkw = build_family("BKW", 6)
+    bkw = build_family("BKW")
     for n in range(2, 7):
         idx = bkw.gen_indices(n)
         for p in range(1, n + 1):
@@ -83,10 +83,10 @@ def test_deletion_is_fi_consistent():
 
 
 def test_axioms_pass_small():
-    dk = build_family("DK", 5)
+    dk = build_family("DK")
     assert all(r.status != "FAIL" for r in verify_axioms(dk, 5))
     assert all(r.passed for r in verify_relation_morphism(dk, 5))
-    lg = build_family("LG", 6)
+    lg = build_family("LG")
     assert all(r.status != "FAIL" for r in verify_axioms(lg, 6))
 
 
@@ -101,15 +101,29 @@ def test_axioms_negative_control():
     scheme._comps[key] = LinearMap(good.source, good.target, bad_cols)
     reports = verify_axioms(scheme, 4)
     assert any(r.status == "FAIL" for r in reports)
-    assert build_family("DK", 5).comp(*key).cols == good.cols
+    assert build_family("DK").comp(*key).cols == good.cols
+
+
+def test_one_family_object_per_name_and_k():
+    # every spelling of a family returns one object, so the suites that name
+    # it share its components
+    dk = build_family("DK")
+    assert build_family("dk") is dk
+    assert build_family("DK", k=None) is dk
+    assert build_family("DK", k=2) is dk
+    assert build_family("HG", k=3) is build_family("hg", 3)
+    assert build_family("HG", k=3) is not build_family("HG", k=4)
+    assert build_family("HG", k=2) is not build_family("BKW")
+    with pytest.raises(ValueError):
+        build_family("HG")
 
 
 def test_families_on_one_scheme_share_its_maps():
-    bkw = build_family("BKW", 6)
-    assert bkw.comp(3, 2, 1) is build_family("DK", 4).comp(3, 2, 1)
-    assert bkw.action(3, (2, 1, 3)) is build_family("HG", 5, k=2).action(3, (2, 1, 3))
-    assert build_family("LG", 6).comp(3, 2, 1) is build_family("LHG", 8, k=2).comp(3, 2, 1)
-    assert build_family("EHKR", 6).scheme is not build_family("HG", 6, k=4).scheme
+    bkw = build_family("BKW")
+    assert bkw.comp(3, 2, 1) is build_family("DK").comp(3, 2, 1)
+    assert bkw.action(3, (2, 1, 3)) is build_family("HG", k=2).action(3, (2, 1, 3))
+    assert build_family("LG").comp(3, 2, 1) is build_family("LHG", k=2).comp(3, 2, 1)
+    assert build_family("EHKR").scheme is not build_family("HG", k=4).scheme
     shell = family_shell(bkw)
     mini = minimal_suboperad(shell, 4)
     assert shell.scheme is mini.scheme is bkw.scheme
@@ -122,7 +136,7 @@ def test_axiom_cases_once_per_scheme_match_a_private_scheme():
     # family's cases must equal a check on a freshly built private scheme
     cases = {c.name: c for c in suite_operad_axioms().cases}
     for name, k, bound in _FAMILY_BOUNDS:
-        fam = build_family(name, bound, k=k)
+        fam = build_family(name, k=k)
         private = type(fam.scheme)(fam.scheme.k)
         for r in verify_axioms(private, bound):
             got = cases.pop("%s.%s" % (fam.name, r.name))
@@ -133,8 +147,8 @@ def test_axiom_cases_once_per_scheme_match_a_private_scheme():
 
 
 def test_relation_morphism_negative_control():
-    bkw = build_family("BKW", 5)
-    shrunk = OperadFamily("shrunk", bkw.scheme, _rel_zero, 5)
+    bkw = build_family("BKW")
+    shrunk = OperadFamily("shrunk", bkw.scheme, _rel_zero)
     # keep generators and maps but declare empty relations in every arity:
     # the bracket image escapes the (empty) target relation space
     reports = verify_relation_morphism(shrunk, 4)
@@ -142,16 +156,16 @@ def test_relation_morphism_negative_control():
 
 
 def test_minimality_bkw_to_dk():
-    shell = family_shell(build_family("BKW", 5))
+    shell = family_shell(build_family("BKW"))
     mini = minimal_suboperad(shell, 4)
-    dk = build_family("DK", 5)
+    dk = build_family("DK")
     assert mini.component(4).rdim == 11
     for n in range(5):
         assert mini.component(n).relations == dk.component(n).relations
 
 
 def test_minimality_confluence():
-    shell = family_shell(build_family("BKW", 5))
+    shell = family_shell(build_family("BKW"))
     base = minimal_suboperad(shell, 4)
     for seed in (1, 5, 9):
         alt = minimal_suboperad(shell, 4, schedule_rng=random.Random(seed))
@@ -163,7 +177,7 @@ def test_action_preserves_relations():
     from quadop.operads import transpositions
     from quadop.qd import square_apply_rows
 
-    for fam in (build_family("DK", 5), build_family("RHG", 5, k=3)):
+    for fam in (build_family("DK"), build_family("RHG", k=3)):
         for n in range(2, 6):
             comp = fam.component(n)
             if comp.gdim == 0:
@@ -180,7 +194,7 @@ def test_composition_and_action_columns_are_ints():
     # the compositions and actions are not boxed as Fractions
     from quadop.operads import transpositions
 
-    fam = build_family("DK", 5)
+    fam = build_family("DK")
     maps = [fam.comp(n, m, p)
             for n in range(1, 6) for m in range(0, 6 - n + 1)
             for p in range(1, n + 1)]
@@ -191,15 +205,15 @@ def test_composition_and_action_columns_are_ints():
 
 
 def test_compare_families():
-    dk = build_family("DK", 5)
-    bkw = build_family("BKW", 5)
+    dk = build_family("DK")
+    bkw = build_family("BKW")
     reports = compare_families(dk, bkw, 4)
     assert all(r.passed for r in reports)
     assert any("PROPER INCLUSION" in r.details for r in reports)
 
 
 def test_nonsymmetric_rejects_arity_zero():
-    lg = build_family("LG", 6)
+    lg = build_family("LG")
     with pytest.raises(ValueError):
         lg.comp(3, 0, 1)
     with pytest.raises(ValueError):
@@ -214,7 +228,7 @@ def test_bracket_image_spot():
     from quadop.exactlin import Subspace
     from quadop.operads import _tagged
 
-    bkw = build_family("BKW", 4)
+    bkw = build_family("BKW")
     ta = _tagged(bkw.gen_space(2), "o:")
     tb = _tagged(bkw.gen_space(2), "i:")
     c = bkw.comp(2, 2, 1)
@@ -234,7 +248,7 @@ def test_bracket_image_spot():
 
 
 def test_fixpoint_is_bounded_by_full():
-    bkw = build_family("BKW", 5)
+    bkw = build_family("BKW")
     mini = minimal_suboperad(family_shell(bkw), 4)
     for n in range(5):
         full = bkw.component(n)
