@@ -104,6 +104,89 @@ def test_axioms_negative_control():
     assert build_family("DK").comp(*key).cols == good.cols
 
 
+def _corrupt_comp(key, g, col):
+    """A private DK scheme whose composition key has column g replaced."""
+    scheme = _SubsetScheme(2)
+    good = scheme.comp(*key)
+    cols = [dict(c) for c in good.cols]
+    cols[g] = col
+    scheme._comps[key] = LinearMap(good.source, good.target, cols)
+    return scheme
+
+
+def _corrupt_action(n, sigma, g, col):
+    """A private DK scheme whose action of sigma has column g replaced."""
+    scheme = _SubsetScheme(2)
+    good = scheme.action(n, sigma)
+    cols = [dict(c) for c in good.cols]
+    cols[g] = col
+    scheme._actions[(n, sigma)] = LinearMap(good.source, good.target, cols)
+    return scheme
+
+
+_SKIPPED = {"name": "skipped", "status": "SKIPPED",
+            "details": "47 arity combinations above the bound"}
+_UNIT = {"name": "unit", "status": "PASS",
+         "details": "left/right unit laws on all generators"}
+
+
+@pytest.mark.parametrize("make, want", [
+    # a composition sign: t_12 o_1 t_12 sends t_12 to -t_13 - t_23
+    (lambda: _corrupt_comp((2, 2, 1), 0, {1: -1, 2: -1}), [
+        _UNIT,
+        {"name": "sequential", "status": "FAIL",
+         "details": "first failure at (n,m,l,i,j)=(2, 2, 0, 1, 1)",
+         "witness": "({0: 1}, {0: -1})"},
+        {"name": "parallel", "status": "FAIL",
+         "details": "first failure at (n,m,l,i,j)=(2, 2, 2, 1, 2)",
+         "witness": "({1: -1, 2: -1, 3: -1, 4: -1}, {1: 1, 3: 1, 2: 1, 4: 1})"},
+        {"name": "equivariance", "status": "FAIL",
+         "details": "first failure ('outer', 2, 2, 1, (2, 1), 0)"},
+        _SKIPPED,
+    ]),
+    # an action column: (12) sends t_12 to t_13
+    (lambda: _corrupt_action(3, (2, 1, 3), 0, {1: 1}), [
+        _UNIT,
+        {"name": "sequential", "status": "PASS", "details": "116 cases"},
+        {"name": "parallel", "status": "PASS", "details": "46 cases"},
+        {"name": "equivariance", "status": "FAIL",
+         "details": "first failure ('inner', 2, 2, 1, (2, 1), 0)"},
+        _SKIPPED,
+    ]),
+    # a right unit column: t_12 o_1 1 = 2 t_12
+    (lambda: _corrupt_comp((2, 1, 1), 0, {0: 2}), [
+        {"name": "unit.right.n2.p1", "status": "FAIL",
+         "details": "composition with the arity-1 unit moved a generator"},
+        {"name": "sequential", "status": "FAIL",
+         "details": "first failure at (n,m,l,i,j)=(2, 1, 1, 1, 1)",
+         "witness": "({0: 2}, {0: 4})"},
+        {"name": "parallel", "status": "FAIL",
+         "details": "first failure at (n,m,l,i,j)=(2, 1, 2, 1, 2)",
+         "witness": "({0: 2, 1: 2}, {0: 1, 1: 1})"},
+        {"name": "equivariance", "status": "FAIL",
+         "details": "first failure ('outer', 2, 1, 1, (2, 1), 0)"},
+        _SKIPPED,
+    ]),
+    # a left unit column: 1 o_1 t_23 = t_13
+    (lambda: _corrupt_comp((1, 3, 1), 2, {1: 1}), [
+        {"name": "unit.left.n3", "status": "FAIL", "details": ""},
+        {"name": "sequential", "status": "FAIL",
+         "details": "first failure at (n,m,l,i,j)=(1, 2, 2, 1, 1)",
+         "witness": "({1: 2}, {1: 1, 2: 1})"},
+        {"name": "parallel", "status": "FAIL",
+         "details": "first failure at (n,m,l,i,j)=(2, 3, 0, 1, 2)",
+         "witness": "({2: 1}, {1: 1})"},
+        {"name": "equivariance", "status": "FAIL",
+         "details": "first failure ('inner', 1, 3, 1, (2, 1, 3), 1)"},
+        _SKIPPED,
+    ]),
+], ids=["composition-sign", "action-column", "right-unit", "left-unit"])
+def test_failing_axiom_reports(make, want):
+    # failing reports carry the first failing case and its two sides, so
+    # their bytes are pinned here; the golden reports cover passing runs only
+    assert [r.as_case() for r in verify_axioms(make(), 4)] == want
+
+
 def test_one_family_object_per_name_and_k():
     # every spelling of a family returns one object, so the suites that name
     # it share its components
