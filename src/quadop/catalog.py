@@ -2,7 +2,7 @@
 
 from itertools import combinations, product as iproduct
 
-from .graded import GradedSpace
+from .graded import GradedSpace, wedge_row
 from .operads import build_family
 from .qd import QDFlavor, make_qd
 
@@ -22,12 +22,8 @@ def arnold_rows(n, pos, d):
     d-dimensional generator space: the AOS relations and the DK duals."""
     rows = []
     for i, j, k in combinations(range(1, n + 1), 3):
-        row = {}
-        for (e, f) in (((i, j), (j, k)), ((j, k), (i, k)), ((i, k), (i, j))):
-            a, b = pos[e], pos[f]
-            for c, v in ((a * d + b, 1), (b * d + a, -1)):
-                row[c] = row.get(c, 0) + v
-        rows.append({c: v for c, v in row.items() if v})
+        pairs = (((i, j), (j, k)), ((j, k), (i, k)), ((i, k), (i, j)))
+        rows.append(wedge_row(d, [(pos[e], pos[f], 1) for e, f in pairs]))
     return rows
 
 
@@ -38,7 +34,7 @@ def pentagon_rows(n, pos, d):
     rows = []
     for t in iproduct(range(1, n + 1), repeat=5):
         i, j, k, l, m = t
-        row = {}
+        terms = []
         for (A, B) in (
             ((i, j, k), (k, l, m)),
             ((j, k, l), (l, m, i)),
@@ -47,12 +43,9 @@ def pentagon_rows(n, pos, d):
             ((m, i, j), (j, k, l)),
         ):
             sa, sb = tuple(sorted(set(A))), tuple(sorted(set(B)))
-            if len(sa) != 3 or len(sb) != 3:
-                continue
-            a, b = pos[sa], pos[sb]
-            for c, v in ((a * d + b, 1), (b * d + a, -1)):
-                row[c] = row.get(c, 0) + v
-        row = {c: v for c, v in row.items() if v}
+            if len(sa) == 3 and len(sb) == 3:
+                terms.append((pos[sa], pos[sb], 1))
+        row = wedge_row(d, terms)
         if row:
             rows.append(row)
     return rows

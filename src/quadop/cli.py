@@ -42,14 +42,26 @@ def _emit(args, payload, tsv_rows=None):
         sys.stdout.write(text)
 
 
-def _resolve_qd(args, spec_value=None):
-    value = spec_value if spec_value is not None else args.qd
-    if value.endswith(".json"):
-        with open(value) as fh:
-            return qd_loads(fh.read())
-    if args.n is None:
-        raise UsageError("--qd %s needs --n" % value)
-    return named_qd(value, args.n, k=args.k)
+def _resolve_qd(args, *values):
+    """The data of the --qd values (JSON files, AOS or family names).  --n
+    and --k qualify a name, so each is a usage error where no datum reads
+    it: --n with JSON files only, --k with JSON files and AOS only."""
+    values = values or (args.qd,)
+    names = [v for v in values if not v.endswith(".json")]
+    if args.n is not None and not names:
+        raise UsageError("a JSON datum reads no --n")
+    if args.k is not None and all(v.upper() == "AOS" for v in names):
+        raise UsageError("--qd %s reads no --k" % " ".join(values))
+    if names and args.n is None:
+        raise UsageError("--qd %s needs --n" % names[0])
+    data = []
+    for value in values:
+        if value.endswith(".json"):
+            with open(value) as fh:
+                data.append(qd_loads(fh.read()))
+        else:
+            data.append(named_qd(value, args.n, k=args.k))
+    return data
 
 
 # options that only some commands read; every command reads --seed, --format
@@ -84,7 +96,7 @@ def cmd_dims(args):
         raise UsageError("dims needs --family or --qd")
     _reads(args, "dims --qd", "qd", "n", "k",
            "relations" if args.relations else "wmax")
-    q = _resolve_qd(args)
+    [q] = _resolve_qd(args)
     if args.relations:
         _emit(args, {"qd": args.qd, "relation_dim": q.rdim}, tsv_rows=[[q.rdim]])
         return 0
@@ -141,7 +153,7 @@ def cmd_build(args):
         if not args.qd:
             raise UsageError("build --functor needs --qd")
         _reads(args, "build --functor", "functor", "qd", "n", "k")
-        q = _resolve_qd(args)
+        [q] = _resolve_qd(args)
         out = apply_functor(args.functor, q)
         _emit(args, qd_to_json(out))
         return 0
@@ -149,14 +161,13 @@ def cmd_build(args):
         if len(args.qd_multi) != 2:
             raise UsageError("build --product needs exactly two --qd arguments")
         _reads(args, "build --product", "product", "qd", "n", "k")
-        a = _resolve_qd(args, args.qd_multi[0])
-        b = _resolve_qd(args, args.qd_multi[1])
+        a, b = _resolve_qd(args, *args.qd_multi)
         out = monoidal_product(args.product, a, b)
         _emit(args, qd_to_json(out))
         return 0
     if args.qd:
         _reads(args, "build --qd", "qd", "n", "k")
-        _emit(args, qd_to_json(_resolve_qd(args)))
+        _emit(args, qd_to_json(_resolve_qd(args)[0]))
         return 0
     raise UsageError("build needs --family, --functor, --product, or --qd")
 

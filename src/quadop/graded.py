@@ -239,6 +239,17 @@ def in_signed_square(v, row, sign):
     return True
 
 
+def wedge_row(d, terms):
+    """The sparse row of the sum of c (x_i (x) x_j - x_j (x) x_i) over the
+    (i, j, c) of terms, in the square of a d-dimensional space; entries that
+    cancel are dropped."""
+    row = {}
+    for i, j, c in terms:
+        row[i * d + j] = row.get(i * d + j, 0) + c
+        row[j * d + i] = row.get(j * d + i, 0) - c
+    return {col: v for col, v in row.items() if v}
+
+
 def mixed_bracket(v, w, sign):
     """Sparse rows spanning [V,W]_± inside (V⊕W)^{(x)2}, one per ordered
     (v-basis, w-basis) pair: x (x) y + sign (-1)^{|x||y|} y (x) x.

@@ -233,9 +233,7 @@ def hopf_check(k, symmetric, nmax, wmax):
     fail = None
     checked = 0
     for n in range(k, nmax + 1):
-        for m in range(k, nmax + 1):
-            if n + m - 1 > nmax:
-                continue
+        for m in range(k, nmax + 2 - n):
             for g1 in all_graphs(n, k, symmetric, wmax):
                 for g2 in all_graphs(m, k, symmetric, max(0, wmax - g1.weight)):
                     for p in range(1, n + 1):
@@ -303,9 +301,7 @@ def graph_operad_axioms(k, symmetric, nmax):
 
     for n in range(1, nmax + 1):
         for m in range(1, nmax + 1):
-            for l in range(1, nmax + 1):
-                if n + m + l - 2 > nmax:
-                    continue
+            for l in range(1, nmax + 3 - n - m):
                 gs2 = all_graphs(m, k, symmetric, 1)
                 gs3 = all_graphs(l, k, symmetric, 1)
                 for g1 in all_graphs(n, k, symmetric, 2):
@@ -342,9 +338,7 @@ def graph_operad_axioms(k, symmetric, nmax):
     eq_fail = None
     if symmetric:
         for n in range(k, nmax + 1):
-            for m in range(k, nmax + 1):
-                if n + m - 1 > nmax:
-                    continue
+            for m in range(k, nmax + 2 - n):
                 for g1 in all_graphs(n, k, True, 1):
                     for g2 in all_graphs(m, k, True, 1):
                         for p in range(1, n + 1):
@@ -397,43 +391,43 @@ def sc_iso_check(family, nmax, wmax):
     reports.append(Report("sc_iso.dims", dim_fail is None,
                           "weights up to %d, arities up to %d" % (wmax, nmax)
                           if dim_fail is None else str(dim_fail)))
-    # (ii) counit: the edgeless graph is the unique weight-0 basis element
-    reports.append(Report("sc_iso.counit", True, "empty graph <-> unit, by construction"))
-    # (iii) cogenerator projections against the family compositions
+    # (ii) counit: the edgeless graph is the only weight-0 graph, and it
+    # splits off every graph g as the terms (1, edgeless, g) and (1, g, edgeless)
+    counit_fail = None
+    for n in range(k, nmax + 1):
+        empty = LabeledHypergraph(n, k, symmetric, ())
+        if all_graphs(n, k, symmetric, 0) != [empty]:
+            counit_fail = counit_fail or (n, "weight 0")
+        for g in all_graphs(n, k, symmetric, wmax):
+            co = coproduct(g)
+            left = [t for t in co if t[1] is empty]
+            right = [t for t in co if t[2] is empty]
+            if left != [(1, empty, g)] or right != [(1, g, empty)]:
+                counit_fail = counit_fail or (n, g)
+    reports.append(Report("sc_iso.counit", counit_fail is None,
+                          "empty graph <-> unit, by construction"
+                          if counit_fail is None else str(counit_fail)))
+    # (iii) cogenerator projections against the family compositions: an
+    # outer cogenerator with the inner unit, then an inner cogenerator with
+    # the outer unit, in the order of the composition's source columns
     proj_fail = None
     checked = 0
     for n in range(k, nmax + 1):
-        for m in range(k, nmax + 1):
-            if n + m - 1 > nmax:
-                continue
-            idx_n = family.gen_indices(n)
-            idx_m = family.gen_indices(m)
-            idx_t = family.gen_indices(n + m - 1)
-            empty_m = LabeledHypergraph(m, k, symmetric, ())
+        for m in range(k, nmax + 2 - n):
             empty_n = LabeledHypergraph(n, k, symmetric, ())
+            empty_m = LabeledHypergraph(m, k, symmetric, ())
+            pairs = [(LabeledHypergraph(n, k, symmetric, (I,)), empty_m)
+                     for I in family.gen_indices(n)]
+            pairs += [(empty_n, LabeledHypergraph(m, k, symmetric, (I,)))
+                      for I in family.gen_indices(m)]
+            idx_t = family.gen_indices(n + m - 1)
             for p in range(1, n + 1):
-                cmap = family.comp(n, m, p)
-                # outer cogenerator, inner unit
-                for gi, I in enumerate(idx_n):
-                    g = LabeledHypergraph(n, k, symmetric, (I,))
-                    got = {}
-                    for gg, c in _compose_terms(g, p, empty_m):
-                        if gg.weight == 1:
-                            got[idx_t.index(gg.edges[0])] = c
-                    want = cmap.apply_data({gi: 1})
+                for (g1, g2), want in zip(pairs, family.comp(n, m, p).cols):
+                    got = {idx_t.index(gg.edges[0]): c
+                           for gg, c in _compose_terms(g1, p, g2) if gg.weight == 1}
                     checked += 1
                     if got != want and proj_fail is None:
-                        proj_fail = (n, m, p, I, got, want)
-                # inner cogenerator, outer unit
-                for gi, I in enumerate(idx_m):
-                    g = LabeledHypergraph(m, k, symmetric, (I,))
-                    got = {}
-                    for gg, c in _compose_terms(empty_n, p, g):
-                        if gg.weight == 1:
-                            got[idx_t.index(gg.edges[0])] = c
-                    want = cmap.apply_data({len(idx_n) + gi: 1})
-                    checked += 1
-                    if got != want and proj_fail is None:
+                        I = (g1.edges or g2.edges)[0]
                         proj_fail = (n, m, p, I, got, want)
                 # unit against unit
                 out = _compose_terms(empty_n, p, empty_m)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exactlin import LinearMap, Subspace
-from .graded import GradedSpace, direct_sum, signed_square, square
+from .graded import GradedSpace, direct_sum, signed_square, square, wedge_row
 from .kernel import EchelonBasis
 from .qd import (
     QDFlavor,
@@ -242,23 +242,6 @@ class OperadFamily:
 # relation builders ---------------------------------------------------------
 
 
-def _wedge_row(pos, n, terms):
-    """Wedge of two linear combinations of degree-0 generators: terms is a
-    pair of {index-tuple: coeff} dicts; returns a sparse square row."""
-    left, right = terms
-    row = {}
-    for I, a in left.items():
-        for J, b in right.items():
-            i, j = pos[I], pos[J]
-            for c, v in ((i * n + j, a * b), (j * n + i, -a * b)):
-                w = row.get(c, 0) + v
-                if w:
-                    row[c] = w
-                elif c in row:
-                    del row[c]
-    return row
-
-
 def _rel_full(family, n, idx, gens):
     return list(signed_square(gens, -1).rows)
 
@@ -274,13 +257,13 @@ def _rel_refined(family, n, idx, gens):
         for b in range(a + 1, nn):
             I, J = idx[a], idx[b]
             if not set(I) & set(J):
-                rows.append(_wedge_row(pos, nn, ({I: 1}, {J: 1})))
+                rows.append(wedge_row(nn, [(a, b, 1)]))
     vertices = range(1, n + 1)
     for I in idx:
         others = [v for v in vertices if v not in I]
         for J in combinations(others, k - 1):
-            right = {tuple(sorted(J + (i,))): 1 for i in I}
-            rows.append(_wedge_row(pos, nn, ({I: 1}, right)))
+            rows.append(wedge_row(nn, [(pos[I], pos[tuple(sorted(J + (i,)))], 1)
+                                       for i in I]))
     return rows
 
 
@@ -304,13 +287,16 @@ _FAMILIES = {
 def build_family(name, k=None):
     """Built-in families; RHG(2) = DK, RHG(3) = EHKR, HG(2) = BKW, LHG(2) = LG.
     Every spelling of one family (any case, k given or not where the family
-    fixes it) returns the same object, so its components are built once."""
+    fixes it) returns the same object, so its components are built once; a
+    k other than the one the family fixes raises ValueError."""
     name = name.upper()
     if name not in _FAMILIES:
         raise ValueError("unknown family %r" % name)
     fixed_k = _FAMILIES[name][2]
     if fixed_k is None and (not k or k < 2):
         raise ValueError("%s needs k >= 2" % name)
+    if fixed_k is not None and k not in (None, fixed_k):
+        raise ValueError("%s fixes k = %d, got %r" % (name, fixed_k, k))
     return _family(name, fixed_k or k)
 
 
@@ -330,181 +316,135 @@ def family_shell(family):
 # composition evaluation and exhaustive axiom checks
 
 
+def _first_difference(lhs, rhs):
+    """The first index at which two column lists differ, or None."""
+    if lhs != rhs:
+        return next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+def _shifted(col, d):
+    return {d + c: v for c, v in col.items()}
+
+
 def _sequential_cases(family, n, m, l, i, j):
-    """Both composites on every generator of the three components."""
-    cml = family.comp(m, l, j)
+    """x o_i (y o_j z) and (x o_i y) o_{i+j-1} z on the generators of x, y, z."""
     c1 = family.comp(n, m + l - 1, i)
-    cnm = family.comp(n, m, i)
     c2 = family.comp(n + m - 1, l, i + j - 1)
     dn = family.gen_space(n).dim
-    dm = family.gen_space(m).dim
-    dl = family.gen_space(l).dim
-    dnm = family.gen_space(n + m - 1).dim
-    for src in ("n", "m", "l"):
-        count = {"n": dn, "m": dm, "l": dl}[src]
-        for g in range(count):
-            if src == "n":
-                v1 = c1.cols[g]
-                v2 = c2.apply_data(cnm.cols[g])
-            elif src == "m":
-                inner = cml.cols[g]
-                v1 = c1.apply_data({dn + c: v for c, v in inner.items()})
-                mid = cnm.cols[dn + g]
-                v2 = c2.apply_data(mid)
-            else:
-                inner = cml.cols[dm + g]
-                v1 = c1.apply_data({dn + c: v for c, v in inner.items()})
-                v2 = c2.cols[dnm + g]
-            if v1 != v2:
-                return (src, g, v1, v2)
-    return None
+    lhs = list(c1.cols[:dn])
+    lhs += [c1.apply_data(_shifted(col, dn)) for col in family.comp(m, l, j).cols]
+    rhs = [c2.apply_data(col) for col in family.comp(n, m, i).cols]
+    rhs += c2.cols[family.gen_space(n + m - 1).dim:]
+    return lhs, rhs
 
 
 def _parallel_cases(family, n, m, l, i, j):
-    """(x o_i y) o_{j+m-1} z against (x o_j z) o_i y for i < j."""
-    cnm = family.comp(n, m, i)
+    """(x o_i y) o_{j+m-1} z and (x o_j z) o_i y, for i < j, on the
+    generators of x, y, z."""
     c1 = family.comp(n + m - 1, l, j + m - 1)
-    cnl = family.comp(n, l, j)
     c2 = family.comp(n + l - 1, m, i)
+    cnl = family.comp(n, l, j)
     dn = family.gen_space(n).dim
-    dm = family.gen_space(m).dim
-    dl = family.gen_space(l).dim
-    dnm = family.gen_space(n + m - 1).dim
-    dnl = family.gen_space(n + l - 1).dim
-    for src in ("n", "m", "l"):
-        count = {"n": dn, "m": dm, "l": dl}[src]
-        for g in range(count):
-            if src == "n":
-                v1 = c1.apply_data(cnm.cols[g])
-                v2 = c2.apply_data(cnl.cols[g])
-            elif src == "m":
-                v1 = c1.apply_data(cnm.cols[dn + g])
-                v2 = c2.cols[dnl + g]
-            else:
-                v1 = c1.cols[dnm + g]
-                v2 = c2.apply_data(cnl.cols[dn + g])
-            if v1 != v2:
-                return (src, g, v1, v2)
-    return None
+    lhs = [c1.apply_data(col) for col in family.comp(n, m, i).cols]
+    lhs += c1.cols[family.gen_space(n + m - 1).dim:]
+    rhs = [c2.apply_data(col) for col in cnl.cols[:dn]]
+    rhs += c2.cols[family.gen_space(n + l - 1).dim:]
+    rhs += [c2.apply_data(col) for col in cnl.cols[dn:]]
+    return lhs, rhs
+
+
+def _outer_cases(family, n, m, p, sigma):
+    """(x.sigma) o_p y and (x o_{sigma(p)} y).sigma' on the generators of x."""
+    c = family.comp(n, m, p)
+    infl = family.action(n + m - 1, inflate_outer(sigma, n, m, p))
+    lhs = [c.apply_data(col) for col in family.action(n, sigma).cols]
+    cq = family.comp(n, m, sigma[p - 1])
+    return lhs, [infl.apply_data(col) for col in cq.cols[:len(lhs)]]
+
+
+def _inner_cases(family, n, m, p, tau):
+    """x o_p (y.tau) and (x o_p y).tau' on the generators of y."""
+    c = family.comp(n, m, p)
+    infl = family.action(n + m - 1, inflate_inner(tau, n, m, p))
+    dn = family.gen_space(n).dim
+    lhs = [c.apply_data(_shifted(col, dn)) for col in family.action(m, tau).cols]
+    return lhs, [infl.apply_data(col) for col in c.cols[dn:]]
 
 
 def verify_axioms(family, nmax):
     """Sequential, parallel, unit, and (for symmetric families) both
     equivariance axioms, exhaustively on generator bases for all admissible
-    arity/slot combinations with output arity <= nmax.  Reads only the
-    generator spaces, compositions and action, so the verdict is one per
-    scheme and a scheme may stand for its families."""
+    arity/slot combinations with output arity <= nmax.  Each axiom is an
+    equality of the columns of two composites.  Reads only the generator
+    spaces, compositions and action, so the verdict is one per scheme and a
+    scheme may stand for its families."""
+    arities = range(0 if family.symmetric else 1, nmax + 1)
     reports = []
-    skipped = 0
-    lo = 0 if family.symmetric else 1
-    arities = range(lo, nmax + 1)
     # unit laws
-    ok = True
     for n in arities:
-        dn = family.gen_space(n).dim
-        if dn == 0:
-            continue
+        unit = [{g: 1} for g in range(family.gen_space(n).dim)]
         for p in range(1, n + 1):
-            c = family.comp(n, 1, p)
-            for g in range(dn):
-                if c.cols[g] != {g: 1}:
-                    ok = False
-                    reports.append(
-                        Report("unit.right.n%d.p%d" % (n, p), False,
+            reports += [Report("unit.right.n%d.p%d" % (n, p), False,
                                "composition with the arity-1 unit moved a generator")
-                    )
-        c = family.comp(1, n, 1)
-        for g in range(dn):
-            if c.cols[g] != {g: 1}:
-                ok = False
-                reports.append(Report("unit.left.n%d" % n, False, ""))
-    if ok:
+                        for col, want in zip(family.comp(n, 1, p).cols, unit)
+                        if col != want]
+        reports += [Report("unit.left.n%d" % n, False, "")
+                    for col, want in zip(family.comp(1, n, 1).cols, unit)
+                    if col != want]
+    if not reports:
         reports.append(Report("unit", True, "left/right unit laws on all generators"))
 
-    # sequential + parallel
-    seq_fail = par_fail = None
-    checked_seq = checked_par = 0
-    for n in arities:
-        for m in arities:
+    # sequential and parallel
+    skipped = 0
+    checked = {"sequential": 0, "parallel": 0}
+    found = {}
+    for n in range(1, nmax + 1):
+        for m in range(1, nmax + 1):
             for l in arities:
-                if n + m + l - 2 > nmax or n < 1 or m < 1:
-                    if n >= 1 and m >= 1 and l >= lo and n + m + l - 2 > nmax:
-                        skipped += 1
+                if n + m + l - 2 > nmax:
+                    skipped += 1
                     continue
                 for i in range(1, n + 1):
-                    for j in range(1, m + 1):
-                        bad = _sequential_cases(family, n, m, l, i, j)
-                        checked_seq += 1
-                        if bad and seq_fail is None:
-                            seq_fail = (n, m, l, i, j, bad)
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        bad = _parallel_cases(family, n, m, l, i, j)
-                        checked_par += 1
-                        if bad and par_fail is None:
-                            par_fail = (n, m, l, i, j, bad)
-    reports.append(
-        Report("sequential", seq_fail is None,
-               "%d cases" % checked_seq if seq_fail is None
-               else "first failure at (n,m,l,i,j)=%s" % (seq_fail[:5],),
-               witness=None if seq_fail is None else seq_fail[5][2:])
-    )
-    reports.append(
-        Report("parallel", par_fail is None,
-               "%d cases" % checked_par if par_fail is None
-               else "first failure at (n,m,l,i,j)=%s" % (par_fail[:5],),
-               witness=None if par_fail is None else par_fail[5][2:])
-    )
+                    for name, cases, slots in (
+                        ("sequential", _sequential_cases, range(1, m + 1)),
+                        ("parallel", _parallel_cases, range(i + 1, n + 1)),
+                    ):
+                        for j in slots:
+                            checked[name] += 1
+                            lhs, rhs = cases(family, n, m, l, i, j)
+                            g = _first_difference(lhs, rhs)
+                            if g is not None and name not in found:
+                                found[name] = ((n, m, l, i, j), (lhs[g], rhs[g]))
+    for name, count in checked.items():
+        case, witness = found.get(name, (None, None))
+        reports.append(Report(name, case is None, "%d cases" % count if case is None
+                              else "first failure at (n,m,l,i,j)=%s" % (case,),
+                              witness=witness))
 
     # equivariance
     if family.symmetric:
-        eq_fail = None
-        checked = 0
+        fail = None
+        count = 0
         for n in range(1, nmax + 1):
-            for m in range(0, nmax + 1):
-                if n + m - 1 > nmax or n + m - 1 < 0:
-                    continue
-                N = n + m - 1
-                dn = family.gen_space(n).dim
-                dm = family.gen_space(m).dim
+            for m in range(nmax + 2 - n):
                 for p in range(1, n + 1):
-                    c = family.comp(n, m, p)
-                    for sigma in transpositions(n):
-                        q = sigma[p - 1]
-                        cq = family.comp(n, m, q)
-                        infl = family.action(N, inflate_outer(sigma, n, m, p)) if N >= 1 else None
-                        act_n = family.action(n, sigma)
-                        for g in range(dn):
-                            lhs = c.apply_data(act_n.cols[g])
-                            rhs = cq.cols[g]
-                            if infl is not None:
-                                rhs = infl.apply_data(rhs)
-                            checked += 1
-                            if lhs != rhs and eq_fail is None:
-                                eq_fail = ("outer", n, m, p, sigma, g)
-                    for tau in transpositions(m):
-                        infl = family.action(N, inflate_inner(tau, n, m, p)) if N >= 1 else None
-                        act_m = family.action(m, tau)
-                        for g in range(dm):
-                            lhs = c.apply_data(
-                                {dn + r: v for r, v in act_m.cols[g].items()}
-                            )
-                            rhs = c.cols[dn + g]
-                            if infl is not None:
-                                rhs = infl.apply_data(rhs)
-                            checked += 1
-                            if lhs != rhs and eq_fail is None:
-                                eq_fail = ("inner", n, m, p, tau, g)
-        reports.append(
-            Report("equivariance", eq_fail is None,
-                   "%d cases over generating transpositions" % checked
-                   if eq_fail is None else "first failure %s" % (eq_fail,))
-        )
+                    for side, cases, perms in (
+                        ("outer", _outer_cases, transpositions(n)),
+                        ("inner", _inner_cases, transpositions(m)),
+                    ):
+                        for perm in perms:
+                            lhs, rhs = cases(family, n, m, p, perm)
+                            count += len(lhs)
+                            g = _first_difference(lhs, rhs)
+                            if g is not None and fail is None:
+                                fail = (side, n, m, p, perm, g)
+        reports.append(Report("equivariance", fail is None,
+                              "%d cases over generating transpositions" % count
+                              if fail is None else "first failure %s" % (fail,)))
     if skipped:
-        reports.append(
-            Report("skipped", True, "%d arity combinations above the bound" % skipped,
-                   status="SKIPPED")
-        )
+        reports.append(Report("skipped", True,
+                              "%d arity combinations above the bound" % skipped,
+                              status="SKIPPED"))
     return reports
 
 
@@ -513,9 +453,7 @@ def verify_relation_morphism(family, nmax):
     checked = 0
     lo = 0 if family.symmetric else 1
     for n in range(1, nmax + 1):
-        for m in range(lo, nmax + 1):
-            if n + m - 1 > nmax:
-                continue
+        for m in range(lo, nmax + 2 - n):
             a, b = family.component(n), family.component(m)
             rows = sum_relation_rows(
                 a.generators, b.generators, a.relations.rows, b.relations.rows, -1
@@ -573,10 +511,8 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
                         if add(n, img):
                             changed = True
             # composition images
-            for a in range(1, n + 2):
+            for a in range(1, min(n + 1, nmax) + 1):
                 b = n + 1 - a
-                if b < 0 or a > nmax or b > nmax:
-                    continue
                 if b == 0 and not shell.symmetric:
                     continue
                 rows = sum_relation_rows(

@@ -4,14 +4,18 @@ from dataclasses import dataclass, field
 
 
 class Report:
-    """One named check: status PASS, FAIL, SKIPPED, or INFO."""
+    """One named check: status PASS, FAIL, SKIPPED, or INFO.  The status is
+    the one source of truth; a case passed unless it FAILed."""
 
     def __init__(self, name, passed, details="", witness=None, status=None):
         self.name = name
-        self.passed = passed
         self.status = status or ("PASS" if passed else "FAIL")
         self.details = details
         self.witness = witness
+
+    @property
+    def passed(self):
+        return self.status != "FAIL"
 
     def as_case(self):
         case = {"name": self.name, "status": self.status, "details": self.details}

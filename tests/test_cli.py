@@ -189,6 +189,42 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv, named):
     assert "usage error" in err and named in err
 
 
+def _qd_file(tmp_path, capsys, name):
+    path = tmp_path / ("%s3.json" % name)
+    code, _, _ = run_cli(["build", "--qd", name, "--n", "3", "--out", str(path)],
+                         capsys)
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a family that fixes k reads no other k
+    (["dims", "--qd", "DK", "--n", "3", "--k", "7", "--wmax", "2"], "k = 2"),
+    (["dims", "--family", "DK", "--k", "9"], "k = 2"),
+    # AOS and a JSON file read no --k, and a JSON file no --n
+    (["dims", "--qd", "AOS", "--n", "3", "--k", "5", "--wmax", "2"], "--k"),
+    (["dims", "--qd", "FILE", "--k", "4", "--wmax", "2"], "--k"),
+    (["dims", "--qd", "FILE", "--n", "9", "--wmax", "2"], "--n"),
+    (["build", "--product", "vee", "--qd", "FILE", "--qd", "AOS", "--n", "3",
+      "--k", "3"], "--k"),
+])
+def test_a_k_or_n_that_no_datum_reads_is_an_error(tmp_path, capsys, argv, named):
+    path = _qd_file(tmp_path, capsys, "AOS")
+    code, out, err = run_cli([path if a == "FILE" else a for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_a_k_or_n_that_one_datum_reads_is_accepted(tmp_path, capsys):
+    path = _qd_file(tmp_path, capsys, "DK")
+    for argv in (["build", "--product", "oplus", "--qd", path, "--qd", "HG",
+                  "--n", "3", "--k", "3"],
+                 ["dims", "--qd", path, "--wmax", "2"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+
+
 def test_every_command_accepts_a_seed(capsys):
     # the benchmark passes --seed to every command, dims included
     for argv in (["dims", "--qd", "DK", "--n", "3", "--wmax", "2"],

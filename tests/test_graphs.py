@@ -226,6 +226,27 @@ def test_sc_iso_all_three_pairs():
     assert all(r.passed for r in sc_iso_check(build_family("LG"), 8, 2))
 
 
+@pytest.mark.parametrize("drop", ["left", "right"])
+def test_sc_iso_counit_fails_on_a_coproduct_without_a_unit_term(monkeypatch, drop):
+    # the counit case is computed: a coproduct that drops the term
+    # (edgeless, g) or (g, edgeless) of a graph g with edges makes it FAIL
+    import quadop.graphs as graphs
+
+    side = 1 if drop == "left" else 2
+
+    def dropped(g):
+        return tuple(t for t in coproduct(g) if t[side].weight or not g.weight)
+
+    monkeypatch.setattr(graphs, "coproduct", dropped)
+    cases = {r.name: r for r in sc_iso_check(build_family("BKW"), 4, 3)}
+    assert cases["sc_iso.counit"].status == "FAIL"
+    assert cases["sc_iso.counit"].details == "(2, n=2;k=2;edges=12)"
+    monkeypatch.undo()
+    cases = {r.name: r for r in sc_iso_check(build_family("BKW"), 4, 3)}
+    assert cases["sc_iso.counit"].details == "empty graph <-> unit, by construction"
+    assert cases["sc_iso.counit"].passed
+
+
 def test_holonomy_dims():
     assert holonomy_dims(build_family("DK"), 3, 4) == (3, 1, 2, 3)
     assert holonomy_dims(build_family("BKW"), 4, 2) == (6, 0)

@@ -199,6 +199,11 @@ def test_one_family_object_per_name_and_k():
     assert build_family("HG", k=2) is not build_family("BKW")
     with pytest.raises(ValueError):
         build_family("HG")
+    # a k other than the one the family fixes is an error, not ignored
+    assert build_family("EHKR", k=3) is build_family("EHKR")
+    for name, k in (("DK", 3), ("BKW", 7), ("EHKR", 2), ("LG", 3)):
+        with pytest.raises(ValueError, match="fixes k"):
+            build_family(name, k=k)
 
 
 def test_families_on_one_scheme_share_its_maps():
