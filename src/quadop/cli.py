@@ -45,7 +45,8 @@ def _emit(args, payload, tsv_rows=None):
 def _resolve_qd(args, *values):
     """The data of the --qd values (JSON files, AOS or family names).  --n
     and --k qualify a name, so each is a usage error where no datum reads
-    it: --n with JSON files only, --k with JSON files and AOS only."""
+    it: --n where every datum is a JSON file, --k where every datum is a
+    JSON file or AOS."""
     values = values or (args.qd,)
     names = [v for v in values if not v.endswith(".json")]
     if args.n is not None and not names:
