@@ -91,6 +91,7 @@ class Arity3Space:
 
     def __init__(self, base):
         self.base = base
+        self.d = base.dim
         sp = base.space
         self.ambient = GradedSpace(
             tuple(
@@ -105,21 +106,21 @@ class Arity3Space:
 
     @property
     def dim(self):
-        return 3 * self.base.dim * self.base.dim
+        return 3 * self.d * self.d
 
     def index(self, i, a, b):
-        d = self.base.dim
+        d = self.d
         return (i - 1) * d * d + a * d + b
 
     def rotate(self, row):
         """(123) on a tau row: tau_i(a,b) -> tau_{i+1}(a,b), i mod 3."""
-        d2 = self.base.dim * self.base.dim
+        d2 = self.d * self.d
         return {(c + d2) % (3 * d2): v for c, v in row.items()}
 
     def swap(self, row):
         """(12) on a tau row: tau_1(a,b) -> tau_1(a,ub) and tau_2(a,b) <->
         tau_3(a,ub), with u the involution of the base module."""
-        d = self.base.dim
+        d = self.d
         u = self.base.action.cols
         out = {}
         for c, v in row.items():
@@ -304,29 +305,36 @@ def psi_rows(a, b, rows_a, rows_b):
     return out
 
 
+def _quotient_images(a):
+    """(p * image, p) of each arity-3 column of a in T(3)/R, in the
+    coordinates of the non-pivot columns: the stored rows are RREF, so a
+    non-pivot column c maps to e_c with p = 1, and a pivot column c of pivot
+    p maps p * e_c to minus the rest of its row."""
+    out = [({c: 1}, 1) for c in range(a.space.dim)]
+    for row in a.relations.rows:
+        lead = next(iter(row))
+        out[lead] = ({c: -v for c, v in row.items() if c != lead}, row[lead])
+    return out
+
+
 def _white_rows(a, b):
     """The white product's relations: the preimage under the tree
     duplication of R_A (x) T_B(3) + T_A(3) (x) R_B, which is S3-stable
-    because that space is and the duplication is equivariant.  Off-diagonal
-    columns keep their numbers and each diagonal column moves past all of
-    them to its signed product column, so the rows led there are the
-    preimage."""
-    dim_a3, dim_b3 = 3 * a.gdim * a.gdim, 3 * b.gdim * b.gdim
-    past = dim_a3 * dim_b3
-    moved = {c: (past + col, sign)
-             for c, (col, sign) in _diagonal_cols(a, b).items()}
-    mixed = [{ca * dim_b3 + cb: v for ca, v in r.items()}
-             for r in a.relations.rows for cb in range(dim_b3)]
-    mixed += [{ca * dim_b3 + cb: v for cb, v in r.items()}
-              for ca in range(dim_a3) for r in b.relations.rows]
-    placed = []
-    for row in mixed:
-        out = {}
-        for c, v in row.items():
-            col, sign = moved.get(c, (c, 1))
-            out[col] = sign * v
-        placed.append(out)
-    return rows_past(placed, past)
+    because that space is and the duplication is equivariant.  It is the
+    kernel of the duplication followed by the quotient onto
+    T_A(3)/R_A (x) T_B(3)/R_B: each product column gives the row (p_A p_B
+    times its signed image | p_A p_B past all quotient columns)."""
+    dim_b3 = b.space.dim
+    images_a, images_b = _quotient_images(a), _quotient_images(b)
+    past = a.space.dim * dim_b3
+    rows = []
+    for c, (col, sign) in _diagonal_cols(a, b).items():
+        (ia, pa), (ib, pb) = images_a[c // dim_b3], images_b[c % dim_b3]
+        row = {x * dim_b3 + y: sign * u * v
+               for x, u in ia.items() for y, v in ib.items()}
+        row[past + col] = pa * pb
+        rows.append(row)
+    return rows_past(rows, past)
 
 
 def boqd_product(name, a, b):

@@ -12,6 +12,7 @@ equalities.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .exactlin import LinearMap, Subspace, scalar
@@ -34,7 +35,8 @@ class GradedSpace:
     count is its degree mod 2).  Tensor products add the counts and duals
     keep them; they feed the Koszul signs of the dual pairings (word_sign),
     which is what makes linear duality strong monoidal on products of
-    mixed-degree spaces.  Equality compares labels, degrees and counts.
+    mixed-degree spaces.  Equality compares labels, degrees and counts,
+    and the hash of the three is computed once per instance.
     """
 
     labels: tuple
@@ -63,6 +65,13 @@ class GradedSpace:
     @property
     def dim(self):
         return len(self.labels)
+
+    @cached_property
+    def _hash(self):
+        return hash((self.labels, self.degrees, self.odds))
+
+    def __hash__(self):
+        return self._hash
 
 
 ZERO = GradedSpace((), ())
@@ -123,8 +132,10 @@ def rows_to_json(rows, ncols):
     return out
 
 
+@lru_cache(maxsize=1024)
 def tensor_product(v, w):
-    """V (x) W: ordered pairs of labels, degrees and odd counts added."""
+    """V (x) W: ordered pairs of labels, degrees and odd counts added; one
+    space per pair of factors, shared by every caller in the process."""
     return GradedSpace(
         tuple(lv + TENSOR_SEP + lw for lv in v.labels for lw in w.labels),
         tuple(dv + dw for dv in v.degrees for dw in w.degrees),

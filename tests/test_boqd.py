@@ -5,6 +5,7 @@ import pytest
 
 from quadop.boqd import (
     S2Module,
+    _diagonal_cols,
     boqd_dual,
     boqd_interchange_check,
     boqd_product,
@@ -14,7 +15,7 @@ from quadop.boqd import (
     psi_rows,
     trivial_module,
 )
-from quadop.exactlin import LinearMap, Subspace
+from quadop.exactlin import LinearMap, Subspace, rows_past
 from quadop.graded import GradedSpace
 from quadop.qd import inj14_map, pr14_map, square_apply_rows
 from quadop.rand import random_boqd, random_s2module, s3_closure_rows
@@ -206,6 +207,59 @@ def test_psi_koszul_sign_on_mixed_degrees():
                     [{spb.index(1, 0, 0): 1}])
     spab = boqd_product("black", a, b).space
     assert rows == [{spab.index(1, 0, 1): -1}, {spab.index(1, 1, 1): 1}]
+
+
+def _mixed_row_preimage(a, b):
+    """The white relations as the preimage of the mixed rows: every row of
+    R_A (x) T_B(3) + T_A(3) (x) R_B, each diagonal column moved past all
+    columns of T_A(3) (x) T_B(3) to its signed product column, then the
+    rows led past them."""
+    dim_a3, dim_b3 = a.space.dim, b.space.dim
+    past = dim_a3 * dim_b3
+    moved = {c: (past + col, sign)
+             for c, (col, sign) in _diagonal_cols(a, b).items()}
+    mixed = [{ca * dim_b3 + cb: v for ca, v in r.items()}
+             for r in a.relations.rows for cb in range(dim_b3)]
+    mixed += [{ca * dim_b3 + cb: v for cb, v in r.items()}
+              for ca in range(dim_a3) for r in b.relations.rows]
+    placed = []
+    for row in mixed:
+        out = {}
+        for c, v in row.items():
+            col, sign = moved.get(c, (c, 1))
+            out[col] = sign * v
+        placed.append(out)
+    return rows_past(placed, past)
+
+
+def test_white_rows_are_the_mixed_row_preimage():
+    # the white product reads its relations off the quotient by R_A and R_B;
+    # the oracle eliminates every mixed row instead.  The circ products are
+    # the interchange-sized operands, with up to four generators
+    rng = random.Random(41)
+    pairs = [(random_boqd(rng, "a"), random_boqd(rng, "b")) for _ in range(60)]
+    for _ in range(8):
+        a = boqd_product("circ", random_boqd(rng, "a"), random_boqd(rng, "a'"))
+        b = boqd_product("circ", random_boqd(rng, "b"), random_boqd(rng, "b'"))
+        pairs += [(a, b), (a, random_boqd(rng, "c")),
+                  (random_boqd(rng, "c"), b)]
+    for _ in range(3):
+        mod = random_s2module(rng, "e")
+        empty = make_boqd(mod, [])
+        full = make_boqd(mod, [{c: 1} for c in range(mod.arity3.dim)])
+        other = random_boqd(rng, "f")
+        pairs += [(empty, other), (other, full), (full, empty),
+                  (zero_boqd(), other), (other, zero_boqd())]
+    odd = non_unit = False
+    for a, b in pairs:
+        for m in (a, b):
+            odd = odd or any(d % 2 for d in m.generators.space.degrees)
+            non_unit = non_unit or any(
+                r[next(iter(r))] != 1 for r in m.relations.rows)
+        white = boqd_product("white", a, b)
+        oracle = Subspace(white.space.ambient, _mixed_row_preimage(a, b))
+        assert white.relations == oracle
+    assert odd and non_unit
 
 
 def test_closure_check_rejects_open_relations():

@@ -62,6 +62,9 @@ for command in sys.argv[1:]:
     ("verify koszul-pbw", "verify koszul-duals"),
     ("verify diagram-faces", "verify realize-duality"),
     ("verify realize-duality", "verify diagram-faces"),
+    # these share the process-wide tensor products of graded spaces
+    ("verify qd-coherence --trials 10", "verify boqd-coherence --trials 4"),
+    ("verify boqd-coherence --trials 4", "verify qd-coherence --trials 10"),
 ])
 def test_reports_do_not_depend_on_suite_order(commands):
     proc = subprocess.run(
