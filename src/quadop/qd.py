@@ -680,16 +680,17 @@ def check_phi_associator_coherence(a, ap, b, bp, c, cp):
 # commutative-diagram faces
 
 
-FACES = (
-    "shift_square",          # skew: shifting then flavor-forgetting commute
-    "sigma_perp",            # sym: duality against the symmetric inclusion
-    "lambda_perp",           # skew: the composite second-dual identity
-    "tensor_coalgebra_dual", # plain: cofree weights against the dual quotient
-    "sym_coalgebra_dual",    # sym: cofree symmetric weights against the dual
-    "sym_vs_cofree",         # sym: cofree symmetric = cofree tensor on Sigma
-    "envelope_pbw",          # skew: enveloping-algebra weights from Lie data
-    "sym_quotient",          # sym: symmetric quotient = tensor quotient lift
-)
+# each face and the flavor of the data it is stated for
+FACES = {
+    "shift_square": QDFlavor.SKEW,  # shifting then flavor-forgetting commute
+    "sigma_perp": QDFlavor.SYM,  # duality against the symmetric inclusion
+    "lambda_perp": QDFlavor.SKEW,  # the composite second-dual identity
+    "tensor_coalgebra_dual": QDFlavor.PLAIN,  # cofree weights against the dual quotient
+    "sym_coalgebra_dual": QDFlavor.SYM,  # cofree symmetric weights against the dual
+    "sym_vs_cofree": QDFlavor.SYM,  # cofree symmetric = cofree tensor on Sigma
+    "envelope_pbw": QDFlavor.SKEW,  # enveloping-algebra weights from Lie data
+    "sym_quotient": QDFlavor.SYM,  # symmetric quotient = tensor quotient lift
+}
 
 
 # the weight bound of every face that compares weight dimensions
@@ -699,23 +700,21 @@ FACE_WMAX = 3
 def verify_diagram_face(face, a):
     from . import realize
 
+    if face not in FACES:
+        raise ValueError("unknown face %r" % face)
+    if a.flavor is not FACES[face]:
+        raise FlavorMismatch("face needs %s data" % FACES[face].value)
     if face == "shift_square":
-        if a.flavor is not QDFlavor.SKEW:
-            raise FlavorMismatch("face needs skew data")
         lhs = apply_functor(FunctorName.ANTISHRIEK, apply_functor(FunctorName.LAMBDA, a))
         rhs = apply_functor(FunctorName.SIGMA, apply_functor(FunctorName.ANTISHRIEK, a))
         ok = qd_equal(lhs, rhs)
         return Report(face, ok, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
     if face == "sigma_perp":
-        if a.flavor is not QDFlavor.SYM:
-            raise FlavorMismatch("face needs symmetric data")
         lhs = apply_functor(FunctorName.STAR, apply_functor(FunctorName.SIGMA, a))
         rhs = apply_functor(FunctorName.SCRIPT_S, apply_functor(FunctorName.STAR, a))
         ok = qd_equal(lhs, rhs)
         return Report(face, ok, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
     if face == "lambda_perp":
-        if a.flavor is not QDFlavor.SKEW:
-            raise FlavorMismatch("face needs skew data")
         lhs = apply_functor(FunctorName.SHRIEK, apply_functor(FunctorName.LAMBDA, a))
         rhs = apply_functor(FunctorName.SCRIPT_S, apply_functor(FunctorName.SHRIEK, a))
         ok = qd_equal(lhs, rhs)
@@ -738,4 +737,3 @@ def verify_diagram_face(face, a):
         lhs = realize.hilbert_series("S", a, FACE_WMAX)
         rhs = realize.hilbert_series("A", apply_functor(FunctorName.SCRIPT_S, a), FACE_WMAX)
         return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
-    raise ValueError("unknown face %r" % face)

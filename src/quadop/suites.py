@@ -2,6 +2,14 @@
 
 Every suite is deterministic given its seed: randomized cases derive their
 generators from (seed, case-name) so reports are byte-stable.
+
+A randomized case group is one (tag, name, count, law) row passed to
+`_case_groups`.  Trial t of the row calls law(child_rng(seed, "<tag>.<t>")),
+and the law yields one verdict per case, drawing its data from that generator
+in a fixed order.  The group reports "<passed>/<total> cases pass" under
+name, where the total is the number of verdicts; rows with one name make one
+group.  Sub-reports of another layer are added under "<prefix>.<name>" by
+`_add_prefixed`.
 """
 
 import math
@@ -42,162 +50,128 @@ from .exactlin import Subspace
 
 DEFAULT_SEED = 20250808
 
+# the label prefixes of the data the interchange laws compare
+_PRIMED = ("a", "a'", "b", "b'")
 
-def _counted(name, total, failures):
-    return Report(name, failures == 0, "%d/%d cases pass" % (total - failures, total))
+
+def _case_groups(rep, seed, rows):
+    verdicts = {}
+    for tag, name, count, law in rows:
+        verdicts.setdefault(name, []).extend(
+            bool(ok) for t in range(count)
+            for ok in law(child_rng(seed, "%s.%d" % (tag, t)))
+        )
+    for name, oks in verdicts.items():
+        passed = sum(oks)
+        rep.add(Report(name, passed == len(oks),
+                       "%d/%d cases pass" % (passed, len(oks))))
+
+
+def _renamed(name, r):
+    return Report(name, r.passed, r.details, witness=r.witness, status=r.status)
+
+
+def _add_prefixed(rep, prefix, reports):
+    for r in reports:
+        rep.add(_renamed("%s.%s" % (prefix, r.name), r))
+
+
+def _draws(rng, flavor, prefixes, max_dim=2):
+    return [random_qd(rng, flavor, p, max_dim) for p in prefixes]
 
 
 def suite_qd_coherence(seed=DEFAULT_SEED, trials=200):
-    rep = VerificationReport("qd-coherence", seed)
-    small = max(10, trials // 4)
-
-    fails = 0
-    for t in range(small):
-        rng = child_rng(seed, "unit.%d" % t)
+    def units(rng):
         for flavor in ("plain", "symmetric", "skew"):
-            a = random_qd(rng, flavor, "a")
             # one case per datum, failed if any of its laws fails
-            fails += not all(r.passed for r in check_unit_laws(a))
-    rep.add(_counted("unit-laws", small * 3, fails))
+            a = random_qd(rng, flavor, "a")
+            yield all(r.passed for r in check_unit_laws(a))
 
-    fails = 0
-    cases = 0
-    for t in range(small):
-        rng = child_rng(seed, "assoc.%d" % t)
-        pl = [random_qd(rng, "plain", p, 2) for p in "abc"]
-        sy = [random_qd(rng, "symmetric", p, 2) for p in "abc"]
-        sk = [random_qd(rng, "skew", p, 2) for p in "abc"]
+    def associativity(rng):
+        pl, sy, sk = (_draws(rng, fl, "abc") for fl in ("plain", "symmetric", "skew"))
         for name, triple in (
             ("tensor", pl), ("utensor", pl), ("black", pl), ("white", pl),
             ("utensor", sy), ("vee", sy), ("oplus", sk),
         ):
-            cases += 1
-            if not check_associativity(name, *triple):
-                fails += 1
-    rep.add(_counted("associativity", cases, fails))
+            yield check_associativity(name, *triple)
 
-    fails = 0
-    cases = 0
-    for t in range(small):
-        rng = child_rng(seed, "braid.%d" % t)
+    def braiding(rng):
         for flavor, names in (
             ("plain", ("tensor", "utensor", "black", "white")),
             ("symmetric", ("utensor", "vee")),
             ("skew", ("oplus",)),
         ):
-            a = random_qd(rng, flavor, "a", 2)
-            b = random_qd(rng, flavor, "b", 2)
+            a, b = _draws(rng, flavor, "ab")
             for name in names:
-                cases += 1
-                if not check_braiding(name, a, b):
-                    fails += 1
-    rep.add(_counted("braiding", cases, fails))
+                yield check_braiding(name, a, b)
 
-    fails = 0
-    cases = 0
-    for t in range(small):
-        rng = child_rng(seed, "monoidal.%d" % t)
+    def monoidality(rng):
         for f, fl, sp, tp in STRONG_MONOIDALITY_TABLE:
-            a = random_qd(rng, fl.value, "a", 2)
-            b = random_qd(rng, fl.value, "b", 2)
-            cases += 1
-            if not check_strong_monoidality(f, sp, tp, a, b):
-                fails += 1
-    rep.add(_counted("strong-monoidality", cases, fails))
+            yield check_strong_monoidality(f, sp, tp, *_draws(rng, fl, "ab"))
 
-    fails = 0
-    for t in range(small):
-        rng = child_rng(seed, "bw.%d" % t)
-        if not check_black_white_duality(
-            random_qd(rng, "plain", "a", 2), random_qd(rng, "plain", "b", 2)
-        ):
-            fails += 1
-    rep.add(_counted("black-white-duality", small, fails))
+    def interchanges(rng):
+        args = _draws(rng, "plain", _PRIMED, 3)
+        yield isinstance(interchange_phi(*args), QDMorphism)
+        yield isinstance(interchange_psi(*args), QDMorphism)
 
-    fails = 0
-    for t in range(trials):
-        rng = child_rng(seed, "phi.%d" % t)
-        args = [random_qd(rng, "plain", p, 3) for p in ("a", "a'", "b", "b'")]
-        if not isinstance(interchange_phi(*args), QDMorphism):
-            fails += 1
-        if not isinstance(interchange_psi(*args), QDMorphism):
-            fails += 1
-    rep.add(_counted("interchange-phi-psi", 2 * trials, fails))
-
-    fails = 0
-    for t in range(max(5, trials // 4)):
-        rng = child_rng(seed, "stardual.%d" % t)
-        args = [random_qd(rng, "plain", p, 2) for p in ("a", "a'", "b", "b'")]
-        if not check_phi_psi_star_duality(*args):
-            fails += 1
-    rep.add(_counted("phi-psi-star-duality", max(5, trials // 4), fails))
-
-    coh = max(5, trials // 4)
-    fails = 0
-    for t in range(coh):
-        rng = child_rng(seed, "assoc-coh.%d" % t)
-        args = [random_qd(rng, "plain", p, 2) for p in ("a", "a'", "b", "b'", "c", "c'")]
-        if not check_phi_associator_coherence(*args):
-            fails += 1
-    rep.add(_counted("phi-associator-coherence", coh, fails))
+    rep = VerificationReport("qd-coherence", seed)
+    small = max(10, trials // 4)
+    few = max(5, trials // 4)
+    _case_groups(rep, seed, (
+        ("unit", "unit-laws", small, units),
+        ("assoc", "associativity", small, associativity),
+        ("braid", "braiding", small, braiding),
+        ("monoidal", "strong-monoidality", small, monoidality),
+        ("bw", "black-white-duality", small, lambda rng: [
+            check_black_white_duality(*_draws(rng, "plain", "ab"))]),
+        ("phi", "interchange-phi-psi", trials, interchanges),
+        ("stardual", "phi-psi-star-duality", few, lambda rng: [
+            check_phi_psi_star_duality(*_draws(rng, "plain", _PRIMED))]),
+        ("assoc-coh", "phi-associator-coherence", few, lambda rng: [
+            check_phi_associator_coherence(
+                *_draws(rng, "plain", _PRIMED + ("c", "c'")))]),
+    ))
     return rep
 
 
 def suite_boqd_coherence(seed=DEFAULT_SEED, trials=100):
-    rep = VerificationReport("boqd-coherence", seed)
+    dual, product = boqd_mod.boqd_dual, boqd_mod.boqd_product
 
-    fails = 0
-    for t in range(trials):
-        rng = child_rng(seed, "boqd.inv.%d" % t)
+    def involutions(rng):
         a = random_boqd(rng, "a")
         b = random_boqd(rng, "b")
-        for r in boqd_mod.koszul_involution_check(a, b):
-            if not r.passed:
-                fails += 1
-        dd = boqd_mod.boqd_dual(boqd_mod.boqd_dual(a))
-        if not (dd.relations == a.relations
-                and dd.generators.action == a.generators.action):
-            fails += 1
-        lhs = boqd_mod.boqd_dual(boqd_mod.boqd_product("black", a, b))
-        rhs = boqd_mod.boqd_product(
-            "white", boqd_mod.boqd_dual(a), boqd_mod.boqd_dual(b)
-        )
-        if lhs.relations != rhs.relations:
-            fails += 1
-    rep.add(_counted("involutions+duals", trials * 5, fails))
+        yield from (r.passed for r in boqd_mod.koszul_involution_check(a, b))
+        dd = dual(dual(a))
+        yield (dd.relations == a.relations
+               and dd.generators.action == a.generators.action)
+        lhs = dual(product("black", a, b))
+        yield lhs.relations == product("white", dual(a), dual(b)).relations
 
-    fails = 0
-    for t in range(trials):
-        rng = child_rng(seed, "boqd.phi.%d" % t)
-        args = [random_boqd(rng, p) for p in ("a", "a'", "b", "b'")]
-        for r in boqd_mod.boqd_interchange_check("phi", *args):
-            if not r.passed:
-                fails += 1
-        for r in boqd_mod.boqd_interchange_check("psi", *args):
-            if not r.passed:
-                fails += 1
-    rep.add(_counted("interchange-phi-psi", 2 * trials, fails))
+    def interchanges(rng):
+        args = [random_boqd(rng, p) for p in _PRIMED]
+        for kind in ("phi", "psi"):
+            yield from (r.passed
+                        for r in boqd_mod.boqd_interchange_check(kind, *args))
 
-    quint = max(4, trials // 8)
-    fails = 0
-    cases = 0
-    for t in range(quint):
-        rng = child_rng(seed, "boqd.quint.%d" % t)
-        args = [random_boqd(rng, p, max_dim=1) for p in ("a", "a'", "b", "b'")]
+    def quintuples(rng):
+        args = [random_boqd(rng, p, max_dim=1) for p in _PRIMED]
         for box in ("black", "white"):
             for dia in ("vee", "oplus", "tril", "trir"):
-                for r in boqd_mod.boqd_interchange_check(
-                    ("quintuple", box, dia), *args
-                ):
-                    cases += 1
-                    if not r.passed:
-                        fails += 1
-    rep.add(_counted("quintuples", cases, fails))
+                kind = ("quintuple", box, dia)
+                yield from (r.passed
+                            for r in boqd_mod.boqd_interchange_check(kind, *args))
+
+    rep = VerificationReport("boqd-coherence", seed)
+    _case_groups(rep, seed, (
+        ("boqd.inv", "involutions+duals", trials, involutions),
+        ("boqd.phi", "interchange-phi-psi", trials, interchanges),
+        ("boqd.quint", "quintuples", max(4, trials // 8), quintuples),
+    ))
 
     # Com spot check: the dual of the fully commutative datum is the
     # one-dimensional alternating-sum span
     com = boqd_mod.com_data()
-    lie = boqd_mod.boqd_dual(com)
+    lie = dual(com)
     sp = lie.space
     jac = {sp.index(1, 0, 0): 1, sp.index(2, 0, 0): 1, sp.index(3, 0, 0): 1}
     ok = lie.rdim == 1 and lie.relations.contains(jac)
@@ -222,12 +196,8 @@ def suite_operad_axioms(family=None, k=None, nmax=None, seed=DEFAULT_SEED):
         key = (fam.scheme, bound)
         if key not in axioms:
             axioms[key] = verify_axioms(fam, bound)
-        for r in axioms[key]:
-            rep.add(Report("%s.%s" % (fam.name, r.name), r.passed, r.details,
-                           witness=r.witness, status=r.status))
-        for r in verify_relation_morphism(fam, bound):
-            r.name = "%s.%s" % (fam.name, r.name)
-            rep.add(r)
+        _add_prefixed(rep, fam.name, axioms[key])
+        _add_prefixed(rep, fam.name, verify_relation_morphism(fam, bound))
     return rep
 
 
@@ -270,10 +240,14 @@ def suite_minimality(shell=None, k=None, nmax=None, seed=DEFAULT_SEED):
             spot = "R(4) dim %d" % mini.component(4).rdim
             ok = mini.component(4).rdim == 11
         rep.add(Report(label, ok, spot))
-        for r in compare_families(mini, target, bound):
-            r.name = "%s.%s" % (label, r.name)
-            rep.add(r)
+        _add_prefixed(rep, label, compare_families(mini, target, bound))
     return rep
+
+
+def _koszul_euler(name, q, wmax):
+    # a weight series product that is not 1 up to the cap fails the case
+    r = realize.koszul_euler_check(q, wmax)
+    return Report(name, r.status == "PASS", r.details)
 
 
 def suite_koszul_duals(nmax=6, seed=DEFAULT_SEED):
@@ -305,14 +279,9 @@ def suite_koszul_duals(nmax=6, seed=DEFAULT_SEED):
                    "annihilator dim %d, stated span dim %d" % (dual.rdim, span.dim))
         )
     for n in range(2, min(nmax, 5) + 1):
-        r = realize.koszul_euler_check(dk.component(n), 4)
-        r.name = "koszul-euler.dk.n%d" % n
-        if r.status != "PASS":
-            r.status = "FAIL"
-        rep.add(r)
-    r = realize.koszul_euler_check(ehkr.component(4), 3)
-    r.name = "koszul-euler.ehkr.n4"
-    rep.add(r)
+        rep.add(_koszul_euler("koszul-euler.dk.n%d" % n, dk.component(n), 4))
+    rep.add(_renamed("koszul-euler.ehkr.n4",
+                     realize.koszul_euler_check(ehkr.component(4), 3)))
     return rep
 
 
@@ -361,11 +330,7 @@ def suite_koszul_pbw(seed=DEFAULT_SEED):
             dual = realize.pbw_certificate(_pbw_side(bang), bang)
             rep.add(_certificate_case("pbw-dual." + label, dual))
             if cert.order is not None and dual.order is not None:
-                r = realize.koszul_euler_check(q, 8)
-                r.name = "koszul-euler." + label
-                if r.status != "PASS":
-                    r.status = "FAIL"
-                rep.add(r)
+                rep.add(_koszul_euler("koszul-euler." + label, q, 8))
     return rep
 
 
@@ -376,9 +341,7 @@ def suite_gra_iso(seed=DEFAULT_SEED):
         ("hg3-gra3", build_family("HG", k=3), 5, 2),
         ("lg-lgra", build_family("LG"), 8, 2),
     ):
-        for r in graphs.sc_iso_check(fam, nmax, wmax):
-            r.name = "%s.%s" % (prefix, r.name)
-            rep.add(r)
+        _add_prefixed(rep, prefix, graphs.sc_iso_check(fam, nmax, wmax))
     # the two displayed insertion examples, term by term
     graph = graphs.LabeledHypergraph
     out = graphs.compose_graphs(graph(2, 2, True, [(1, 2)]), 1,
@@ -396,17 +359,17 @@ def suite_gra_iso(seed=DEFAULT_SEED):
     rep.add(Report("example.linear-insertion",
                    list(lout) == [lg] and abs(lout[lg]) == 1,
                    "single term, sign fixed by the lexicographic edge order"))
-    for r in graphs.graph_operad_axioms(2, True, 5):
-        r.name = "gra.%s" % r.name
-        rep.add(r)
-    for r in graphs.graph_operad_axioms(2, False, 6):
-        r.name = "lgra.%s" % r.name
-        rep.add(r)
+    _add_prefixed(rep, "gra", graphs.graph_operad_axioms(2, True, 5))
+    _add_prefixed(rep, "lgra", graphs.graph_operad_axioms(2, False, 6))
     for r in graphs.gerstenhaber_dim_check(2, 6):
         rep.add(r)
     for r in graphs.gerstenhaber_dim_check(3, 5):
         rep.add(r)
     return rep
+
+
+# the label prefix of a random datum of each flavor
+_PREFIXES = {QDFlavor.PLAIN: "p", QDFlavor.SYM: "y", QDFlavor.SKEW: "s"}
 
 
 def suite_diagram_faces(seed=DEFAULT_SEED, trials=100):
@@ -420,77 +383,51 @@ def suite_diagram_faces(seed=DEFAULT_SEED, trials=100):
         ("tensor_coalgebra_dual", apply_functor(FunctorName.LAMBDA, dk3)),
     )
     for face, inst in named:
-        r = verify_diagram_face(face, inst)
-        r.name = "named.%s" % face
-        rep.add(r)
+        rep.add(_renamed("named." + face, verify_diagram_face(face, inst)))
+
+    def face_law(face, flavor):
+        return lambda rng: [verify_diagram_face(
+            face, random_qd(rng, flavor, _PREFIXES[flavor], 2)).passed]
+
     per_face = max(1, trials // len(FACES))
-    fails = 0
-    cases = 0
-    for face in FACES:
-        for t in range(per_face):
-            rng = child_rng(seed, "face.%s.%d" % (face, t))
-            if face in ("shift_square", "lambda_perp", "envelope_pbw"):
-                inst = random_qd(rng, "skew", "s", 2)
-            elif face == "tensor_coalgebra_dual":
-                inst = random_qd(rng, "plain", "p", 2)
-            else:
-                inst = random_qd(rng, "symmetric", "y", 2)
-            cases += 1
-            if not verify_diagram_face(face, inst).passed:
-                fails += 1
-    rep.add(_counted("random-faces", cases, fails))
+    _case_groups(rep, seed, [
+        ("face." + face, "random-faces", per_face, face_law(face, flavor))
+        for face, flavor in FACES.items()
+    ])
     return rep
 
 
 def suite_realize_duality(seed=DEFAULT_SEED, trials=100):
     rep = VerificationReport("realize-duality", seed)
     wmax = 5
-    fails = 0
-    cases = 0
-    for t in range(trials):
-        rng = child_rng(seed, "dual.%d" % t)
+    dim = realize.weight_component
+
+    def dualities(rng):
         pl = random_qd(rng, "plain", "p", 2)
         sy = random_qd(rng, "symmetric", "y", 2)
         dual_pl = apply_functor(FunctorName.STAR, pl)
         dual_sy = apply_functor(FunctorName.STAR, sy)
         wcap = wmax if pl.gdim == 1 else min(wmax, 4)
+        # one case per weight and duality
         for w in range(wcap + 1):
-            cases += 1
-            if realize.weight_component("Tc", pl, w) != \
-               realize.weight_component("A", dual_pl, w):
-                fails += 1
+            yield dim("Tc", pl, w) == dim("A", dual_pl, w)
         for w in range(wmax + 1):
-            cases += 2
-            if realize.weight_component("Sc", sy, w) != \
-               realize.weight_component("S", dual_sy, w):
-                fails += 1
-            if realize.weight_component("Sc", sy, w) != \
-               realize.weight_component(
-                   "Tc", apply_functor(FunctorName.SIGMA, sy), w
-               ):
-                fails += 1
-    rep.add(_counted("component-dualities", cases, fails))
+            yield dim("Sc", sy, w) == dim("S", dual_sy, w)
+            yield dim("Sc", sy, w) == dim(
+                "Tc", apply_functor(FunctorName.SIGMA, sy), w)
 
     dk = build_family("DK")
     ehkr = build_family("EHKR")
     for label, comp in (("dk3", dk.component(3)), ("dk4", dk.component(4)),
                         ("ehkr4", ehkr.component(4))):
-        r = realize.ue_compare(comp, 4)
-        r.name = "pbw.%s" % label
-        rep.add(r)
-    spot = tuple(
-        realize.weight_component("L", dk.component(3), w) for w in range(1, 5)
-    )
+        rep.add(_renamed("pbw." + label, realize.ue_compare(comp, 4)))
+    spot = tuple(dim("L", dk.component(3), w) for w in range(1, 5))
     rep.add(Report("pbw.spot-l-dims", spot == (3, 1, 2, 3), str(spot)))
-
-    fails = 0
-    pbw_trials = max(10, trials // 2)
-    for t in range(pbw_trials):
-        rng = child_rng(seed, "pbw.%d" % t)
-        sk = random_qd(rng, "skew", "s", 2)
-        if not realize.ue_compare(sk, 4).passed:
-            fails += 1
-    rep.add(_counted("pbw-random", pbw_trials, fails))
+    _case_groups(rep, seed, (
+        ("dual", "component-dualities", trials, dualities),
+        ("pbw", "pbw-random", max(10, trials // 2), lambda rng: [
+            realize.ue_compare(random_qd(rng, "skew", "s", 2), 4).passed]),
+    ))
 
     for n in range(2, 7):
         dims = realize.hilbert_series("S", aos_data(n), n - 1)

@@ -279,15 +279,10 @@ def criterion_11_gerstenhaber_and_faces():
         if not verify_diagram_face(face, inst).passed:
             ok = False
     count = 0
-    for face in FACES:
+    for face, flavor in FACES.items():
         for t in range(13):
             rng = child_rng(SEED, "acc.face.%s.%d" % (face, t))
-            if face in ("shift_square", "lambda_perp", "envelope_pbw"):
-                inst = random_qd(rng, "skew", "s", 2)
-            elif face == "tensor_coalgebra_dual":
-                inst = random_qd(rng, "plain", "p", 2)
-            else:
-                inst = random_qd(rng, "symmetric", "y", 2)
+            inst = random_qd(rng, flavor, "x", 2)
             count += 1
             if not verify_diagram_face(face, inst).passed:
                 ok = False

@@ -114,6 +114,60 @@ def test_unit_law_count_is_one_case_per_datum(monkeypatch):
     assert not case.passed
 
 
+def _failing(check):
+    # the same reports as check, each marked failed, so a group counts the
+    # verdicts its law really yields
+    from quadop.report import Report
+
+    return lambda *args: [Report(r.name, False) for r in check(*args)]
+
+
+def _details(rep):
+    return {c.name: c.details for c in rep.cases}
+
+
+def test_every_case_group_counts_its_verdicts(monkeypatch):
+    # every randomised group reports passed/total, where the total is the
+    # number of verdicts its law yields; each law is made to fail here
+    from quadop import boqd, realize, suites
+    from quadop.report import Report
+
+    for law in ("check_associativity", "check_braiding",
+                "check_strong_monoidality", "check_black_white_duality",
+                "check_phi_psi_star_duality", "check_phi_associator_coherence",
+                "interchange_phi", "interchange_psi"):
+        monkeypatch.setattr(suites, law, lambda *args: None)
+    monkeypatch.setattr(suites, "check_unit_laws",
+                        lambda a: [Report("unit", False)])
+    assert _details(suites.suite_qd_coherence(trials=4)) == {
+        "unit-laws": "0/30 cases pass",
+        "associativity": "0/70 cases pass",
+        "braiding": "0/70 cases pass",
+        "strong-monoidality": "0/90 cases pass",
+        "black-white-duality": "0/10 cases pass",
+        "interchange-phi-psi": "0/8 cases pass",
+        "phi-psi-star-duality": "0/5 cases pass",
+        "phi-associator-coherence": "0/5 cases pass",
+    }
+
+    for law in ("koszul_involution_check", "boqd_interchange_check"):
+        monkeypatch.setattr(boqd, law, _failing(getattr(boqd, law)))
+    got = _details(suites.suite_boqd_coherence(trials=2))
+    assert (got["involutions+duals"], got["interchange-phi-psi"],
+            got["quintuples"]) == (
+        "4/10 cases pass", "0/4 cases pass", "0/64 cases pass")
+
+    monkeypatch.setattr(suites, "verify_diagram_face",
+                        lambda face, a: Report(face, False))
+    got = _details(suites.suite_diagram_faces(trials=8))
+    assert got["random-faces"] == "0/8 cases pass"
+
+    monkeypatch.setattr(realize, "ue_compare", lambda a, w: Report("ue", False))
+    got = _details(suites.suite_realize_duality(trials=2))
+    assert (got["pbw-random"], got["component-dualities"]) == (
+        "0/10 cases pass", "35/35 cases pass")
+
+
 def test_functor_shapes_on_dk3():
     a = dk3()
     sh = apply_functor("antishriek", a)
@@ -256,6 +310,20 @@ def test_diagram_faces_named():
     assert verify_diagram_face(
         "tensor_coalgebra_dual", apply_functor("lambda", a)
     ).passed
+
+
+def test_every_face_rejects_data_of_another_flavor():
+    from quadop.qd import FACES
+
+    rng = random.Random(21)
+    data = {fl: random_qd(rng, fl, "a", 2) for fl in QDFlavor}
+    for face, flavor in FACES.items():
+        assert verify_diagram_face(face, data[flavor]).passed
+        for other in set(QDFlavor) - {flavor}:
+            with pytest.raises(FlavorMismatch):
+                verify_diagram_face(face, data[other])
+    with pytest.raises(ValueError):
+        verify_diagram_face("no_such_face", data[QDFlavor.PLAIN])
 
 
 def test_json_round_trip():
