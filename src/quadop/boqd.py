@@ -15,7 +15,7 @@ checks; a regression test freezes it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .exactlin import (
@@ -37,6 +37,7 @@ from .qd import (
     escaping_image,
     inj14_map,
     interchange_sides,
+    pair_image_rows,
     pr14_map,
     sum_relation_rows,
 )
@@ -84,6 +85,22 @@ def trivial_module(space):
     return S2Module(space, LinearMap.identity(space))
 
 
+@lru_cache(maxsize=1024)
+def _tau_ambient(sp):
+    """The tau basis over sp as a graded space: one per generator space,
+    shared by every module on it in the process."""
+    return GradedSpace(
+        tuple(
+            "τ%d(%s,%s)" % (i, la, lb)
+            for i in (1, 2, 3)
+            for la in sp.labels
+            for lb in sp.labels
+        ),
+        tuple(da + db for da in sp.degrees for db in sp.degrees) * 3,
+        tuple(ka + kb for ka in sp.odds for kb in sp.odds) * 3,
+    )
+
+
 class Arity3Space:
     """tau basis of the arity-3 free-operad component on an involutive module,
     with the derived permutation action on rows: S3 is generated by (12)
@@ -92,17 +109,7 @@ class Arity3Space:
     def __init__(self, base):
         self.base = base
         self.d = base.dim
-        sp = base.space
-        self.ambient = GradedSpace(
-            tuple(
-                "τ%d(%s,%s)" % (i, la, lb)
-                for i in (1, 2, 3)
-                for la in sp.labels
-                for lb in sp.labels
-            ),
-            tuple(da + db for da in sp.degrees for db in sp.degrees) * 3,
-            tuple(ka + kb for ka in sp.odds for kb in sp.odds) * 3,
-        )
+        self.ambient = _tau_ambient(base.space)
 
     @property
     def dim(self):
@@ -137,17 +144,10 @@ class Arity3Space:
         return out
 
     def tau_row(self, i, rowa, rowb):
-        """Bilinear tau_i on coordinate rows of the base module."""
-        out = {}
-        for a, va in rowa.items():
-            for b, vb in rowb.items():
-                c = self.index(i, a, b)
-                w = out.get(c, 0) + va * vb
-                if w:
-                    out[c] = w
-                elif c in out:
-                    del out[c]
-        return out
+        """Bilinear tau_i on coordinate rows of the base module; distinct
+        pairs (a, b) are distinct columns."""
+        return {self.index(i, a, b): va * vb
+                for a, va in rowa.items() for b, vb in rowb.items()}
 
 
 @dataclass(frozen=True)
@@ -239,17 +239,11 @@ def _matched_pair_rows(space, a, b, sign):
             for rb in pb:
                 rbs = shift_b(rb)
                 for i in (1, 2, 3):
-                    t1 = space.tau_row(i, ra, rbs)
-                    t2 = space.tau_row(i, rbs, ra)
-                    row = dict(t1)
-                    for c, v in t2.items():
-                        w = row.get(c, 0) + sign * v
-                        if w:
-                            row[c] = w
-                        elif c in row:
-                            del row[c]
-                    if row:
-                        rows.append(row)
+                    # tau_i(a,b) and tau_i(b,a) lie in disjoint blocks
+                    row = space.tau_row(i, ra, rbs)
+                    for c, v in space.tau_row(i, rbs, ra).items():
+                        row[c] = sign * v
+                    rows.append(row)
     if sign == -1:
         for pa, pb in ((ea_p, eb_m), (ea_m, eb_p)):
             for ra in pa:
@@ -263,9 +257,10 @@ def _matched_pair_rows(space, a, b, sign):
 
 def _diagonal_cols(a, b):
     """The tree duplication T(A (x) B)(3) -> T(A)(3) (x) T(B)(3) on columns,
-    a column of the right side coded ca * 3 db^2 + cb.  It hits only the
-    tau-diagonal columns tau_i(x,x') (x) tau_i(y,y'); each maps to (column
-    tau_i(x(x)y, x'(x)y') of the product, sign (-1)^{|x'||y| + |x||y'|}).
+    a column of the right side coded ca * 3 db^2 + cb as pair_image_rows
+    reads it.  It hits only the tau-diagonal columns tau_i(x,x') (x)
+    tau_i(y,y'); each maps to (column tau_i(x(x)y, x'(x)y') of the product,
+    sign (-1)^{|x'||y| + |x||y'|}).
     That Koszul sign is symmetric under swapping both argument pairs.  The
     laws the suites check also hold without it, so a test pins it."""
     da, db = a.gdim, b.gdim
@@ -283,28 +278,6 @@ def _diagonal_cols(a, b):
     return out
 
 
-def psi_rows(a, b, rows_a, rows_b):
-    """The black product's relations: each pair of an arity-3 row of A and
-    one of B, tensored and pulled back along the tree duplication, so the
-    tau-off-diagonal terms die.  One row per pair; the duplication is
-    injective, so no two terms of a pair share a column.  It is also
-    S3-equivariant, so rows that span S3-stable spaces give an S3-stable
-    span: the image of R_A (x) R_B."""
-    diag = _diagonal_cols(a, b)
-    dim_b3 = 3 * b.gdim * b.gdim
-    out = []
-    for ra in rows_a:
-        for rb in rows_b:
-            acc = {}
-            for ca, va in ra.items():
-                for cb, vb in rb.items():
-                    hit = diag.get(ca * dim_b3 + cb)
-                    if hit:
-                        acc[hit[0]] = hit[1] * va * vb
-            out.append(acc)
-    return out
-
-
 def _quotient_images(a):
     """(p * image, p) of each arity-3 column of a in T(3)/R, in the
     coordinates of the non-pivot columns: the stored rows are RREF, so a
@@ -317,18 +290,19 @@ def _quotient_images(a):
     return out
 
 
-def _white_rows(a, b):
+def _white_rows(a, b, cols):
     """The white product's relations: the preimage under the tree
     duplication of R_A (x) T_B(3) + T_A(3) (x) R_B, which is S3-stable
     because that space is and the duplication is equivariant.  It is the
     kernel of the duplication followed by the quotient onto
     T_A(3)/R_A (x) T_B(3)/R_B: each product column gives the row (p_A p_B
-    times its signed image | p_A p_B past all quotient columns)."""
+    times its signed image | p_A p_B past all quotient columns).  cols is
+    the duplication as _diagonal_cols codes it."""
     dim_b3 = b.space.dim
     images_a, images_b = _quotient_images(a), _quotient_images(b)
     past = a.space.dim * dim_b3
     rows = []
-    for c, (col, sign) in _diagonal_cols(a, b).items():
+    for c, (col, sign) in cols.items():
         (ia, pa), (ib, pb) = images_a[c // dim_b3], images_b[c % dim_b3]
         row = {x * dim_b3 + y: sign * u * v
                for x, u in ia.items() for y, v in ib.items()}
@@ -347,10 +321,12 @@ def boqd_product(name, a, b):
     name = name.lower()
     if name in ("black", "white"):
         mod = _module_tensor(a, b)
+        cols = _diagonal_cols(a, b)
         if name == "black":
-            rows = psi_rows(a, b, a.relations.rows, b.relations.rows)
+            rows = pair_image_rows(cols, b.space.dim, a.relations.rows,
+                                   b.relations.rows)
         else:
-            rows = _white_rows(a, b)
+            rows = _white_rows(a, b, cols)
         return make_boqd(mod, rows)
     mod = _module_sum(a, b)
     space = mod.arity3

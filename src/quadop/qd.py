@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 
 from .exactlin import (
     AmbientMismatch,
@@ -226,34 +227,37 @@ def _sum_relations(a, b, bracket_sign):
     return gens, Subspace(square(gens), rows)
 
 
-def _s23_rows(a_space, b_space, rows_a, rows_b):
-    """S_(23)(U (x) W) for U, W given by sparse rows of the two squares; the
-    middle swap carries the Koszul sign (-1)^{|x2||x3|}."""
-    na, nb = a_space.dim, b_space.dim
-    nt = na * nb
-    dega = a_space.degrees
-    degb = b_space.degrees
+def pair_image_rows(cols, dim_b, rows_a, rows_b):
+    """The image of the pairs of rows_a and rows_b under a signed column map
+    cols, one row per pair: cols sends ca * dim_b + cb to (column, sign), and
+    a term it does not list dies.  The map is injective, so no two terms of
+    a pair share a column."""
     out = []
     for ra in rows_a:
         for rb in rows_b:
             acc = {}
             for ca, va in ra.items():
-                i, j = divmod(ca, na)
+                base = ca * dim_b
                 for cb, vb in rb.items():
-                    k, l = divmod(cb, nb)
-                    sign = -1 if (dega[j] * degb[k]) % 2 else 1
-                    col = (i * nb + k) * nt + (j * nb + l)
-                    w = acc.get(col, 0) + sign * va * vb
-                    if w:
-                        acc[col] = w
-                    elif col in acc:
-                        del acc[col]
+                    hit = cols.get(base + cb)
+                    if hit:
+                        acc[hit[0]] = hit[1] * va * vb
             out.append(acc)
     return out
 
 
-def _square_basis_rows(space):
-    return [{c: 1} for c in range(space.dim * space.dim)]
+def _s23_cols(va, vb):
+    """The middle swap S_(23): square(va) (x) square(vb) -> square(va (x) vb)
+    on columns, (x1 x2) (x) (x3 x4) -> (x1 x3)(x2 x4) with the Koszul sign
+    (-1)^{|x2||x3|}, coded for pair_image_rows."""
+    na, nb = va.dim, vb.dim
+    nt = na * nb
+    out = {}
+    for i, j, k, l in product(range(na), range(na), range(nb), range(nb)):
+        odd = va.degrees[j] * vb.degrees[k] % 2
+        out[((i * na + j) * nb + k) * nb + l] = (
+            (i * nb + k) * nt + j * nb + l, -1 if odd else 1)
+    return out
 
 
 class ProductName(str, Enum):
@@ -293,26 +297,22 @@ def monoidal_product(name, a, b):
         gens, rels = _sum_relations(a, b, +1)
     elif name is ProductName.VEE:
         gens, rels = _sum_relations(a, b, None)
-    elif name is ProductName.BLACK:
-        gens = tensor_product(a.generators, b.generators)
-        rows = _s23_rows(
-            a.generators, b.generators, a.relations.rows, b.relations.rows
-        )
-        rels = Subspace(square(gens), rows)
-    else:  # WHITE
-        gens = tensor_product(a.generators, b.generators)
-        rows = _s23_rows(
-            a.generators,
-            b.generators,
-            a.relations.rows,
-            _square_basis_rows(b.generators),
-        )
-        rows += _s23_rows(
-            a.generators,
-            b.generators,
-            _square_basis_rows(a.generators),
-            b.relations.rows,
-        )
+    else:  # BLACK or WHITE: images under the middle swap S_(23)
+        va, vb = a.generators, b.generators
+        gens = tensor_product(va, vb)
+        cols, dim_b = _s23_cols(va, vb), vb.dim * vb.dim
+        rows_a, rows_b = a.relations.rows, b.relations.rows
+        if name is ProductName.BLACK:
+            rows = pair_image_rows(cols, dim_b, rows_a, rows_b)
+        else:
+            # R_A (x) T_B + T_A (x) R_B, with T_A = R_A + N_A for N_A the
+            # unit rows off the pivots of R_A: R_A (x) R_B is counted once
+            pivots = {next(iter(r)) for r in rows_a}
+            free_a = [{c: 1} for c in range(va.dim * va.dim)
+                      if c not in pivots]
+            rows = pair_image_rows(cols, dim_b, rows_a,
+                                   [{c: 1} for c in range(dim_b)])
+            rows += pair_image_rows(cols, dim_b, free_a, rows_b)
         rels = Subspace(square(gens), rows)
     return QuadraticData(out_flavor, gens, rels)
 

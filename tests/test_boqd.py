@@ -12,12 +12,11 @@ from quadop.boqd import (
     com_data,
     koszul_involution_check,
     make_boqd,
-    psi_rows,
     trivial_module,
 )
 from quadop.exactlin import LinearMap, Subspace, rows_past
 from quadop.graded import GradedSpace
-from quadop.qd import inj14_map, pr14_map, square_apply_rows
+from quadop.qd import inj14_map, pair_image_rows, pr14_map, square_apply_rows
 from quadop.rand import random_boqd, random_s2module, s3_closure_rows
 
 
@@ -166,6 +165,12 @@ def test_interchange_and_quintuples():
         for dia in ("vee", "oplus", "tril", "trir"):
             for r in boqd_interchange_check(("quintuple", box, dia), *args):
                 assert r.passed, r
+
+
+def psi_rows(a, b, rows_a, rows_b):
+    """Pairs of arity-3 rows of a and b pushed through the tree duplication,
+    as the black product builds them."""
+    return pair_image_rows(_diagonal_cols(a, b), b.space.dim, rows_a, rows_b)
 
 
 def test_psi_equivariance_and_offdiagonal_vanishing():

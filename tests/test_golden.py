@@ -65,6 +65,8 @@ for command in sys.argv[1:]:
     # these share the process-wide tensor products of graded spaces
     ("verify qd-coherence --trials 10", "verify boqd-coherence --trials 4"),
     ("verify boqd-coherence --trials 4", "verify qd-coherence --trials 10"),
+    # these share the process-wide tau ambients of the BOQD generator spaces
+    ("verify boqd-coherence --trials 4", "verify boqd-coherence"),
 ])
 def test_reports_do_not_depend_on_suite_order(commands):
     proc = subprocess.run(

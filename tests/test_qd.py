@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadop.exactlin import LinearMap, Vector
+from quadop.exactlin import LinearMap, Subspace, Vector
 from quadop.graded import (
     GradedSpace,
     _pair_vector,
@@ -51,7 +51,7 @@ from quadop.qd import (
     verify_diagram_face,
     _functor_image,
 )
-from quadop.rand import _flavor_pool, random_qd
+from quadop.rand import _flavor_pool, random_graded_space, random_qd
 from quadop.catalog import aos_data, named_qd
 
 
@@ -258,6 +258,51 @@ def test_interchange_mixed_degree_signs():
     assert src_rel.dim > 0
 
 
+def _s23_image(va, vb, rows_a, rows_b):
+    """S_(23)(U (x) W) term by term, (x1 x2) (x) (x3 x4) -> (x1 x3)(x2 x4)
+    with the sign (-1)^{|x2||x3|}, for U, W given by rows of the squares."""
+    na, nb = va.dim, vb.dim
+    out = []
+    for ra in rows_a:
+        for rb in rows_b:
+            acc = {}
+            for ca, u in ra.items():
+                i, j = divmod(ca, na)
+                for cb, w in rb.items():
+                    k, l = divmod(cb, nb)
+                    sign = -1 if va.degrees[j] * vb.degrees[k] % 2 else 1
+                    col = (i * nb + k) * na * nb + j * nb + l
+                    acc[col] = acc.get(col, 0) + sign * u * w
+            out.append({c: v for c, v in acc.items() if v})
+    return out
+
+
+def test_white_is_the_s23_image_of_every_mixed_row():
+    # white pairs R_A with all of T_B, but only the non-pivot units of T_A
+    # with R_B; the oracle pushes every row of R_A (x) T_B + T_A (x) R_B
+    rng = random.Random(43)
+    pairs = [(random_qd(rng, "plain", "a"), random_qd(rng, "plain", "b"))
+             for _ in range(80)]
+    for _ in range(4):
+        gens = random_graded_space(rng, "e")
+        empty = make_qd("plain", gens, [])
+        full = make_qd("plain", gens, [{c: 1} for c in range(gens.dim ** 2)])
+        other = random_qd(rng, "plain", "f")
+        pairs += [(empty, other), (other, full), (full, empty),
+                  (qd_zero(), other), (other, qd_zero())]
+    odd = False
+    for a, b in pairs:
+        va, vb = a.generators, b.generators
+        odd = odd or any(d % 2 for d in va.degrees + vb.degrees)
+        units_a = [{c: 1} for c in range(va.dim ** 2)]
+        units_b = [{c: 1} for c in range(vb.dim ** 2)]
+        mixed = _s23_image(va, vb, a.relations.rows, units_b)
+        mixed += _s23_image(va, vb, units_a, b.relations.rows)
+        white = monoidal_product("white", a, b)
+        assert white.relations == Subspace(white.relations.ambient, mixed)
+    assert odd and len(pairs) == 100
+
+
 def test_annihilated_summand():
     # relations of the two outer factors against the two primed factors die
     a = make_qd("plain", GradedSpace(("a",), (0,)), [{0: 1}])
@@ -267,18 +312,19 @@ def test_annihilated_summand():
     phi = interchange_phi(a, ap, b, bp)
     assert isinstance(phi, QDMorphism)
     # S23(R(A) (x) R(B')) is annihilated by the projection square
-    from quadop.qd import _s23_rows, square_apply_rows
+    from quadop.qd import _s23_cols, pair_image_rows, square_apply_rows
 
-    rows = _s23_rows(
-        phi.source.generators, phi.source.generators, [], []
-    )  # shape check only
+    gens = phi.source.generators
+    rows = pair_image_rows(_s23_cols(gens, gens), gens.dim ** 2, [], [])
+    assert rows == []  # shape check only
     # build R(A) (x) R(B') inside the big square: index 0 is a, index 3 is b'
     na = 2
     arow = {0 * na + 0: Fraction(1)}  # a (x) a in (A1+A'1)^2 coordinates
     brow = {1 * na + 1: Fraction(1)}  # b' (x) b'
-    cross = _s23_rows(
-        GradedSpace(("a", "a'"), (0, 0)), GradedSpace(("b", "b'"), (0, 0)),
-        [arow], [brow],
+    cross = pair_image_rows(
+        _s23_cols(GradedSpace(("a", "a'"), (0, 0)),
+                  GradedSpace(("b", "b'"), (0, 0))),
+        4, [arow], [brow],
     )
     imgs = square_apply_rows(phi.map, cross)
     assert all(not img for img in imgs)
