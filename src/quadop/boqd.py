@@ -387,15 +387,8 @@ def koszul_involution_check(a, b):
     ):
         lhs = boqd_dual(boqd_product(lhs_name, a, b))
         rhs = boqd_product(rhs_name, da, db)
-        ok = (
-            lhs.generators.space == rhs.generators.space
-            and lhs.generators.action == rhs.generators.action
-            and lhs.relations == rhs.relations
-        )
-        reports.append(
-            Report("involution.%s" % name, ok,
-                   "dims %d vs %d" % (lhs.rdim, rhs.rdim))
-        )
+        reports.append(Report("involution.%s" % name, lhs == rhs,
+                              "dims %d vs %d" % (lhs.rdim, rhs.rdim)))
     return reports
 
 

@@ -42,21 +42,20 @@ def _emit(args, payload, tsv_rows=None):
         sys.stdout.write(text)
 
 
-def _resolve_qd(args, *values):
+def _resolve_qd(args):
     """The data of the --qd values (JSON files, AOS or family names).  --n
     and --k qualify a name, so each is a usage error where no datum reads
     it: --n where every datum is a JSON file, --k where every datum is a
     JSON file or AOS."""
-    values = values or (args.qd,)
-    names = [v for v in values if not v.endswith(".json")]
+    names = [v for v in args.qd if not v.endswith(".json")]
     if args.n is not None and not names:
         raise UsageError("a JSON datum reads no --n")
     if args.k is not None and all(v.upper() == "AOS" for v in names):
-        raise UsageError("--qd %s reads no --k" % " ".join(values))
+        raise UsageError("--qd %s reads no --k" % " ".join(args.qd))
     if names and args.n is None:
         raise UsageError("--qd %s needs --n" % names[0])
     data = []
-    for value in values:
+    for value in args.qd:
         if value.endswith(".json"):
             with open(value) as fh:
                 data.append(qd_loads(fh.read()))
@@ -99,22 +98,19 @@ def cmd_dims(args):
            "relations" if args.relations else "wmax")
     [q] = _resolve_qd(args)
     if args.relations:
-        _emit(args, {"qd": args.qd, "relation_dim": q.rdim}, tsv_rows=[[q.rdim]])
+        _emit(args, {"qd": args.qd[0], "relation_dim": q.rdim}, tsv_rows=[[q.rdim]])
         return 0
     wmax = args.wmax if args.wmax is not None else 5
-    if q.flavor is QDFlavor.SYM:
-        reals = ("S", "Sc")
-    elif q.flavor is QDFlavor.SKEW:
-        reals = ("A", "L")
-    else:
-        reals = ("A", "Tc")
+    # the algebra side, then the cofree side (the Lie side for skew data)
+    reals = (realize.algebra_side(q),
+             {QDFlavor.SYM: "Sc", QDFlavor.SKEW: "L"}.get(q.flavor, "Tc"))
     table = {}
     rows = []
     for r in reals:
         dims = realize.hilbert_series(r, q, wmax)
         table[r] = dims
         rows.append([r] + dims)
-    _emit(args, {"qd": args.qd, "weights": list(range(wmax + 1)), "dims": table},
+    _emit(args, {"qd": args.qd[0], "weights": list(range(wmax + 1)), "dims": table},
           tsv_rows=rows)
     return 0
 
@@ -159,10 +155,10 @@ def cmd_build(args):
         _emit(args, qd_to_json(out))
         return 0
     if args.product:
-        if len(args.qd_multi) != 2:
+        if len(args.qd or ()) != 2:
             raise UsageError("build --product needs exactly two --qd arguments")
         _reads(args, "build --product", "product", "qd", "n", "k")
-        a, b = _resolve_qd(args, *args.qd_multi)
+        a, b = _resolve_qd(args)
         out = monoidal_product(args.product, a, b)
         _emit(args, qd_to_json(out))
         return 0
@@ -186,7 +182,9 @@ def make_parser():
 
     def common(p):
         p.add_argument("--family", help="family name: BKW DK HG RHG EHKR LG LHG")
-        p.add_argument("--qd", help="named datum (AOS or a family name) or a JSON file")
+        p.add_argument("--qd", action="append",
+                       help="named datum (AOS or a family name) or a JSON "
+                            "file; build --product takes two")
         p.add_argument("--k", type=int, help="hyperedge size for HG/RHG/LHG")
         p.add_argument("--n", type=int, help="arity of the component")
         p.add_argument("--nmax", type=int, help="arity bound")
@@ -219,15 +217,13 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    # allow repeated --qd for build --product
-    qd_multi = [argv[i + 1] for i, a in enumerate(argv) if a == "--qd"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    args.qd_multi = qd_multi
     try:
+        if len(args.qd or ()) > 1 and not getattr(args, "product", None):
+            raise UsageError("only build --product takes a second --qd")
         for name, low in (("trials", 1), ("nmax", 1), ("n", 0), ("wmax", 0)):
             value = getattr(args, name)
             if value is not None and value < low:

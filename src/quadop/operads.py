@@ -17,6 +17,7 @@ from .exactlin import LinearMap, Subspace
 from .graded import GradedSpace, direct_sum, signed_square, square, wedge_row
 from .kernel import EchelonBasis
 from .qd import (
+    SQUARE_SIGN,
     QDFlavor,
     QuadraticData,
     escaping_image,
@@ -243,7 +244,7 @@ class OperadFamily:
 
 
 def _rel_full(family, n, idx, gens):
-    return list(signed_square(gens, -1).rows)
+    return list(signed_square(gens, SQUARE_SIGN[QDFlavor.SKEW]).rows)
 
 
 def _rel_refined(family, n, idx, gens):

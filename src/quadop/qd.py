@@ -50,6 +50,10 @@ class QDFlavor(str, Enum):
     SKEW = "skew"
 
 
+# the sign of the square that symmetric and skew relations live in
+SQUARE_SIGN = {QDFlavor.SYM: 1, QDFlavor.SKEW: -1}
+
+
 class FlavorViolation(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
@@ -70,8 +74,8 @@ class QuadraticData:
         amb = square(self.generators)
         if self.relations.ambient != amb:
             raise AmbientMismatch("relations do not live in the generator square")
-        if self.flavor is not QDFlavor.PLAIN:
-            sign = 1 if self.flavor is QDFlavor.SYM else -1
+        sign = SQUARE_SIGN.get(self.flavor)
+        if sign is not None:
             for row in self.relations.rows:
                 if not in_signed_square(self.generators, row, sign):
                     raise FlavorViolation(
@@ -269,35 +273,30 @@ class ProductName(str, Enum):
     WHITE = "white"
 
 
-_PRODUCT_FLAVORS = {
-    ProductName.TENSOR: {QDFlavor.PLAIN: QDFlavor.PLAIN},
-    ProductName.UTENSOR: {
-        QDFlavor.PLAIN: QDFlavor.PLAIN,
-        QDFlavor.SYM: QDFlavor.SYM,
-    },
-    ProductName.VEE: {QDFlavor.SYM: QDFlavor.SYM},
-    ProductName.OPLUS: {QDFlavor.SKEW: QDFlavor.SKEW},
-    ProductName.BLACK: {QDFlavor.PLAIN: QDFlavor.PLAIN},
-    ProductName.WHITE: {QDFlavor.PLAIN: QDFlavor.PLAIN},
+# the products defined on data of each flavor; each keeps the flavor
+PRODUCTS = {
+    QDFlavor.PLAIN: (ProductName.TENSOR, ProductName.UTENSOR,
+                     ProductName.BLACK, ProductName.WHITE),
+    QDFlavor.SYM: (ProductName.UTENSOR, ProductName.VEE),
+    QDFlavor.SKEW: (ProductName.OPLUS,),
 }
+
+# the bracket sign of each direct-sum product (None: no bracket); a product
+# not listed is an image under the middle swap S_(23)
+_BRACKET = {ProductName.TENSOR: -1, ProductName.OPLUS: -1,
+            ProductName.UTENSOR: +1, ProductName.VEE: None}
 
 
 def monoidal_product(name, a, b):
     name = ProductName(name)
-    allowed = _PRODUCT_FLAVORS[name]
-    if a.flavor is not b.flavor or a.flavor not in allowed:
+    if a.flavor is not b.flavor or name not in PRODUCTS[a.flavor]:
         raise FlavorMismatch(
             "product %s is not defined on flavors (%s, %s)"
             % (name.value, a.flavor.value, b.flavor.value)
         )
-    out_flavor = allowed[a.flavor]
-    if name is ProductName.TENSOR or name is ProductName.OPLUS:
-        gens, rels = _sum_relations(a, b, -1)
-    elif name is ProductName.UTENSOR:
-        gens, rels = _sum_relations(a, b, +1)
-    elif name is ProductName.VEE:
-        gens, rels = _sum_relations(a, b, None)
-    else:  # BLACK or WHITE: images under the middle swap S_(23)
+    if name in _BRACKET:
+        gens, rels = _sum_relations(a, b, _BRACKET[name])
+    else:
         va, vb = a.generators, b.generators
         gens = tensor_product(va, vb)
         cols, dim_b = _s23_cols(va, vb), vb.dim * vb.dim
@@ -314,7 +313,7 @@ def monoidal_product(name, a, b):
                                    [{c: 1} for c in range(dim_b)])
             rows += pair_image_rows(cols, dim_b, free_a, rows_b)
         rels = Subspace(square(gens), rows)
-    return QuadraticData(out_flavor, gens, rels)
+    return QuadraticData(a.flavor, gens, rels)
 
 
 class FunctorName(str, Enum):
@@ -341,13 +340,8 @@ def _shift_qd(a, step):
     subspace of the tensor square) shifts by two degrees."""
     sv = shift(a.generators, step)
     rels = apply_map(shift_square_map(a.generators, step), a.relations)
-    if a.flavor is QDFlavor.PLAIN:
-        flavor = QDFlavor.PLAIN
-    elif a.flavor is QDFlavor.SYM:
-        flavor = QDFlavor.SKEW
-    else:
-        flavor = QDFlavor.SYM
-    return QuadraticData(flavor, sv, rels)
+    swapped = {QDFlavor.SYM: QDFlavor.SKEW, QDFlavor.SKEW: QDFlavor.SYM}
+    return QuadraticData(swapped.get(a.flavor, a.flavor), sv, rels)
 
 
 def apply_functor(name, a):
@@ -365,7 +359,7 @@ def _functor_image(name, a):
     if name is FunctorName.SIGMA:
         return _reflavor(a, QDFlavor.SYM, QDFlavor.PLAIN)
     if name is FunctorName.SCRIPT_S:
-        extra = signed_square(a.generators, -1).rows
+        extra = signed_square(a.generators, SQUARE_SIGN[QDFlavor.SKEW]).rows
         return _reflavor(a, QDFlavor.SYM, QDFlavor.PLAIN, extra_rows=extra)
     if name is FunctorName.ANTISHRIEK:
         return _shift_qd(a, +1)
@@ -377,21 +371,12 @@ def _functor_image(name, a):
             a.relations, square(dv),
             [word_sign(k) for k in a.relations.ambient.odds],
         )
-        if a.flavor is not QDFlavor.PLAIN:
-            sign = 1 if a.flavor is QDFlavor.SYM else -1
-            ann = intersect(ann, signed_square(dv, sign))
+        if a.flavor in SQUARE_SIGN:
+            ann = intersect(ann, signed_square(dv, SQUARE_SIGN[a.flavor]))
         return QuadraticData(a.flavor, dv, ann)
     if name is FunctorName.SHRIEK:
         return apply_functor(FunctorName.STAR, apply_functor(FunctorName.ANTISHRIEK, a))
     raise ValueError(name)
-
-
-def qd_equal(a, b):
-    return (
-        a.flavor is b.flavor
-        and a.generators == b.generators
-        and a.relations == b.relations
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +475,7 @@ def qd_loads(s):
 
 def _swap_map(name, a, b):
     """Generator-level braiding a.b -> b.a for each product."""
-    name = ProductName(name)
-    if name in (ProductName.BLACK, ProductName.WHITE):
+    if ProductName(name) not in _BRACKET:
         return braiding_map(a.generators, b.generators)
     va, vb = a.generators, b.generators
     src = direct_sum(va, vb)
@@ -506,39 +490,21 @@ def check_unit_laws(a):
     the one-generator units for the dot products are verified up to the
     canonical generator identification and flagged as convention."""
     out = []
-    flavor_products = {
-        QDFlavor.PLAIN: (ProductName.TENSOR, ProductName.UTENSOR),
-        QDFlavor.SYM: (ProductName.UTENSOR, ProductName.VEE),
-        QDFlavor.SKEW: (ProductName.OPLUS,),
-    }
-    unit = qd_zero(a.flavor)
-    for name in flavor_products[a.flavor]:
-        left = monoidal_product(name, unit, a)
-        right = monoidal_product(name, a, unit)
-        ok = qd_equal(left, a) and qd_equal(right, a)
-        out.append(Report("unit.%s" % name.value, ok, ""))
-    if a.flavor is QDFlavor.PLAIN:
-        for name, unit in (("black", black_unit()), ("white", white_unit())):
-            prod = monoidal_product(name, unit, a)
-            ident = LinearMap(
-                prod.generators,
-                a.generators,
-                [{i: 1} for i in range(a.gdim)],
-            )
-            m = check_morphism(ident, prod, a)
-            prod2 = monoidal_product(name, a, unit)
-            ident2 = LinearMap(
-                prod2.generators,
-                a.generators,
-                [{i: 1} for i in range(a.gdim)],
-            )
-            m2 = check_morphism(ident2, prod2, a)
-            ok = isinstance(m, QDMorphism) and isinstance(m2, QDMorphism) \
-                and prod.rdim == a.rdim and prod2.rdim == a.rdim
-            out.append(
-                Report("unit.%s" % name, ok,
-                       "one-generator unit, canonical identification (convention)")
-            )
+    zero = qd_zero(a.flavor)
+    for name in PRODUCTS[a.flavor]:
+        if name in _BRACKET:
+            ok = monoidal_product(name, zero, a) == a == monoidal_product(name, a, zero)
+            out.append(Report("unit.%s" % name.value, ok, ""))
+            continue
+        unit = black_unit() if name is ProductName.BLACK else white_unit()
+        ok = True
+        for prod in (monoidal_product(name, unit, a), monoidal_product(name, a, unit)):
+            ident = LinearMap(prod.generators, a.generators,
+                              [{i: 1} for i in range(a.gdim)])
+            ok = (ok and prod.rdim == a.rdim
+                  and isinstance(check_morphism(ident, prod, a), QDMorphism))
+        out.append(Report("unit.%s" % name.value, ok,
+                          "one-generator unit, canonical identification (convention)"))
     return out
 
 
@@ -547,7 +513,7 @@ def check_associativity(name, a, b, c):
     literally equal."""
     left = monoidal_product(name, monoidal_product(name, a, b), c)
     right = monoidal_product(name, a, monoidal_product(name, b, c))
-    return qd_equal(left, right)
+    return left == right
 
 
 def check_braiding(name, a, b):
@@ -580,18 +546,7 @@ def check_strong_monoidality(functor, src_product, tgt_product, a, b):
     identifications (stars distribute over summands, shifts prefix them)."""
     lhs = apply_functor(functor, monoidal_product(src_product, a, b))
     rhs = monoidal_product(tgt_product, apply_functor(functor, a), apply_functor(functor, b))
-    return qd_equal(lhs, rhs)
-
-
-def check_black_white_duality(a, b):
-    """(A black B)* = A* white B* as exact subspace equality."""
-    lhs = apply_functor(FunctorName.STAR, monoidal_product(ProductName.BLACK, a, b))
-    rhs = monoidal_product(
-        ProductName.WHITE,
-        apply_functor(FunctorName.STAR, a),
-        apply_functor(FunctorName.STAR, b),
-    )
-    return qd_equal(lhs, rhs)
+    return lhs == rhs
 
 
 def check_phi_psi_star_duality(a, ap, b, bp):
@@ -606,9 +561,9 @@ def check_phi_psi_star_duality(a, ap, b, bp):
     psi = interchange_psi(da, dap, db, dbp)
     if not isinstance(psi, QDMorphism):
         return False
-    if not qd_equal(apply_functor(FunctorName.STAR, phi.target), psi.source):
+    if apply_functor(FunctorName.STAR, phi.target) != psi.source:
         return False
-    if not qd_equal(apply_functor(FunctorName.STAR, phi.source), psi.target):
+    if apply_functor(FunctorName.STAR, phi.source) != psi.target:
         return False
     transpose = [
         {j: v for j, col in enumerate(phi.map.cols) for i2, v in col.items() if i2 == i}
@@ -680,16 +635,28 @@ def check_phi_associator_coherence(a, ap, b, bp, c, cp):
 # commutative-diagram faces
 
 
-# each face and the flavor of the data it is stated for
+# each face: the flavor of the data it is stated for and its two sides.  A
+# side is a realisation, or None for the datum itself, after a chain of
+# functors; a face without sides compares A with the PBW prediction.
 FACES = {
-    "shift_square": QDFlavor.SKEW,  # shifting then flavor-forgetting commute
-    "sigma_perp": QDFlavor.SYM,  # duality against the symmetric inclusion
-    "lambda_perp": QDFlavor.SKEW,  # the composite second-dual identity
-    "tensor_coalgebra_dual": QDFlavor.PLAIN,  # cofree weights against the dual quotient
-    "sym_coalgebra_dual": QDFlavor.SYM,  # cofree symmetric weights against the dual
-    "sym_vs_cofree": QDFlavor.SYM,  # cofree symmetric = cofree tensor on Sigma
-    "envelope_pbw": QDFlavor.SKEW,  # enveloping-algebra weights from Lie data
-    "sym_quotient": QDFlavor.SYM,  # symmetric quotient = tensor quotient lift
+    # shifting then flavor-forgetting commute
+    "shift_square": (QDFlavor.SKEW, (None, "lambda", "antishriek"),
+                     (None, "antishriek", "sigma")),
+    # duality against the symmetric inclusion
+    "sigma_perp": (QDFlavor.SYM, (None, "sigma", "star"), (None, "star", "script_s")),
+    # the composite second-dual identity
+    "lambda_perp": (QDFlavor.SKEW, (None, "lambda", "shriek"),
+                    (None, "shriek", "script_s")),
+    # cofree weights against the dual quotient
+    "tensor_coalgebra_dual": (QDFlavor.PLAIN, ("Tc",), ("A", "star")),
+    # cofree symmetric weights against the dual
+    "sym_coalgebra_dual": (QDFlavor.SYM, ("Sc",), ("S", "star")),
+    # cofree symmetric = cofree tensor on Sigma
+    "sym_vs_cofree": (QDFlavor.SYM, ("Sc",), ("Tc", "sigma")),
+    # enveloping-algebra weights from Lie data
+    "envelope_pbw": (QDFlavor.SKEW,),
+    # symmetric quotient = tensor quotient lift
+    "sym_quotient": (QDFlavor.SYM, ("S",), ("A", "script_s")),
 }
 
 
@@ -702,38 +669,21 @@ def verify_diagram_face(face, a):
 
     if face not in FACES:
         raise ValueError("unknown face %r" % face)
-    if a.flavor is not FACES[face]:
-        raise FlavorMismatch("face needs %s data" % FACES[face].value)
-    if face == "shift_square":
-        lhs = apply_functor(FunctorName.ANTISHRIEK, apply_functor(FunctorName.LAMBDA, a))
-        rhs = apply_functor(FunctorName.SIGMA, apply_functor(FunctorName.ANTISHRIEK, a))
-        ok = qd_equal(lhs, rhs)
-        return Report(face, ok, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
-    if face == "sigma_perp":
-        lhs = apply_functor(FunctorName.STAR, apply_functor(FunctorName.SIGMA, a))
-        rhs = apply_functor(FunctorName.SCRIPT_S, apply_functor(FunctorName.STAR, a))
-        ok = qd_equal(lhs, rhs)
-        return Report(face, ok, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
-    if face == "lambda_perp":
-        lhs = apply_functor(FunctorName.SHRIEK, apply_functor(FunctorName.LAMBDA, a))
-        rhs = apply_functor(FunctorName.SCRIPT_S, apply_functor(FunctorName.SHRIEK, a))
-        ok = qd_equal(lhs, rhs)
-        return Report(face, ok, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
-    if face == "tensor_coalgebra_dual":
-        lhs = realize.hilbert_series("Tc", a, FACE_WMAX)
-        rhs = realize.hilbert_series("A", apply_functor(FunctorName.STAR, a), FACE_WMAX)
-        return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
-    if face == "sym_coalgebra_dual":
-        lhs = realize.hilbert_series("Sc", a, FACE_WMAX)
-        rhs = realize.hilbert_series("S", apply_functor(FunctorName.STAR, a), FACE_WMAX)
-        return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
-    if face == "sym_vs_cofree":
-        lhs = realize.hilbert_series("Sc", a, FACE_WMAX)
-        rhs = realize.hilbert_series("Tc", apply_functor(FunctorName.SIGMA, a), FACE_WMAX)
-        return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
-    if face == "envelope_pbw":
+    flavor, *sides = FACES[face]
+    if a.flavor is not flavor:
+        raise FlavorMismatch("face needs %s data" % flavor.value)
+    if not sides:
         return realize.ue_compare(a, FACE_WMAX)
-    if face == "sym_quotient":
-        lhs = realize.hilbert_series("S", a, FACE_WMAX)
-        rhs = realize.hilbert_series("A", apply_functor(FunctorName.SCRIPT_S, a), FACE_WMAX)
-        return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))
+
+    def side(realization, *functors):
+        q = a
+        for name in functors:
+            q = apply_functor(name, q)
+        if realization is None:
+            return q
+        return realize.hilbert_series(realization, q, FACE_WMAX)
+
+    lhs, rhs = (side(*s) for s in sides)
+    if sides[0][0] is None:
+        return Report(face, lhs == rhs, "relation dims %d vs %d" % (lhs.rdim, rhs.rdim))
+    return Report(face, lhs == rhs, "dims %s vs %s" % (lhs, rhs))

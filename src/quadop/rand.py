@@ -11,7 +11,7 @@ from .boqd import S2Module, make_boqd
 from .exactlin import LinearMap
 from .graded import GradedSpace, signed_square, square
 from .kernel import EchelonBasis
-from .qd import QDFlavor, make_qd
+from .qd import SQUARE_SIGN, QDFlavor, make_qd
 
 
 def child_rng(seed, name):
@@ -31,9 +31,9 @@ def _flavor_pool(gens, flavor):
     """Basis rows of the flavor square of gens: for SYM/SKEW the RREF rows
     of its symmetric/antisymmetric part, one per pair i <= j whose signed
     pair vector is nonzero."""
-    if flavor is QDFlavor.PLAIN:
-        return [{c: 1} for c in range(gens.dim ** 2)]
-    return list(signed_square(gens, 1 if flavor is QDFlavor.SYM else -1).rows)
+    if flavor in SQUARE_SIGN:
+        return list(signed_square(gens, SQUARE_SIGN[flavor]).rows)
+    return [{c: 1} for c in range(gens.dim ** 2)]
 
 
 def random_relation_rows(rng, gens, flavor):

@@ -24,9 +24,6 @@ from .graded import ArityError
 from .report import Report
 
 
-REALIZATIONS = ("A", "S", "Tc", "Sc", "L")
-
-
 # ---------------------------------------------------------------------------
 # tensor side
 
@@ -385,7 +382,7 @@ def pbw_certificate(side, q):
     dim3 = _component_cached(side, q, 3)
     parity = [d % 2 for d in q.generators.degrees]
     if side == "A":
-        qq = _as_plain_for_A(q)
+        qq = _as_plain("A", q)
         orders = {order: _tensor_leads(qq.relations.rows, qq.gdim, order)
                   for order in ("given", "reversed")}
         tried = tuple((order, sum(_normal_words_by_parity(leads, parity, 3)))
@@ -425,20 +422,24 @@ def _certified_dim(realization, q, w):
 # public weight components
 
 
-def _as_plain_for_A(q):
-    if q.flavor is QDFlavor.PLAIN:
-        return q
-    if q.flavor is QDFlavor.SKEW:
-        return apply_functor(FunctorName.LAMBDA, q)
-    return apply_functor(FunctorName.SCRIPT_S, q)
+# the functor that reads symmetric or skew data as the plain data whose
+# tensor quotient (A) or cofree side (Tc) is theirs
+_TO_PLAIN = {
+    ("A", QDFlavor.SKEW): FunctorName.LAMBDA,
+    ("A", QDFlavor.SYM): FunctorName.SCRIPT_S,
+    ("Tc", QDFlavor.SKEW): FunctorName.LAMBDA,
+    ("Tc", QDFlavor.SYM): FunctorName.SIGMA,
+}
 
 
-def _as_plain_for_Tc(q):
-    if q.flavor is QDFlavor.PLAIN:
-        return q
-    if q.flavor is QDFlavor.SYM:
-        return apply_functor(FunctorName.SIGMA, q)
-    return apply_functor(FunctorName.LAMBDA, q)
+def _as_plain(realization, q):
+    name = _TO_PLAIN.get((realization, q.flavor))
+    return q if name is None else apply_functor(name, q)
+
+
+def algebra_side(q):
+    """The algebra realisation of a datum: S for symmetric data, else A."""
+    return "S" if q.flavor is QDFlavor.SYM else "A"
 
 
 @lru_cache(maxsize=4096)
@@ -456,10 +457,10 @@ def _component_cached(realization, q, w):
         if dim is not None:
             return dim
     if realization == "A":
-        qq = _as_plain_for_A(q)
+        qq = _as_plain("A", q)
         return tensor_quotient_dim(qq.relations.rows, qq.gdim, w)
     if realization == "Tc":
-        qq = _as_plain_for_Tc(q)
+        qq = _as_plain("Tc", q)
         return len(tensor_cofree_rows(qq.relations.rows, qq.gdim, w))
     if realization == "S":
         if q.flavor is not QDFlavor.SYM:
@@ -560,15 +561,8 @@ def koszul_euler_check(q, wmax):
     the realisation of q and of its second Koszul dual at -t must be 1 up to
     the cap; reported as PASS when it is, INFO otherwise."""
     bang = apply_functor(FunctorName.SHRIEK, q)
-    if q.flavor is QDFlavor.SKEW:
-        h1 = hilbert_series("A", q, wmax)
-        h2 = hilbert_series("S", bang, wmax)
-    elif q.flavor is QDFlavor.SYM:
-        h1 = hilbert_series("S", q, wmax)
-        h2 = hilbert_series("A", bang, wmax)
-    else:
-        h1 = hilbert_series("A", q, wmax)
-        h2 = hilbert_series("A", bang, wmax)
+    h1 = hilbert_series(algebra_side(q), q, wmax)
+    h2 = hilbert_series(algebra_side(bang), bang, wmax)
     signed = [(-1) ** w * d for w, d in enumerate(h2)]
     prod = _poly_mul(h1, signed, wmax)
     ok = prod[0] == 1 and all(x == 0 for x in prod[1:])

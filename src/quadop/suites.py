@@ -28,10 +28,10 @@ from .operads import (
 from .qd import (
     FunctorName,
     QDMorphism,
+    PRODUCTS,
     STRONG_MONOIDALITY_TABLE,
     apply_functor,
     check_associativity,
-    check_black_white_duality,
     check_braiding,
     check_phi_associator_coherence,
     check_phi_psi_star_duality,
@@ -88,22 +88,14 @@ def suite_qd_coherence(seed=DEFAULT_SEED, trials=200):
             yield all(r.passed for r in check_unit_laws(a))
 
     def associativity(rng):
-        pl, sy, sk = (_draws(rng, fl, "abc") for fl in ("plain", "symmetric", "skew"))
-        for name, triple in (
-            ("tensor", pl), ("utensor", pl), ("black", pl), ("white", pl),
-            ("utensor", sy), ("vee", sy), ("oplus", sk),
-        ):
-            yield check_associativity(name, *triple)
+        for flavor, names in PRODUCTS.items():
+            triple = _draws(rng, flavor, "abc")
+            yield from (check_associativity(name, *triple) for name in names)
 
     def braiding(rng):
-        for flavor, names in (
-            ("plain", ("tensor", "utensor", "black", "white")),
-            ("symmetric", ("utensor", "vee")),
-            ("skew", ("oplus",)),
-        ):
-            a, b = _draws(rng, flavor, "ab")
-            for name in names:
-                yield check_braiding(name, a, b)
+        for flavor, names in PRODUCTS.items():
+            pair = _draws(rng, flavor, "ab")
+            yield from (check_braiding(name, *pair) for name in names)
 
     def monoidality(rng):
         for f, fl, sp, tp in STRONG_MONOIDALITY_TABLE:
@@ -123,7 +115,8 @@ def suite_qd_coherence(seed=DEFAULT_SEED, trials=200):
         ("braid", "braiding", small, braiding),
         ("monoidal", "strong-monoidality", small, monoidality),
         ("bw", "black-white-duality", small, lambda rng: [
-            check_black_white_duality(*_draws(rng, "plain", "ab"))]),
+            check_strong_monoidality("star", "black", "white",
+                                     *_draws(rng, "plain", "ab"))]),
         ("phi", "interchange-phi-psi", trials, interchanges),
         ("stardual", "phi-psi-star-duality", few, lambda rng: [
             check_phi_psi_star_duality(*_draws(rng, "plain", _PRIMED))]),
@@ -293,10 +286,6 @@ _PBW_DATA = (
 )
 
 
-def _pbw_side(q):
-    return "S" if q.flavor is QDFlavor.SYM else "A"
-
-
 def _certificate_case(name, cert):
     what = ("normal words of length 3" if cert.side == "A"
             else "standard monomials of weight 3")
@@ -324,10 +313,10 @@ def suite_koszul_pbw(seed=DEFAULT_SEED):
         for n in arities:
             label = "%s%s.n%d" % (name.lower(), k or "", n)
             q = named_qd(name, n, k=k)
-            cert = realize.pbw_certificate(_pbw_side(q), q)
+            cert = realize.pbw_certificate(realize.algebra_side(q), q)
             rep.add(_certificate_case("pbw." + label, cert))
             bang = apply_functor(FunctorName.SHRIEK, q)
-            dual = realize.pbw_certificate(_pbw_side(bang), bang)
+            dual = realize.pbw_certificate(realize.algebra_side(bang), bang)
             rep.add(_certificate_case("pbw-dual." + label, dual))
             if cert.order is not None and dual.order is not None:
                 rep.add(_koszul_euler("koszul-euler." + label, q, 8))
@@ -392,7 +381,7 @@ def suite_diagram_faces(seed=DEFAULT_SEED, trials=100):
     per_face = max(1, trials // len(FACES))
     _case_groups(rep, seed, [
         ("face." + face, "random-faces", per_face, face_law(face, flavor))
-        for face, flavor in FACES.items()
+        for face, (flavor, *_) in FACES.items()
     ])
     return rep
 

@@ -279,7 +279,7 @@ def criterion_11_gerstenhaber_and_faces():
         if not verify_diagram_face(face, inst).passed:
             ok = False
     count = 0
-    for face, flavor in FACES.items():
+    for face, (flavor, *_) in FACES.items():
         for t in range(13):
             rng = child_rng(SEED, "acc.face.%s.%d" % (face, t))
             inst = random_qd(rng, flavor, "x", 2)

@@ -1,13 +1,14 @@
-"""Every public function, class and method of quadop is used by quadop, and so
-is every private module-level function, class and constant.
+"""Every public function, class, method and constant of quadop is used by
+quadop, and so is every private module-level function, class and constant.
 
 A public name (no leading underscore) defined at the top level of a module,
-or as a method of a top-level class, must be referenced somewhere in the
-package as a name or an attribute.  A helper only tests call is API that no
-command runs, so it should be deleted together with its tests.  A private
-name (one leading underscore) defined at the top level of a module, by def,
-class or assignment, must be read somewhere in the package: a private
-helper, table or tag that nothing reads is dead code.
+by def, class or assignment, or as a method of a top-level class, must be
+referenced somewhere in the package as a name or an attribute; a name that
+a module lists in `__all__` counts as referenced.  A helper only tests call
+is API that no command runs, so it should be deleted together with its
+tests.  A private name (one leading underscore) defined at the top level of
+a module, by def, class or assignment, must be read somewhere in the
+package: a private helper, table or tag that nothing reads is dead code.
 """
 
 import ast
@@ -21,35 +22,46 @@ def _trees():
             for p in sorted(SRC.rglob("*.py"))]
 
 
-def _public(node):
-    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_"))
-
-
-def _private_names(node):
-    """The private names a top-level statement defines."""
+def _names(node):
+    """The names a top-level statement defines by def, class or assignment."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        names = [node.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _exported(node):
+    """The names a top-level `__all__ = [...]` lists: a module's public
+    interface counts as read."""
+    if "__all__" not in _names(node):
+        return []
+    return [e.value for e in node.value.elts]
 
 
 def _defined_and_used():
     public, private, used = [], [], set()
     for tree in _trees():
         for node in tree.body:
-            private.extend(_private_names(node))
-            if not _public(node):
-                continue
-            public.append((node.name, node.name))
-            if isinstance(node, ast.ClassDef):
+            names = _names(node)
+            private.extend(n for n in names if _private(n))
+            public.extend((n, n) for n in names if _public(n))
+            used.update(_exported(node))
+            if isinstance(node, ast.ClassDef) and _public(node.name):
                 public.extend(("%s.%s" % (node.name, m.name), m.name)
-                              for m in node.body if _public(m))
+                              for m in node.body
+                              if isinstance(m, (ast.FunctionDef, ast.ClassDef))
+                              and _public(m.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)

@@ -274,3 +274,37 @@ def test_build_rejects_malformed_json(tmp_path, capsys, doc, named):
     assert code == 2
     assert out == ""
     assert named in err
+
+
+def test_a_missing_qd_value_is_a_usage_error(capsys):
+    code, out, err = run_cli(["dims", "--qd"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--qd: expected one argument" in err
+
+
+def test_both_qd_spellings_count_toward_build_product(tmp_path, capsys):
+    path = _qd_file(tmp_path, capsys, "DK")
+    tail = ["--n", "3", "--k", "3"]
+    code, spaced, err = run_cli(
+        ["build", "--product", "oplus", "--qd", path, "--qd", "HG"] + tail, capsys)
+    assert code == 0, err
+    for qds in (["--qd=" + path, "--qd=HG"], ["--qd=" + path, "--qd", "HG"]):
+        code, out, err = run_cli(["build", "--product", "oplus"] + qds + tail,
+                                 capsys)
+        assert code == 0, err
+        assert out == spaced
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--qd", "DK", "--qd", "AOS", "--n", "3", "--wmax", "2"],
+    ["dims", "--qd=DK", "--qd=AOS", "--n", "3", "--relations"],
+    ["build", "--functor", "star", "--qd", "DK", "--qd", "AOS", "--n", "3"],
+    ["build", "--qd", "AOS", "--qd", "DK", "--n", "3"],
+])
+def test_a_second_qd_outside_build_product_is_a_usage_error(capsys, argv):
+    # no datum is dropped silently: only build --product reads two
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--qd" in err

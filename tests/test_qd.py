@@ -26,12 +26,12 @@ from quadop.qd import (
     FlavorMismatch,
     FlavorViolation,
     FunctorName,
+    ProductName,
     QDFlavor,
     QDMorphism,
     STRONG_MONOIDALITY_TABLE,
     apply_functor,
     check_associativity,
-    check_black_white_duality,
     check_braiding,
     check_morphism,
     check_phi_associator_coherence,
@@ -44,7 +44,6 @@ from quadop.qd import (
     make_qd,
     monoidal_product,
     pr14_map,
-    qd_equal,
     qd_loads,
     qd_to_json,
     qd_zero,
@@ -87,10 +86,34 @@ def test_products_units_and_examples():
     assert AB.rdim == 1
     assert monoidal_product("white", A, B).rdim == 1
     z = qd_zero("plain")
-    assert qd_equal(monoidal_product("tensor", z, A), A)
-    assert qd_equal(monoidal_product("tensor", A, z), A)
+    assert monoidal_product("tensor", z, A) == A
+    assert monoidal_product("tensor", A, z) == A
     with pytest.raises(FlavorMismatch):
         monoidal_product("vee", A, B)
+
+
+def test_each_product_is_defined_on_its_flavors_and_keeps_them():
+    # 7 of the 18 (product, flavor) pairs are defined; the other 11 and
+    # every pair of factors of two flavors raise
+    defined = {
+        ("tensor", "plain"), ("utensor", "plain"), ("black", "plain"),
+        ("white", "plain"), ("utensor", "symmetric"), ("vee", "symmetric"),
+        ("oplus", "skew"),
+    }
+    rng = random.Random(5)
+    data = {fl: (random_qd(rng, fl, "a", 2), random_qd(rng, fl, "b", 2))
+            for fl in QDFlavor}
+    accepted, rejected = set(), 0
+    for name, fa, fb in product(ProductName, QDFlavor, QDFlavor):
+        a, b = data[fa][0], data[fb][1]
+        if fa is fb and (name.value, fa.value) in defined:
+            assert monoidal_product(name, a, b).flavor is fa
+            accepted.add((name.value, fa.value))
+        else:
+            with pytest.raises(FlavorMismatch):
+                monoidal_product(name, a, b)
+            rejected += fa is fb
+    assert accepted == defined and rejected == 11
 
 
 def test_unit_law_reports():
@@ -133,8 +156,8 @@ def test_every_case_group_counts_its_verdicts(monkeypatch):
     from quadop.report import Report
 
     for law in ("check_associativity", "check_braiding",
-                "check_strong_monoidality", "check_black_white_duality",
-                "check_phi_psi_star_duality", "check_phi_associator_coherence",
+                "check_strong_monoidality", "check_phi_psi_star_duality",
+                "check_phi_associator_coherence",
                 "interchange_phi", "interchange_psi"):
         monkeypatch.setattr(suites, law, lambda *args: None)
     monkeypatch.setattr(suites, "check_unit_laws",
@@ -174,19 +197,19 @@ def test_functor_shapes_on_dk3():
     assert sh.flavor is QDFlavor.SYM
     assert sh.generators.degrees == (1, 1, 1)
     assert sh.rdim == 2
-    assert qd_equal(apply_functor("antishriek_inv", sh), a)
+    assert apply_functor("antishriek_inv", sh) == a
     bang = apply_functor("shriek", a)
     assert bang.flavor is QDFlavor.SYM
     assert bang.generators.degrees == (-1, -1, -1)
     assert bang.rdim == 1
-    assert qd_equal(apply_functor("star", apply_functor("star", a)), a)
+    assert apply_functor("star", apply_functor("star", a)) == a
 
 
 def test_star_involutive_random():
     rng = random.Random(4)
     for _ in range(25):
         a = random_qd(rng, rng.choice(["plain", "symmetric", "skew"]), "a", max_dim=4)
-        assert qd_equal(apply_functor("star", apply_functor("star", a)), a)
+        assert apply_functor("star", apply_functor("star", a)) == a
 
 
 def test_memoised_functor_images_equal_fresh_ones():
@@ -236,7 +259,7 @@ def test_interchange_degenerate_and_random():
     assert isinstance(phi, QDMorphism)
     # degenerate phi reduces to the identity of a black b
     black = monoidal_product("black", a, b)
-    assert qd_equal(phi.source, black) and qd_equal(phi.target, black)
+    assert phi.source == black and phi.target == black
     for _ in range(15):
         args = [random_qd(rng, "plain", p, 2) for p in ("a", "a'", "b", "b'")]
         assert isinstance(interchange_phi(*args), QDMorphism)
@@ -337,7 +360,7 @@ def test_coherence_checks_random():
         for name in ("tensor", "utensor", "black", "white"):
             assert check_associativity(name, *pl)
             assert check_braiding(name, pl[0], pl[1])
-        assert check_black_white_duality(pl[0], pl[1])
+        assert check_strong_monoidality("star", "black", "white", pl[0], pl[1])
         for f, fl, sp, tp in STRONG_MONOIDALITY_TABLE:
             xa = random_qd(rng, fl.value, "u", 2)
             xb = random_qd(rng, fl.value, "v", 2)
@@ -363,7 +386,7 @@ def test_every_face_rejects_data_of_another_flavor():
 
     rng = random.Random(21)
     data = {fl: random_qd(rng, fl, "a", 2) for fl in QDFlavor}
-    for face, flavor in FACES.items():
+    for face, (flavor, *_) in FACES.items():
         assert verify_diagram_face(face, data[flavor]).passed
         for other in set(QDFlavor) - {flavor}:
             with pytest.raises(FlavorMismatch):
@@ -376,10 +399,10 @@ def test_json_round_trip():
     rng = random.Random(30)
     for flavor in ("plain", "symmetric", "skew"):
         a = random_qd(rng, flavor, "g")
-        assert qd_equal(qd_loads(json.dumps(qd_to_json(a))), a)
+        assert qd_loads(json.dumps(qd_to_json(a))) == a
 
 
-def test_qd_equal_tells_apart_spaces_whose_pairing_signs_differ():
+def test_data_equality_tells_apart_spaces_whose_pairing_signs_differ():
     # V = s(a (x) b) + c and W = (sa) (x) b + c: equal labels and degrees,
     # but the first generator is an atom in V and a two-odd-letter word in W
     a = GradedSpace.from_labels(["a"], 0)
@@ -393,9 +416,9 @@ def test_qd_equal_tells_apart_spaces_whose_pairing_signs_differ():
     sx, sy = apply_functor("star", x), apply_functor("star", y)
     assert {0: 1, 1: -1} in sx.relations.rows
     assert {0: 1, 1: 1} in sy.relations.rows
-    assert not qd_equal(sx, sy)
-    assert not qd_equal(x, y)
-    assert qd_equal(x, make_qd("plain", v, [{0: 1, 1: 1}]))
+    assert sx != sy
+    assert x != y
+    assert x == make_qd("plain", v, [{0: 1, 1: 1}])
 
 
 def _one_generator_doc(degree, label="x"):
