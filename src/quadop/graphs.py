@@ -10,15 +10,16 @@ unshuffle signs.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from weakref import WeakValueDictionary
 
 from .kernel import EchelonBasis
-from .operads import build_family, inflate_outer, perm_inverse, transpositions
+from .operads import (build_family, inflate_inner, inflate_outer, perm_inverse,
+                      transpositions)
 from .qd import apply_functor
 from .realize import hilbert_series, weight_component
-from .report import Report
+from .report import Report, first_failure
 
 
 def _perm_sign(items):
@@ -74,12 +75,6 @@ class LabeledHypergraph:
         """The number of edges, which is also the degree: edges are odd."""
         return len(self.edges)
 
-    def key(self):
-        return (self.n, self.k, self.symmetric, self.edges)
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
     def __repr__(self):
         return serialize_graph(self)
 
@@ -100,6 +95,26 @@ def _summed(terms):
         else:
             out.pop(key, None)
     return out
+
+
+def _then(terms, f, sign=1):
+    """The linear extension of f to a sum of (graph, coeff) terms, times
+    sign, as a dict."""
+    return _summed((h, sign * c * cc) for g, c in terms for h, cc in f(g))
+
+
+def _law(name, cases, passing="", failing="{0}"):
+    """One law's report: PASS with `passing` formatted with the number of
+    cases, or FAIL with `failing` formatted with the first failing key."""
+    count, fail = first_failure(cases)
+    return Report(name, fail is None, passing.format(count) if fail is None
+                  else failing.format(fail[0]))
+
+
+def _arity_pairs(k, nmax):
+    """The outer and inner arities, both at least k, of the compositions
+    with output arity <= nmax."""
+    return [(n, m) for n in range(k, nmax + 1) for m in range(k, nmax + 2 - n)]
 
 
 def _canonicalize(n, k, symmetric, edge_list):
@@ -181,10 +196,11 @@ def _compose_terms(g1, p, g2):
     return tuple(_summed(out).items())
 
 
+@lru_cache(maxsize=1 << 14)
 def graph_action(g, sigma):
     """Right action: relabel vertices by sigma^{-1}, with the edge-sorting
     sign, as a one-term tuple of (graph, coeff) terms (relabeling keeps the
-    edges distinct)."""
+    edges distinct), computed once per graph and permutation."""
     inv = perm_inverse(sigma)
     edge_list = [tuple(sorted(inv[v - 1] for v in e)) for e in g.edges]
     return ((LabeledHypergraph(g.n, g.k, g.symmetric, edge_list),
@@ -229,19 +245,15 @@ def all_graphs(n, k, symmetric, wmax):
 def hopf_check(k, symmetric, nmax, wmax):
     """Delta(g1 o_p g2) = Delta(g1) o_p Delta(g2) with the middle Koszul sign,
     plus coassociativity and cocommutativity, on all basis pairs in bounds."""
-    reports = []
-    fail = None
-    checked = 0
-    for n in range(k, nmax + 1):
-        for m in range(k, nmax + 2 - n):
+
+    def compat():
+        for n, m in _arity_pairs(k, nmax):
             for g1 in all_graphs(n, k, symmetric, wmax):
                 for g2 in all_graphs(m, k, symmetric, max(0, wmax - g1.weight)):
                     for p in range(1, n + 1):
-                        checked += 1
-                        lhs = _summed(
-                            ((gl, gr), c * s)
-                            for g, c in _compose_terms(g1, p, g2)
-                            for s, gl, gr in coproduct(g))
+                        lhs = _summed(((gl, gr), c * s)
+                                      for g, c in _compose_terms(g1, p, g2)
+                                      for s, gl, gr in coproduct(g))
                         terms = []
                         for s1, g1l, g1r in coproduct(g1):
                             for s2, g2l, g2r in coproduct(g2):
@@ -250,119 +262,91 @@ def hopf_check(k, symmetric, nmax, wmax):
                                 terms += [((gl, gr), sign * cl * cr)
                                           for gl, cl in _compose_terms(g1l, p, g2l)
                                           for gr, cr in right]
-                        rhs = _summed(terms)
-                        if lhs != rhs and fail is None:
-                            fail = (g1, p, g2)
-    reports.append(
-        Report("hopf.compat", fail is None,
-               "%d composition pairs" % checked if fail is None
-               else "failure at %s o_%d %s" % fail)
-    )
-    # coassociativity and cocommutativity
-    co_fail = None
-    for n in range(k, nmax + 1):
-        for g in all_graphs(n, k, symmetric, wmax):
-            co = coproduct(g)
-            left = _summed(((gll, glr, gr), s * s2)
-                           for s, gl, gr in co for s2, gll, glr in coproduct(gl))
-            right = _summed(((gl, grl, grr), s * s2)
-                            for s, gl, gr in co for s2, grl, grr in coproduct(gr))
-            if left != right:
-                co_fail = ("coassoc", g)
-                break
-            twisted = _summed(((gr, gl), s * (-1) ** (gl.weight * gr.weight))
-                              for s, gl, gr in co)
-            if twisted != _summed(((gl, gr), s) for s, gl, gr in co):
-                co_fail = ("cocomm", g)
-                break
-    reports.append(Report("hopf.coalgebra", co_fail is None,
-                          "" if co_fail is None else "%s fails on %s" % co_fail))
-    return reports
+                        yield (g1, p, g2), lhs, _summed(terms)
+
+    def coalgebra():
+        for n in range(k, nmax + 1):
+            for g in all_graphs(n, k, symmetric, wmax):
+                co = coproduct(g)
+                yield (("coassoc", g),
+                       _summed(((gll, glr, gr), s * s2)
+                               for s, gl, gr in co for s2, gll, glr in coproduct(gl)),
+                       _summed(((gl, grl, grr), s * s2)
+                               for s, gl, gr in co for s2, grl, grr in coproduct(gr)))
+                yield (("cocomm", g),
+                       _summed(((gr, gl), s * (-1) ** (gl.weight * gr.weight))
+                               for s, gl, gr in co),
+                       _summed(((gl, gr), s) for s, gl, gr in co))
+
+    return [_law("hopf.compat", compat(), "{} composition pairs",
+                 "failure at {0[0]} o_{0[1]} {0[2]}"),
+            _law("hopf.coalgebra", coalgebra(), failing="{0[0]} fails on {0[1]}")]
 
 
 # ---------------------------------------------------------------------------
 # operad axioms for the graph composition
 
 
-def _composite(outer, i, inner, j, x, sign=1):
-    """(outer o_i inner) o_j x as a sum, times sign."""
-    return _summed((g, sign * c * cc)
-                   for h, c in _compose_terms(outer, i, inner)
-                   for g, cc in _compose_terms(h, j, x))
-
-
 def graph_operad_axioms(k, symmetric, nmax):
-    """Sequential, parallel, unit, and (symmetric case) equivariance checks
-    for the graph composition, exhaustive over graphs of weight <= 2 outside
-    and <= 1 inside."""
-    fail = None
-    checked = 0
+    """Sequential, parallel, unit, and (symmetric case) outer and inner
+    equivariance checks for the graph composition, exhaustive over graphs of
+    weight <= 2 outside and <= 1 inside."""
     unit = LabeledHypergraph(1, k, symmetric, ())
 
-    for n in range(1, nmax + 1):
-        for m in range(1, nmax + 1):
-            for l in range(1, nmax + 3 - n - m):
-                gs2 = all_graphs(m, k, symmetric, 1)
-                gs3 = all_graphs(l, k, symmetric, 1)
-                for g1 in all_graphs(n, k, symmetric, 2):
-                    for g2 in gs2:
-                        for g3 in gs3:
-                            for i in range(1, n + 1):
-                                for j in range(1, m + 1):
-                                    checked += 1
-                                    a = _summed(
-                                        (g, c * cc)
-                                        for h, c in _compose_terms(g2, j, g3)
-                                        for g, cc in _compose_terms(g1, i, h))
-                                    b = _composite(g1, i, g2, i + j - 1, g3)
-                                    if a != b and fail is None:
-                                        fail = ("sequential", g1, i, g2, j, g3)
-                            for i in range(1, n + 1):
-                                for j in range(i + 1, n + 1):
-                                    checked += 1
-                                    a = _composite(g1, i, g2, j + m - 1, g3)
-                                    # the braiding of the two inserted odd
-                                    # arguments contributes a Koszul sign
-                                    b = _composite(g1, j, g3, i, g2,
-                                                   (-1) ** (g2.weight * g3.weight))
-                                    if a != b and fail is None:
-                                        fail = ("parallel", g1, i, g2, j, g3)
-    unit_fail = None
-    for n in range(1, nmax + 1):
-        for g in all_graphs(n, k, symmetric, 2):
-            for p in range(1, n + 1):
-                if _compose_terms(g, p, unit) != ((g, 1),):
-                    unit_fail = (g, p)
-            if _compose_terms(unit, 1, g) != ((g, 1),):
-                unit_fail = (g, 0)
-    eq_fail = None
-    if symmetric:
-        for n in range(k, nmax + 1):
-            for m in range(k, nmax + 2 - n):
-                for g1 in all_graphs(n, k, True, 1):
-                    for g2 in all_graphs(m, k, True, 1):
-                        for p in range(1, n + 1):
-                            for sigma in transpositions(n):
-                                q = sigma[p - 1]
-                                lhs = _summed(
-                                    (gg, c * cc)
-                                    for g, c in graph_action(g1, sigma)
-                                    for gg, cc in _compose_terms(g, p, g2))
-                                infl = inflate_outer(sigma, n, m, p)
-                                rhs = _summed(
-                                    (gg, c * cc)
-                                    for g, c in _compose_terms(g1, q, g2)
-                                    for gg, cc in graph_action(g, infl))
-                                if lhs != rhs and eq_fail is None:
-                                    eq_fail = ("outer", g1, p, g2, sigma)
-    return [
-        Report("graph.seq-par", fail is None,
-               "%d cases" % checked if fail is None else str(fail)),
-        Report("graph.unit", unit_fail is None,
-               "" if unit_fail is None else str(unit_fail)),
-        Report("graph.equivariance", eq_fail is None,
-               "" if eq_fail is None else str(eq_fail)),
-    ]
+    def seq_par():
+        for n in range(1, nmax + 1):
+            for m in range(1, nmax + 1):
+                for l in range(1, nmax + 3 - n - m):
+                    for g1, g2, g3 in product(all_graphs(n, k, symmetric, 2),
+                                              all_graphs(m, k, symmetric, 1),
+                                              all_graphs(l, k, symmetric, 1)):
+                        for i in range(1, n + 1):
+                            for j in range(1, m + 1):
+                                yield (("sequential", g1, i, g2, j, g3),
+                                       _then(_compose_terms(g2, j, g3),
+                                             lambda h: _compose_terms(g1, i, h)),
+                                       _then(_compose_terms(g1, i, g2),
+                                             lambda h: _compose_terms(h, i + j - 1, g3)))
+                        for i in range(1, n + 1):
+                            for j in range(i + 1, n + 1):
+                                # the braiding of the two inserted odd
+                                # arguments contributes a Koszul sign
+                                yield (("parallel", g1, i, g2, j, g3),
+                                       _then(_compose_terms(g1, i, g2),
+                                             lambda h: _compose_terms(h, j + m - 1, g3)),
+                                       _then(_compose_terms(g1, j, g3),
+                                             lambda h: _compose_terms(h, i, g2),
+                                             (-1) ** (g2.weight * g3.weight)))
+
+    def unit_law():
+        for n in range(1, nmax + 1):
+            for g in all_graphs(n, k, symmetric, 2):
+                for p in range(1, n + 1):
+                    yield (g, p), _compose_terms(g, p, unit), ((g, 1),)
+                yield (g, 0), _compose_terms(unit, 1, g), ((g, 1),)
+
+    def equivariance():
+        for n, m in _arity_pairs(k, nmax):
+            for g1, g2 in product(all_graphs(n, k, True, 1), all_graphs(m, k, True, 1)):
+                for p in range(1, n + 1):
+                    for sigma in transpositions(n):
+                        infl = inflate_outer(sigma, n, m, p)
+                        yield (("outer", g1, p, g2, sigma),
+                               _then(graph_action(g1, sigma),
+                                     lambda g: _compose_terms(g, p, g2)),
+                               _then(_compose_terms(g1, sigma[p - 1], g2),
+                                     lambda g: graph_action(g, infl)))
+                    for tau in transpositions(m):
+                        infl = inflate_inner(tau, n, m, p)
+                        yield (("inner", g1, p, g2, tau),
+                               _then(graph_action(g2, tau),
+                                     lambda g: _compose_terms(g1, p, g)),
+                               _then(_compose_terms(g1, p, g2),
+                                     lambda g: graph_action(g, infl)))
+
+    return [_law("graph.seq-par", seq_par(), "{} cases"),
+            _law("graph.unit", unit_law()),
+            _law("graph.equivariance", equivariance() if symmetric else ())]
 
 
 # ---------------------------------------------------------------------------
@@ -371,71 +355,62 @@ def graph_operad_axioms(k, symmetric, nmax):
 
 def sc_iso_check(family, nmax, wmax):
     """Clauses: (i) weight dimensions match the cofree side of the shifted
-    data, (ii) counits correspond, (iii) single-edge projections of graph
-    compositions reproduce the family compositions on cogenerators and units,
-    (iv) Hopf compatibility; conilpotent cofreeness then pins the coalgebra
-    morphism, so these establish the isomorphism at the tested bounds."""
+    data, (ii) counits correspond and units compose to the unit, (iii)
+    single-edge projections of graph compositions reproduce the family
+    compositions on cogenerators, (iv) Hopf compatibility; conilpotent
+    cofreeness then pins the coalgebra morphism, so these establish the
+    isomorphism at the tested bounds."""
     k, symmetric = family.k, family.symmetric
-    reports = []
-    # (i) dimensions: cofree on shifted generators when relations are full
-    dim_fail = None
-    for n in range(k, nmax + 1):
-        comp = family.component(n)
-        gens = comp.gdim
-        shifted = apply_functor("antishriek", comp)
-        for w in range(0, wmax + 1):
-            graphs_w = comb(gens, w)
-            sc_w = weight_component("Sc", shifted, w)
-            if sc_w != graphs_w and dim_fail is None:
-                dim_fail = (n, w, sc_w, graphs_w)
-    reports.append(Report("sc_iso.dims", dim_fail is None,
-                          "weights up to %d, arities up to %d" % (wmax, nmax)
-                          if dim_fail is None else str(dim_fail)))
-    # (ii) counit: the edgeless graph is the only weight-0 graph, and it
-    # splits off every graph g as the terms (1, edgeless, g) and (1, g, edgeless)
-    counit_fail = None
-    for n in range(k, nmax + 1):
-        empty = LabeledHypergraph(n, k, symmetric, ())
-        if all_graphs(n, k, symmetric, 0) != [empty]:
-            counit_fail = counit_fail or (n, "weight 0")
-        for g in all_graphs(n, k, symmetric, wmax):
-            co = coproduct(g)
-            left = [t for t in co if t[1] is empty]
-            right = [t for t in co if t[2] is empty]
-            if left != [(1, empty, g)] or right != [(1, g, empty)]:
-                counit_fail = counit_fail or (n, g)
-    reports.append(Report("sc_iso.counit", counit_fail is None,
-                          "empty graph <-> unit, by construction"
-                          if counit_fail is None else str(counit_fail)))
-    # (iii) cogenerator projections against the family compositions: an
-    # outer cogenerator with the inner unit, then an inner cogenerator with
-    # the outer unit, in the order of the composition's source columns
-    proj_fail = None
-    checked = 0
-    for n in range(k, nmax + 1):
-        for m in range(k, nmax + 2 - n):
-            empty_n = LabeledHypergraph(n, k, symmetric, ())
-            empty_m = LabeledHypergraph(m, k, symmetric, ())
-            pairs = [(LabeledHypergraph(n, k, symmetric, (I,)), empty_m)
+
+    def empty(n):
+        return LabeledHypergraph(n, k, symmetric, ())
+
+    def dims():
+        # cofree on shifted generators when relations are full
+        for n in range(k, nmax + 1):
+            comp = family.component(n)
+            shifted = apply_functor("antishriek", comp)
+            for w in range(0, wmax + 1):
+                sc_w, graphs_w = weight_component("Sc", shifted, w), comb(comp.gdim, w)
+                yield (n, w, sc_w, graphs_w), sc_w, graphs_w
+
+    def counit():
+        # the edgeless graph is the only weight-0 graph and splits off every
+        # graph g as the terms (1, edgeless, g) and (1, g, edgeless)
+        for n in range(k, nmax + 1):
+            e = empty(n)
+            yield (n, "weight 0"), all_graphs(n, k, symmetric, 0), [e]
+            for g in all_graphs(n, k, symmetric, wmax):
+                co = coproduct(g)
+                yield ((n, g),
+                       ([t for t in co if t[1] is e], [t for t in co if t[2] is e]),
+                       ([(1, e, g)], [(1, g, e)]))
+        for n, m in _arity_pairs(k, nmax):
+            for p in range(1, n + 1):
+                yield ((n, m, p, "units"),
+                       [g for g, _ in _compose_terms(empty(n), p, empty(m))],
+                       [empty(n + m - 1)])
+
+    def cogenerators():
+        # an outer cogenerator with the inner unit, then an inner cogenerator
+        # with the outer unit, in the order of the composition's source columns
+        for n, m in _arity_pairs(k, nmax):
+            pairs = [(LabeledHypergraph(n, k, symmetric, (I,)), empty(m))
                      for I in family.gen_indices(n)]
-            pairs += [(empty_n, LabeledHypergraph(m, k, symmetric, (I,)))
+            pairs += [(empty(n), LabeledHypergraph(m, k, symmetric, (I,)))
                       for I in family.gen_indices(m)]
             idx_t = family.gen_indices(n + m - 1)
             for p in range(1, n + 1):
                 for (g1, g2), want in zip(pairs, family.comp(n, m, p).cols):
                     got = {idx_t.index(gg.edges[0]): c
                            for gg, c in _compose_terms(g1, p, g2) if gg.weight == 1}
-                    checked += 1
-                    if got != want and proj_fail is None:
-                        I = (g1.edges or g2.edges)[0]
-                        proj_fail = (n, m, p, I, got, want)
-                # unit against unit
-                out = _compose_terms(empty_n, p, empty_m)
-                if [gg for gg, _ in out] != [LabeledHypergraph(n + m - 1, k, symmetric, ())]:
-                    proj_fail = proj_fail or (n, m, p, "units")
-    reports.append(Report("sc_iso.cogenerators", proj_fail is None,
-                          "%d projections" % checked if proj_fail is None
-                          else str(proj_fail)))
+                    yield (n, m, p, (g1.edges or g2.edges)[0], got, want), got, want
+
+    reports = [
+        _law("sc_iso.dims", dims(), "weights up to %d, arities up to %d" % (wmax, nmax)),
+        _law("sc_iso.counit", counit(), "empty graph <-> unit, by construction"),
+        _law("sc_iso.cogenerators", cogenerators(), "{} projections"),
+    ]
     # (iv) Hopf compatibility
     reports.extend(hopf_check(k, symmetric, min(nmax, 4) if symmetric else nmax,
                               wmax))

@@ -26,7 +26,7 @@ from .qd import (
     square_apply_rows,
     sum_relation_rows,
 )
-from .report import Report
+from .report import Report, first_failure
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +318,8 @@ def family_shell(family):
 
 
 def _first_difference(lhs, rhs):
-    """The first index at which two column lists differ, or None."""
-    if lhs != rhs:
-        return next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    """The first index at which two differing column lists differ."""
+    return next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def _shifted(col, d):
@@ -395,53 +394,39 @@ def verify_axioms(family, nmax):
     if not reports:
         reports.append(Report("unit", True, "left/right unit laws on all generators"))
 
-    # sequential and parallel
-    skipped = 0
-    checked = {"sequential": 0, "parallel": 0}
-    found = {}
-    for n in range(1, nmax + 1):
-        for m in range(1, nmax + 1):
-            for l in arities:
-                if n + m + l - 2 > nmax:
-                    skipped += 1
-                    continue
-                for i in range(1, n + 1):
-                    for name, cases, slots in (
-                        ("sequential", _sequential_cases, range(1, m + 1)),
-                        ("parallel", _parallel_cases, range(i + 1, n + 1)),
-                    ):
-                        for j in slots:
-                            checked[name] += 1
-                            lhs, rhs = cases(family, n, m, l, i, j)
-                            g = _first_difference(lhs, rhs)
-                            if g is not None and name not in found:
-                                found[name] = ((n, m, l, i, j), (lhs[g], rhs[g]))
-    for name, count in checked.items():
-        case, witness = found.get(name, (None, None))
-        reports.append(Report(name, case is None, "%d cases" % count if case is None
-                              else "first failure at (n,m,l,i,j)=%s" % (case,),
-                              witness=witness))
+    # sequential and parallel, each in (n, m, l, i, j) order
+    triples = [(n, m, l) for n in range(1, nmax + 1) for m in range(1, nmax + 1)
+               for l in arities]
+    skipped = sum(n + m + l - 2 > nmax for n, m, l in triples)
+    for name, cases, slots in (
+        ("sequential", _sequential_cases, lambda n, m, i: range(1, m + 1)),
+        ("parallel", _parallel_cases, lambda n, m, i: range(i + 1, n + 1)),
+    ):
+        count, fail = first_failure(
+            ((n, m, l, i, j), *cases(family, n, m, l, i, j))
+            for n, m, l in triples if n + m + l - 2 <= nmax
+            for i in range(1, n + 1) for j in slots(n, m, i))
+        if fail is None:
+            reports.append(Report(name, True, "%d cases" % count))
+        else:
+            case, lhs, rhs = fail
+            g = _first_difference(lhs, rhs)
+            reports.append(Report(name, False, "first failure at (n,m,l,i,j)=%s"
+                                  % (case,), witness=(lhs[g], rhs[g])))
 
-    # equivariance
+    # equivariance, one case per generator column
     if family.symmetric:
-        fail = None
-        count = 0
-        for n in range(1, nmax + 1):
-            for m in range(nmax + 2 - n):
-                for p in range(1, n + 1):
-                    for side, cases, perms in (
-                        ("outer", _outer_cases, transpositions(n)),
-                        ("inner", _inner_cases, transpositions(m)),
-                    ):
-                        for perm in perms:
-                            lhs, rhs = cases(family, n, m, p, perm)
-                            count += len(lhs)
-                            g = _first_difference(lhs, rhs)
-                            if g is not None and fail is None:
-                                fail = (side, n, m, p, perm, g)
+        count, fail = first_failure(
+            ((side, n, m, p, perm, g), a, b)
+            for n in range(1, nmax + 1) for m in range(nmax + 2 - n)
+            for p in range(1, n + 1)
+            for side, cases, perms in (("outer", _outer_cases, transpositions(n)),
+                                       ("inner", _inner_cases, transpositions(m)))
+            for perm in perms
+            for g, (a, b) in enumerate(zip(*cases(family, n, m, p, perm))))
         reports.append(Report("equivariance", fail is None,
                               "%d cases over generating transpositions" % count
-                              if fail is None else "first failure %s" % (fail,)))
+                              if fail is None else "first failure %s" % (fail[0],)))
     if skipped:
         reports.append(Report("skipped", True,
                               "%d arity combinations above the bound" % skipped,

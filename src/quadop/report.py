@@ -1,4 +1,5 @@
-"""PASS/FAIL case records and machine-readable verification reports."""
+"""PASS/FAIL case records, machine-readable verification reports, and the
+runner of exhaustive laws."""
 
 from dataclasses import dataclass, field
 
@@ -29,6 +30,18 @@ class Report:
             self.name,
             (" - " + self.details) if self.details else "",
         )
+
+
+def first_failure(cases):
+    """Read a law's stream of (key, lhs, rhs) cases up to the first case
+    whose two sides differ; return the number of cases read and that case,
+    or None when every case holds."""
+    count = 0
+    for case in cases:
+        count += 1
+        if case[1] != case[2]:
+            return count, case
+    return count, None
 
 
 @dataclass

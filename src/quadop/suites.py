@@ -44,7 +44,7 @@ from .qd import (
     QDFlavor,
 )
 from .rand import child_rng, random_boqd, random_qd
-from .report import Report, VerificationReport
+from .report import Report, VerificationReport, first_failure
 from .exactlin import Subspace
 
 
@@ -222,13 +222,11 @@ def suite_minimality(shell=None, k=None, nmax=None, seed=DEFAULT_SEED):
         mini = minimal_suboperad(family_shell(fam), bound)
         target = build_family(ref, k=refk)
         label = "%s->%s.n%d" % (fam.name, target.name, bound)
-        ok = True
-        spot = ""
-        for n in range(bound + 1):
-            if mini.component(n).relations != target.component(n).relations:
-                ok = False
-                spot = "differs at arity %d" % n
-                break
+        _, fail = first_failure(
+            (n, mini.component(n).relations, target.component(n).relations)
+            for n in range(bound + 1))
+        ok = fail is None
+        spot = "" if ok else "differs at arity %d" % fail[0]
         if ok and name == "BKW":
             spot = "R(4) dim %d" % mini.component(4).rdim
             ok = mini.component(4).rdim == 11
