@@ -223,24 +223,11 @@ class LinearMap:
     def identity(cls, ambient):
         return cls(ambient, ambient, [{i: 1} for i in range(ambient.dim)])
 
-    def apply_data(self, data):
-        acc = {}
-        for c, v in data.items():
-            for r, w in self.cols[c].items():
-                u = acc.get(r, 0) + v * w
-                if u:
-                    acc[r] = u
-                elif r in acc:
-                    del acc[r]
-        return acc
-
     def compose(self, inner):
         """self o inner."""
         if inner.target != self.source:
             raise AmbientMismatch("maps are not composable")
-        return LinearMap(
-            inner.source, self.target, [self.apply_data(c) for c in inner.cols]
-        )
+        return LinearMap(inner.source, self.target, compose_cols(self.cols, inner.cols))
 
     def __eq__(self, other):
         return (
@@ -251,8 +238,31 @@ class LinearMap:
         )
 
 
+def compose_cols(cols, data):
+    """The image sum of v*cols[c] over each sparse column in data, as a
+    list.  A unit column {c: 1} gives cols[c] itself, not a copy, so the
+    images are read-only."""
+    out = []
+    for col in data:
+        if len(col) == 1:
+            [(c, v)] = col.items()
+            if v == 1:
+                out.append(cols[c])
+                continue
+        acc = {}
+        for c, v in col.items():
+            for r, w in cols[c].items():
+                u = acc.get(r, 0) + v * w
+                if u:
+                    acc[r] = u
+                elif r in acc:
+                    del acc[r]
+        out.append(acc)
+    return out
+
+
 def apply_map(f, a):
     """Image f(a) in canonical form."""
     if a.ambient != f.source:
         raise AmbientMismatch("subspace is not in the source ambient")
-    return Subspace(f.target, [f.apply_data(r) for r in a.rows])
+    return Subspace(f.target, compose_cols(f.cols, a.rows))

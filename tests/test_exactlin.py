@@ -12,6 +12,7 @@ from quadop.exactlin import (
     Vector,
     annihilator,
     apply_map,
+    compose_cols,
     intersect,
     zero_space,
 )
@@ -107,6 +108,19 @@ def test_apply_map_composition_and_identity():
         assert apply_map(ident, s) == s
         assert apply_map(g.compose(f), s) == apply_map(g, apply_map(f, s))
         assert apply_map(f, s).dim <= s.dim
+
+
+def test_compose_cols():
+    cols = ({0: 1, 2: -1}, {1: 3}, {0: -1, 2: 1})
+    # a unit column is the image column itself: read-only, not a copy
+    [img] = compose_cols(cols, [{0: 1}])
+    assert img is cols[0]
+    assert compose_cols(cols, [{1: 2}, {1: Fraction(1, 3)}]) == [{1: 6}, {1: 1}]
+    # a cancelling combination gives the empty column, as do an empty and an
+    # all-zero column
+    assert compose_cols(cols, [{0: 1, 2: 1}, {}, {1: 0}]) == [{}, {}, {}]
+    assert compose_cols(cols, [{0: 2, 1: 1, 2: -1}]) == [{0: 3, 1: 3, 2: -3}]
+    assert cols == ({0: 1, 2: -1}, {1: 3}, {0: -1, 2: 1})
 
 
 def test_vector_coords_roundtrip():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadop.exactlin import LinearMap
+from quadop.exactlin import LinearMap, compose_cols
 from quadop.operads import (
     OperadFamily,
     build_family,
@@ -13,6 +13,7 @@ from quadop.operads import (
     verify_axioms,
     verify_relation_morphism,
     _SubsetScheme,
+    _rel_refined,
     _rel_zero,
 )
 from quadop.suites import _FAMILY_BOUNDS, suite_operad_axioms
@@ -52,18 +53,18 @@ def test_special_cases_coincide():
 def test_composition_spot_checks():
     bkw = build_family("BKW")
     l3 = labels(bkw, 3)
-    img = bkw.comp(2, 2, 1).apply_data({0: 1})
+    img = compose_cols(bkw.comp(2, 2, 1).cols, [{0: 1}])[0]
     assert img == {l3.index("t_1.3"): Fraction(1), l3.index("t_2.3"): Fraction(1)}
-    img = bkw.comp(2, 2, 2).apply_data({1: 1})  # inner generator
+    img = compose_cols(bkw.comp(2, 2, 2).cols, [{1: 1}])[0]  # inner generator
     assert img == {l3.index("t_2.3"): Fraction(1)}
-    assert bkw.comp(2, 0, 1).apply_data({0: 1}) == {}
+    assert compose_cols(bkw.comp(2, 0, 1).cols, [{0: 1}])[0] == {}
     lhg = build_family("LHG", k=3)
     i13 = lhg.gen_indices(5).index((1, 2, 3))
-    assert lhg.comp(5, 3, 2).apply_data({i13: 1}) == {}
+    assert compose_cols(lhg.comp(5, 3, 2).cols, [{i13: 1}])[0] == {}
     # the map lands in V(3) and sends a basis vector of V(2) ⊕ V(2) to its column
     c = bkw.comp(2, 2, 1)
     assert c.target == bkw.gen_space(3)
-    assert c.apply_data({0: 1}) == c.cols[0]
+    assert compose_cols(c.cols, [{0: 1}])[0] == c.cols[0]
 
 
 def test_deletion_is_fi_consistent():
@@ -74,7 +75,7 @@ def test_deletion_is_fi_consistent():
             c = bkw.comp(n, 0, p)
             tgt = bkw.gen_indices(n - 1)
             for gi, I in enumerate(idx):
-                img = c.apply_data({gi: 1})
+                img = compose_cols(c.cols, [{gi: 1}])[0]
                 if p in I:
                     assert img == {}
                 else:
@@ -234,13 +235,45 @@ def test_axiom_cases_once_per_scheme_match_a_private_scheme():
     assert not cases
 
 
-def test_relation_morphism_negative_control():
-    bkw = build_family("BKW")
-    shrunk = OperadFamily("shrunk", bkw.scheme, _rel_zero)
-    # keep generators and maps but declare empty relations in every arity:
-    # the bracket image escapes the (empty) target relation space
-    reports = verify_relation_morphism(shrunk, 4)
-    assert any(not r.passed for r in reports)
+def test_suite_leaves_the_shared_columns_intact():
+    # composites share the columns of the maps they compose (compose_cols
+    # returns a unit column's image itself); none may have been mutated
+    suite_operad_axioms()
+    schemes = {build_family(name, k=k).scheme for name, k, _ in _FAMILY_BOUNDS}
+    assert len(schemes) == 5
+    for scheme in schemes:
+        fresh = type(scheme)(scheme.k)
+        assert scheme._comps
+        for key, c in scheme._comps.items():
+            assert c.cols == fresh.comp(*key).cols
+        for key, a in scheme._actions.items():
+            assert a.cols == fresh.action(*key).cols
+
+
+class _BentScheme(_SubsetScheme):
+    """DK's scheme, except that t_1.2 o_2 1 also gives t_1.3."""
+
+    def compose_outer(self, I, n, m, p):
+        out = super().compose_outer(I, n, m, p)
+        if (I, n, m, p) == ((1, 2), 3, 1, 2):
+            out = out + [(1, (1, 3))]
+        return out
+
+
+@pytest.mark.parametrize("make, want", [
+    # BKW's generators and maps with empty relations in every arity: the
+    # first bracket image escapes the (empty) target relation space
+    (lambda: OperadFamily("shrunk", build_family("BKW").scheme, _rel_zero),
+     ("escape at (n,m,p)=(2, 2, 1)", "{3: 1, 6: 1, 1: -1, 2: -1}")),
+    # a unit insertion that differs from its p = 1 twin must still be pushed
+    (lambda: OperadFamily("bent", _BentScheme(2), _rel_refined),
+     ("escape at (n,m,p)=(3, 1, 2)", "{2: 1, 5: 2, 6: -1, 7: -2}")),
+], ids=["shrunk", "bent-unit-insertion"])
+def test_failing_relation_morphism_reports(make, want):
+    # the first escape in (n, m, p) order, with its image, is pinned here
+    [r] = verify_relation_morphism(make(), 4)
+    assert (r.name, r.status, r.details, str(r.witness)) == (
+        "relation-morphism", "FAIL", *want)
 
 
 def test_minimality_bkw_to_dk():
