@@ -317,8 +317,14 @@ def boqd_product(name, a, b):
     oplus, tril and trir add whole tau blocks, which rotate permutes and
     swap keeps; ucirc and circ take all three tau_i of each eigenvector
     pair; black and white are an image and a preimage under the
-    equivariant tree duplication."""
-    name = name.lower()
+    equivariant tree duplication.  Each distinct product is built and
+    checked once per process, in a bounded cache; the results are shared,
+    so read-only."""
+    return _product(name.lower(), a, b)
+
+
+@lru_cache(maxsize=32)
+def _product(name, a, b):
     if name in ("black", "white"):
         mod = _module_tensor(a, b)
         cols = _diagonal_cols(a, b)
@@ -368,8 +374,11 @@ def _dual_module(m):
     return S2Module(dspace, LinearMap(dspace, dspace, cols))
 
 
+@lru_cache(maxsize=32)
 def boqd_dual(a):
-    """(generators*, relations^perp) with the tau-diagonal pairing."""
+    """(generators*, relations^perp) with the tau-diagonal pairing; each
+    distinct dual is built and checked once per process, in a bounded
+    cache, and is shared, so read-only."""
     dmod = _dual_module(a.generators)
     rows = nullspace_rows(a.relations.rows, a.space.dim)
     dspace = dmod.arity3

@@ -205,10 +205,12 @@ class LinearMap:
 
     Stored column-wise and sparse: cols[i] is the image of the i-th source
     basis vector as a {target index: scalar} dict, each coefficient in the
-    scalar() normal form (an int unless it has a denominator).
+    scalar() normal form (an int unless it has a denominator).  Maps hash
+    by value, once per instance, so frozen data that hold one can key a
+    cache.
     """
 
-    __slots__ = ("source", "target", "cols")
+    __slots__ = ("source", "target", "cols", "_hash")
 
     def __init__(self, source, target, cols):
         self.source = source
@@ -218,6 +220,7 @@ class LinearMap:
         self.cols = tuple(
             {c: scalar(v) for c, v in col.items() if v} for col in cols
         )
+        self._hash = None
 
     @classmethod
     def identity(cls, ambient):
@@ -236,6 +239,14 @@ class LinearMap:
             and self.target == other.target
             and self.cols == other.cols
         )
+
+    def __hash__(self):
+        # a column's items are in no fixed order, and frozenset ignores it
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.source, self.target,
+                                   tuple(frozenset(c.items()) for c in self.cols)))
+        return h
 
 
 def compose_cols(cols, data):

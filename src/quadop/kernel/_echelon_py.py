@@ -4,9 +4,11 @@ Rows are sparse dicts {column: coefficient}.  Elimination is fraction-free:
 an incoming row is cleared of denominators once, and each elimination step
 is a cross-multiplication followed by division by the row's content gcd.
 
-Only the head of a row is reduced.  Its columns are heapified once; each
-step pops the smallest live column and, when a pivot row owns that column,
-eliminates it and pushes only the columns the pivot row newly introduces.
+A row whose smallest column is not yet a pivot is stored as it comes, with
+no heap.  Only the head of a row led at a pivot is reduced: its columns are
+heapified once; each step pops the smallest live column and, when a pivot
+row owns that column, eliminates it and pushes only the columns the pivot
+row newly introduces.
 A pivot row holds no column below its pivot, so elimination never moves the
 head backwards and the row is never rescanned for its minimum.  Signs are
 fixed once, when a row is stored: every stored pivot row is primitive
@@ -131,9 +133,13 @@ class EchelonBasis:
     def add(self, row):
         """Fold a {col: rational} row in; True iff the rank increased."""
         row = int_row(row)
-        lead = self._reduce_int(row)
-        if lead is None:
+        if not row:
             return False
+        lead = min(row)
+        if lead in self.pivots:
+            lead = self._reduce_int(row)
+            if lead is None:
+                return False
         self.pivots[lead] = _normalize(row, lead)
         return True
 
@@ -186,9 +192,11 @@ class EchelonBasis:
                             del row[kk]
                 _normalize(row, c)
             reduced[c] = row
-        return [dict(sorted(reduced[c].items())) for c in cols]
+        return [dict(sorted(row.items())) if len(row) > 1 else dict(row)
+                for row in map(reduced.get, cols)]
 
 
 def echelon_rows(rows):
     """RREF of a list of sparse rows; the canonical form of their span."""
-    return EchelonBasis().add_many(rows).rref()
+    basis = EchelonBasis().add_many(rows)
+    return basis.rref() if basis.pivots else []

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadop import boqd
 from quadop.boqd import (
     S2Module,
     _diagonal_cols,
@@ -18,6 +19,7 @@ from quadop.exactlin import LinearMap, Subspace, compose_cols, rows_past
 from quadop.graded import GradedSpace
 from quadop.qd import inj14_map, pair_image_rows, pr14_map, square_apply_rows
 from quadop.rand import random_boqd, random_s2module, s3_closure_rows
+from quadop.suites import suite_boqd_coherence
 
 
 def sign_module(space):
@@ -165,6 +167,36 @@ def test_interchange_and_quintuples():
         for dia in ("vee", "oplus", "tril", "trir"):
             for r in boqd_interchange_check(("quintuple", box, dia), *args):
                 assert r.passed, r
+
+
+def test_cached_products_and_duals_equal_fresh_builds(monkeypatch):
+    # every product and dual the suite was handed, hit or miss, must still
+    # equal a fresh uncached build after the suite: so the cache changes no
+    # result, and no caller mutated a shared relation row
+    handed = {}
+    caches = (boqd._product, boqd.boqd_dual)
+    for cached in caches:
+        cached.cache_clear()
+
+        def record(*args, cached=cached):
+            out = cached(*args)
+            handed[id(out)] = (cached.__wrapped__, args, out)
+            return out
+        monkeypatch.setattr(boqd, cached.__name__, record)
+    assert suite_boqd_coherence(trials=4).ok
+    assert all(cached.cache_info().hits for cached in caches)
+    for build, args, out in handed.values():
+        assert build(*args) == out, args[:1]
+
+
+def test_product_name_spellings_share_one_cache_entry():
+    a, b = com_data("a"), com_data("b")
+    boqd._product.cache_clear()
+    black = boqd_product("black", a, b)
+    assert boqd_product("BLACK", a, b) is black
+    info = boqd._product.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert info.maxsize is not None and boqd.boqd_dual.cache_info().maxsize
 
 
 def psi_rows(a, b, rows_a, rows_b):

@@ -67,6 +67,8 @@ for command in sys.argv[1:]:
     ("verify boqd-coherence --trials 4", "verify qd-coherence --trials 10"),
     # these share the process-wide tau ambients of the BOQD generator spaces
     ("verify boqd-coherence --trials 4", "verify boqd-coherence"),
+    # these share the process-wide BOQD products and duals
+    ("verify boqd-coherence", "verify boqd-coherence --trials 4"),
 ])
 def test_reports_do_not_depend_on_suite_order(commands):
     proc = subprocess.run(

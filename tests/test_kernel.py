@@ -180,3 +180,79 @@ def test_rref_divides_by_the_pivot_only_where_it_must():
     (row,) = _echelon_py.echelon_rows([{0: Fraction(2, 3), 1: Fraction(1, 3)}])
     assert row == {0: 2, 1: 1}
     assert all(type(v) is int for v in row.values())
+
+
+def _gauss_jordan(rows):
+    """The pivot-1 RREF of rows by textbook Gauss-Jordan on a dense Fraction
+    matrix: an oracle that shares no code with the kernel."""
+    ncols = 1 + max((c for r in rows for c in r), default=-1)
+    todo = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    done = []
+    for col in range(ncols):
+        k = next((k for k, m in enumerate(todo) if m[col]), None)
+        if k is None:
+            continue
+        pivot = todo.pop(k)
+        pivot = [v / pivot[col] for v in pivot]
+        for m in todo + done:
+            x = m[col]
+            if x:
+                m[:] = [a - x * b for a, b in zip(m, pivot)]
+        done.append(pivot)
+    return [{c: v for c, v in enumerate(m) if v} for m in done]
+
+
+@st.composite
+def _rows_with_dependencies(draw):
+    """Mixed rows plus combinations of them: these repeat leads already
+    taken and often reduce to zero, with explicit zeros where terms cancel."""
+    rows = draw(_mixed_rows)
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        x = draw(_mixed_entry)
+        combo = dict(rows[i])
+        for c, v in rows[j].items():
+            combo[c] = combo.get(c, 0) + x * v
+        rows.append(combo)
+    return rows
+
+
+@given(_rows_with_dependencies())
+@example([{0: 1}, {0: 2, 1: 1}, {0: Fraction(1, 2)}, {}, {3: 0}])
+@settings(max_examples=300, deadline=None)
+def test_echelon_rows_matches_a_gauss_jordan_oracle(rows):
+    # each kernel row is the oracle's row times its (int, positive) pivot
+    got = _echelon_py.echelon_rows([dict(r) for r in rows])
+    want = _gauss_jordan(rows)
+    assert len(got) == len(want)
+    for r, w in zip(got, want):
+        p = min(r)
+        assert all(type(v) is int for v in r.values())
+        assert r[p] > 0 and gcd(*r.values()) == 1
+        assert r == {c: v * r[p] for c, v in w.items()}
+
+
+def test_empty_and_zero_rows_store_nothing():
+    basis = _echelon_py.EchelonBasis()
+    assert not basis.add({})
+    assert not basis.add({3: 0})
+    assert not basis.add({3: Fraction(0)})
+    assert basis.pivots == {} and basis.rank == 0
+    assert basis.contains({})
+    assert _echelon_py.echelon_rows([{}, {3: 0}]) == []
+
+
+def test_rref_rows_are_copies_of_the_pivot_rows():
+    # single-entry rows, rows that need no clearing and rows that do
+    basis = _echelon_py.EchelonBasis().add_many(
+        [{4: 3}, {1: 2, 3: 5}, {0: 1, 1: 1, 4: 2}, {2: -7}])
+    before = {p: dict(r) for p, r in basis.pivots.items()}
+    rref = basis.rref()
+    assert len(rref) == 4
+    for row in rref:
+        for c in row:
+            row[c] = 99
+        row[7] = 1
+    assert basis.pivots == before
+    assert basis.rref() == _echelon_py.echelon_rows(before.values())
