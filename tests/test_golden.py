@@ -69,6 +69,9 @@ for command in sys.argv[1:]:
     ("verify boqd-coherence --trials 4", "verify boqd-coherence"),
     # these share the process-wide BOQD products and duals
     ("verify boqd-coherence", "verify boqd-coherence --trials 4"),
+    # the second run reads warm graph enumerations, compositions and
+    # interned graphs
+    ("verify gra-iso", "verify gra-iso"),
 ])
 def test_reports_do_not_depend_on_suite_order(commands):
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -165,6 +166,95 @@ def test_memoised_results_survive_caller_mutation():
     except TypeError:
         pass
     assert list(coproduct(g2)) == expect_co
+    # an enumeration is one tuple per argument
+    assert graphs.all_graphs(4, 2, True, 2) is graphs.all_graphs(4, 2, True, 2)
+    assert isinstance(graphs.all_graphs(4, 2, True, 2), tuple)
+
+
+def _reference_compose(g1, p, g2):
+    """g1 o_p g2 term by term: each pick of a vertex of g2 for every
+    p-incident edge (symmetric) or the surviving intervals (linear), the
+    inserted edges after the outer ones, a pick with a repeated edge dropped,
+    and the bubble-sort sign of the edge list."""
+    n, m, k = g1.n, g2.n, g1.k
+
+    def outer(v):
+        return v if v < p else v + m - 1
+
+    inner = [tuple(v + p - 1 for v in e) for e in g2.edges]
+    if g1.symmetric:
+        picks = [[]]
+        for _ in [e for e in g1.edges if p in e]:
+            picks = [pick + [w] for pick in picks for w in range(p, p + m)]
+        lists = []
+        for pick in picks:
+            ws = iter(pick)
+            lists.append([tuple(sorted(next(ws) if v == p else outer(v) for v in e))
+                          if p in e else tuple(map(outer, e)) for e in g1.edges])
+    elif any(e[0] < p < e[-1] for e in g1.edges):
+        lists = []
+    else:
+        lists = [[tuple(v + m - 1 for v in e) if p <= e[0] else e for e in g1.edges]]
+    out = {}
+    for edges in lists:
+        edges = edges + inner
+        if len(set(edges)) != len(edges):
+            continue
+        sign, order = 1, list(edges)
+        for a in range(len(order)):
+            for b in range(len(order) - 1 - a):
+                if order[b] > order[b + 1]:
+                    order[b], order[b + 1] = order[b + 1], order[b]
+                    sign = -sign
+        g = graph(n + m - 1, k, g1.symmetric, edges)
+        out[g] = out.get(g, 0) + sign
+    return {g: c for g, c in out.items() if c}
+
+
+def _graphs_upto(n, k, symmetric, wmax):
+    pool = (list(combinations(range(1, n + 1), k)) if symmetric
+            else [tuple(range(i, i + k)) for i in range(1, n - k + 2)])
+    return [graph(n, k, symmetric, es)
+            for w in range(min(wmax, len(pool)) + 1) for es in combinations(pool, w)]
+
+
+@pytest.mark.parametrize("k, symmetric, nmax, wmax, cases", [
+    (2, True, 5, 2, 970), (2, False, 6, 5, 1023), (3, True, 5, 2, 493),
+    (1, True, 4, 2, 366), (1, False, 4, 4, 444)])
+def test_compose_matches_reference_enumeration(k, symmetric, nmax, wmax, cases):
+    # every composition within the bounds of the gra-iso laws, against the
+    # construction written out in full; only one-vertex edges (k = 1) can
+    # meet twice, so only they reach the vanishing of repeated edges
+    count = 0
+    for n in range(1, nmax + 1):
+        for m in range(1, nmax + 2 - n):
+            for g1 in _graphs_upto(n, k, symmetric, wmax):
+                for g2 in _graphs_upto(m, k, symmetric, wmax):
+                    for p in range(1, n + 1):
+                        terms = graphs._compose_terms(g1, p, g2)
+                        assert len(dict(terms)) == len(terms)
+                        assert all(c for _, c in terms)
+                        assert dict(terms) == _reference_compose(g1, p, g2), (g1, p, g2)
+                        count += 1
+    assert count == cases
+
+
+def test_one_term_sums_match_the_merged_sum():
+    g1 = graph(3, 2, True, [(1, 2), (1, 3)])
+    g2 = graph(2, 2, True, [(1, 2)])
+
+    def f(h):
+        return graphs._compose_terms(h, 1, g2)
+
+    def merged(terms, sign):
+        return graphs._summed((h, sign * c * cc) for g, c in terms for h, cc in f(g))
+
+    assert len(f(g1)) > 1
+    for c in (1, -1, 2):
+        for sign in (1, -1):
+            assert graphs._then(((g1, c),), f, sign) == merged(((g1, c),), sign)
+    assert graphs._then(((g1, 1),), f, -1) == {h: -cc for h, cc in f(g1)}
+    assert graphs._then((), f) == {} == graphs._then((), f, -1)
 
 
 def test_sign_consistency_under_permuted_inputs():
