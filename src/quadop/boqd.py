@@ -319,7 +319,8 @@ def boqd_product(name, a, b):
     pair; black and white are an image and a preimage under the
     equivariant tree duplication.  Each distinct product is built and
     checked once per process, in a bounded cache; the results are shared,
-    so read-only."""
+    so read-only.  The sides of the phi and psi interchange checks, which
+    do not repeat, are built outside the cache."""
     return _product(name.lower(), a, b)
 
 
@@ -358,6 +359,10 @@ def _product(name, a, b):
     else:
         raise ValueError(name)
     return make_boqd(mod, rows)
+
+
+# the same build outside the cache, for products that do not repeat
+_fresh_product = _product.__wrapped__
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +422,17 @@ def boqd_interchange_check(kind, a, ap, b, bp):
                           witness=Vector(tgt.relations.ambient, img))
         return Report(name, True, "dims %d -> %d" % (src.rdim, tgt.rdim))
 
-    def sides(box, dia):
-        return interchange_sides(boqd_product, box, dia, a, ap, b, bp)
+    def sides(box, dia, product=boqd_product):
+        return interchange_sides(product, box, dia, a, ap, b, bp)
 
+    # the phi and psi sides of one draw are built once, and the products of
+    # another draw differ, so they are built outside the bounded product
+    # cache, where they would only push out entries that repeat
     if kind == "phi":
-        src, tgt = sides("black", "ucirc")
+        src, tgt = sides("black", "ucirc", _fresh_product)
         return [check("phi.black-ucirc", pr14_map(*spaces), src, tgt)]
     if kind == "psi":
-        tgt, src = sides("white", "circ")
+        tgt, src = sides("white", "circ", _fresh_product)
         return [check("psi.circ-white", inj14_map(*spaces), src, tgt)]
     if isinstance(kind, tuple) and kind[0] == "quintuple":
         box, dia = kind[1], kind[2]

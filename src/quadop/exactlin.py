@@ -6,7 +6,11 @@ labels, so it imports nothing from graded.  Ambients compare with ==.
 Subspaces are canonical: stored as the kernel's integer RREF of their span
 (each row primitive, with a positive pivot and zeros in every other pivot
 column), so two subspaces of the same ambient are equal iff their stored
-rows are equal.  Their rows, membership residuals and the rows derived
+rows are equal.  There are two ways to one: Subspace(ambient, rows) runs
+the kernel's elimination on any spanning rows, and Subspace.from_rref
+stores rows that a construction already produced in that form, checking
+only that their leads are distinct, positive and cleared from every other
+row.  Their rows, membership residuals and the rows derived
 from them are int rows.  A Fraction appears only at parse and render:
 scalar() reads an exact scalar (an int when integral, a Fraction only with
 a denominator, the normal form of the scalars of vectors and maps), and
@@ -69,6 +73,39 @@ class Subspace:
         self.rows = tuple(echelon_rows(rows))
         self._by_pivot = None
         self._hash = None
+
+    @classmethod
+    def from_rref(cls, ambient, rows):
+        """The subspace whose canonical rows are rows, stored without
+        elimination.  Each row must be column-sorted and primitive, with a
+        positive lead (its first column), and zero in every other row's
+        lead; rows may come in any order and are sorted by lead.  Only the
+        leads are checked: ValueError names an empty row, a repeated or
+        non-positive lead, or a row that holds another row's lead.  Column
+        order and primitivity are the caller's to prove (checking them here
+        would cost most of what skipping the elimination saves)."""
+        by_lead = {}
+        for row in rows:
+            lead = next(iter(row), None)
+            if lead is None:
+                raise ValueError("a row is empty")
+            if lead in by_lead:
+                raise ValueError("two rows are led at column %d" % lead)
+            by_lead[lead] = row
+        leads = by_lead.keys()
+        for lead, row in by_lead.items():
+            if row[lead] <= 0:
+                raise ValueError("the row led at column %d has lead %s"
+                                 % (lead, row[lead]))
+            if len(row.keys() & leads) != 1:
+                raise ValueError("the row led at column %d holds the lead "
+                                 "of another row" % lead)
+        self = cls.__new__(cls)
+        self.ambient = ambient
+        self.rows = tuple(map(by_lead.get, sorted(by_lead)))
+        self._by_pivot = by_lead
+        self._hash = None
+        return self
 
     @property
     def dim(self):

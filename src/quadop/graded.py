@@ -12,7 +12,7 @@ equalities.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .exactlin import LinearMap, Subspace, scalar
@@ -56,6 +56,10 @@ class GradedSpace:
             raise ValueError("degrees or odd counts do not match the labels")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("generator labels must be pairwise distinct")
+        # computed here, not in a cached_property, whose first read takes a
+        # lock on Python 3.11
+        object.__setattr__(
+            self, "_hash", hash((self.labels, self.degrees, self.odds)))
 
     @classmethod
     def from_labels(cls, labels, degree=0):
@@ -65,10 +69,6 @@ class GradedSpace:
     @property
     def dim(self):
         return len(self.labels)
-
-    @cached_property
-    def _hash(self):
-        return hash((self.labels, self.degrees, self.odds))
 
     def __hash__(self):
         return self._hash
@@ -223,9 +223,12 @@ def _pair_vector(v, i, j, sign_flag):
     return {c: x for c, x in data.items() if x}
 
 
+@lru_cache(maxsize=1024)
 def signed_square(v, sign):
     """The signed symmetric (sign +1) or antisymmetric (sign -1) part of
-    square(v) in characteristic 0, spanned by the pair vectors of i <= j."""
+    square(v) in characteristic 0, spanned by the pair vectors of i <= j.
+    One subspace per (v, sign), shared by every caller in the process, so
+    its rows are read-only."""
     return Subspace(
         square(v),
         [

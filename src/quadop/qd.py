@@ -221,16 +221,6 @@ def sum_relation_rows(va, vb, rows_a, rows_b, bracket_sign):
     return rows
 
 
-def _sum_relations(a, b, bracket_sign):
-    """Generators and relations of the direct-sum products of a and b."""
-    gens = direct_sum(a.generators, b.generators)
-    rows = sum_relation_rows(
-        a.generators, b.generators, a.relations.rows, b.relations.rows,
-        bracket_sign,
-    )
-    return gens, Subspace(square(gens), rows)
-
-
 def pair_image_rows(cols, dim_b, rows_a, rows_b):
     """The image of the pairs of rows_a and rows_b under a signed column map
     cols, one row per pair: cols sends ca * dim_b + cb to (column, sign), and
@@ -294,15 +284,33 @@ def monoidal_product(name, a, b):
             "product %s is not defined on flavors (%s, %s)"
             % (name.value, a.flavor.value, b.flavor.value)
         )
+    va, vb = a.generators, b.generators
     if name in _BRACKET:
-        gens, rels = _sum_relations(a, b, _BRACKET[name])
+        # the rows are canonical as built: R_A, R_B and the bracket rows
+        # have disjoint supports, the embedding keeps the column order of
+        # each canonical row of R_A and R_B, and each bracket row is led at
+        # x (x) y by a 1 that no other row holds
+        gens = direct_sum(va, vb)
+        rels = Subspace.from_rref(square(gens), sum_relation_rows(
+            va, vb, a.relations.rows, b.relations.rows, _BRACKET[name]))
     else:
-        va, vb = a.generators, b.generators
         gens = tensor_product(va, vb)
         cols, dim_b = _s23_cols(va, vb), vb.dim * vb.dim
         rows_a, rows_b = a.relations.rows, b.relations.rows
         if name is ProductName.BLACK:
-            rows = pair_image_rows(cols, dim_b, rows_a, rows_b)
+            # R_A (x) R_B is canonical once each image row is column-sorted
+            # with a positive lead.  S_(23) orders columns as (i, k, j, l),
+            # so the lead of ra (x) rb is the image of (lead ra, lead rb),
+            # and no other pair of rows holds both; the product of two
+            # primitive rows is primitive (Gauss's lemma), and the signs of
+            # S_(23) keep it so.
+            rows = []
+            for row in pair_image_rows(cols, dim_b, rows_a, rows_b):
+                row = sorted(row.items())
+                if row[0][1] < 0:
+                    row = [(c, -v) for c, v in row]
+                rows.append(dict(row))
+            rels = Subspace.from_rref(square(gens), rows)
         else:
             # R_A (x) T_B + T_A (x) R_B, with T_A = R_A + N_A for N_A the
             # unit rows off the pivots of R_A: R_A (x) R_B is counted once
@@ -312,7 +320,8 @@ def monoidal_product(name, a, b):
             rows = pair_image_rows(cols, dim_b, rows_a,
                                    [{c: 1} for c in range(dim_b)])
             rows += pair_image_rows(cols, dim_b, free_a, rows_b)
-        rels = Subspace(square(gens), rows)
+            # distinct leads, but not reduced: eliminate
+            rels = Subspace(square(gens), rows)
     return QuadraticData(a.flavor, gens, rels)
 
 

@@ -6,6 +6,7 @@ reproducible byte-for-byte.
 
 import random
 import zlib
+from functools import lru_cache
 
 from .boqd import S2Module, make_boqd
 from .exactlin import LinearMap
@@ -36,8 +37,11 @@ def _flavor_pool(gens, flavor):
     return [{c: 1} for c in range(gens.dim ** 2)]
 
 
-def random_relation_rows(rng, gens, flavor):
-    """Random homogeneous relation rows inside the flavor square of gens."""
+@lru_cache(maxsize=1024)
+def _relation_pool(gens, flavor):
+    """The size of the flavor pool of gens and its homogeneous rows grouped
+    by degree, in increasing degree; one table per (gens, flavor), shared,
+    so read-only."""
     pool = _flavor_pool(gens, flavor)
     amb = square(gens)
     bydeg = {}
@@ -45,12 +49,17 @@ def random_relation_rows(rng, gens, flavor):
         degs = {amb.degrees[c] for c in r}
         if len(degs) == 1:
             bydeg.setdefault(degs.pop(), []).append(r)
+    return len(pool), tuple(bydeg[d] for d in sorted(bydeg))
+
+
+def random_relation_rows(rng, gens, flavor):
+    """Random homogeneous relation rows inside the flavor square of gens."""
+    npool, groups = _relation_pool(gens, flavor)
     rows = []
-    if bydeg:
-        for _ in range(rng.randint(0, max(1, len(pool) // 2))):
-            d = rng.choice(sorted(bydeg))
+    if groups:
+        for _ in range(rng.randint(0, max(1, npool // 2))):
             combo = {}
-            for r in bydeg[d]:
+            for r in rng.choice(groups):
                 c0 = rng.randint(-2, 2)
                 if c0:
                     for c, v in r.items():

@@ -285,3 +285,24 @@ def test_queries_run_no_elimination(monkeypatch):
         assert [sub.contains(r) for r in p.rows] == members
         assert [sub.contains(Vector(QAMB, r)) for r in p.rows] == members
         assert sub.contains_subspace(p) is inside
+
+
+def test_from_rref_stores_canonical_rows_and_rejects_other_leads(monkeypatch):
+    rows = [{2: 1, 5: -3}, {0: 2, 1: 1, 5: 7}]
+    monkeypatch.setattr(exactlin, "echelon_rows", None)
+    sub = Subspace.from_rref(QAMB, rows)
+    monkeypatch.undo()
+    # sorted by lead, and equal (hash too) to the eliminated subspace
+    assert [list(r.items()) for r in sub.rows] == \
+        [list(r.items()) for r in Subspace(QAMB, rows).rows]
+    assert sub == Subspace(QAMB, rows) and hash(sub) == hash(Subspace(QAMB, rows))
+    assert sub.contains({0: 2, 1: 1, 2: 1, 5: 4})
+    assert not sub.contains({1: 1})
+    for bad in (
+        [{0: 1, 3: 1}, {0: 2, 4: 1}],   # a repeated lead
+        [{0: 1, 2: 1}, {2: 1, 4: 1}],   # a row holds another row's lead
+        [{0: 1}, {2: -1, 3: 1}],        # a negative lead
+        [{0: 1}, {}],                   # an empty row
+    ):
+        with pytest.raises(ValueError):
+            Subspace.from_rref(QAMB, bad)

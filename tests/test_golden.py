@@ -4,7 +4,9 @@ one frozen in golden_reports.json (sha256 of the command's standard output).
 Each command runs in a fresh process, so the process-wide caches (component,
 family, scheme and functor lru_caches, interned graphs) cannot leak between
 cases; one test runs suites that share those caches in one process, in both
-orders, to show that the caches do not change a report either.  To refreeze after an intended change
+orders, to show that the caches do not change a report either, and one
+shows that suites leave the shared rows of the cached signed squares as
+they were built.  To refreeze after an intended change
 of a report, store the sha256 of the standard output of
 `python -m quadop <command>` under the command's key.
 """
@@ -72,6 +74,9 @@ for command in sys.argv[1:]:
     # the second run reads warm graph enumerations, compositions and
     # interned graphs
     ("verify gra-iso", "verify gra-iso"),
+    # these share the process-wide signed squares and random relation pools
+    ("verify qd-coherence --trials 10", "verify realize-duality"),
+    ("verify realize-duality", "verify qd-coherence --trials 10"),
 ])
 def test_reports_do_not_depend_on_suite_order(commands):
     proc = subprocess.run(
@@ -80,3 +85,47 @@ def test_reports_do_not_depend_on_suite_order(commands):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0 " + GOLDEN[c] for c in commands]
+
+
+# records every signed square the package asks for while it runs the
+# argument commands, then compares each cached subspace with a fresh build,
+# item order included; prints the number of distinct squares compared
+SIGNED_SQUARES_AFTER_SUITES = """
+import contextlib, io, sys
+from quadop import graded
+from quadop.cli import main
+seen = {}
+def recorded(v, sign):
+    sub = seen[v, sign] = graded.signed_square(v, sign)
+    return sub
+patched = set()
+for name, mod in list(sys.modules.items()):
+    if name.startswith("quadop.") and mod is not graded \\
+            and getattr(mod, "signed_square", None) is graded.signed_square:
+        mod.signed_square = recorded
+        patched.add(name)
+assert {"quadop.qd", "quadop.operads", "quadop.rand"} <= patched, patched
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(command.split()) == 0, command
+for (v, sign), sub in seen.items():
+    fresh = graded.signed_square.__wrapped__(v, sign)
+    assert [list(r.items()) for r in sub.rows] == \\
+        [list(r.items()) for r in fresh.rows], (v, sign)
+    assert graded.signed_square(v, sign) is sub
+print(len(seen))
+"""
+
+
+def test_suites_leave_cached_signed_squares_intact():
+    # the rows of a cached signed square are shared by every caller (the
+    # operad generator schemes, the random relation pools, the script_s and
+    # star functors), so no caller may write to them
+    proc = subprocess.run(
+        [sys.executable, "-c", SIGNED_SQUARES_AFTER_SUITES,
+         "verify operad-axioms", "verify qd-coherence --trials 10",
+         "verify diagram-faces", "verify operad-axioms"],
+        capture_output=True, env=_env(), text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0

@@ -29,6 +29,7 @@ from quadop.qd import (
     ProductName,
     QDFlavor,
     QDMorphism,
+    PRODUCTS,
     STRONG_MONOIDALITY_TABLE,
     apply_functor,
     check_associativity,
@@ -50,7 +51,7 @@ from quadop.qd import (
     verify_diagram_face,
     _functor_image,
 )
-from quadop.rand import _flavor_pool, random_graded_space, random_qd
+from quadop.rand import _flavor_pool, child_rng, random_graded_space, random_qd
 from quadop.catalog import aos_data, named_qd
 
 
@@ -114,6 +115,23 @@ def test_each_product_is_defined_on_its_flavors_and_keeps_them():
                 monoidal_product(name, a, b)
             rejected += fa is fb
     assert accepted == defined and rejected == 11
+
+
+def test_products_store_the_rows_a_fresh_elimination_gives():
+    # the direct sums and black store their relation rows as built, with no
+    # elimination; the kernel's RREF of those rows must return them, in the
+    # same order and with each row's items in the same order, or equal data
+    # could hash apart
+    for seed in range(300):
+        rng = child_rng(seed, "canonical-products")
+        for flavor, names in PRODUCTS.items():
+            a = random_qd(rng, flavor, "a", 3)
+            b = random_qd(rng, flavor, "b", 3)
+            for name in names:
+                rels = monoidal_product(name, a, b).relations
+                fresh = Subspace(rels.ambient, rels.rows)
+                assert [list(r.items()) for r in rels.rows] == \
+                    [list(r.items()) for r in fresh.rows], (seed, name)
 
 
 def test_unit_law_reports():
