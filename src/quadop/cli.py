@@ -36,7 +36,7 @@ def _emit(args, payload, tsv_rows=None):
     else:
         text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -57,7 +57,7 @@ def _resolve_qd(args):
     data = []
     for value in args.qd:
         if value.endswith(".json"):
-            with open(value) as fh:
+            with open(value, encoding="utf-8") as fh:
                 data.append(qd_loads(fh.read()))
         else:
             data.append(named_qd(value, args.n, k=args.k))

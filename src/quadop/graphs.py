@@ -131,7 +131,12 @@ def _arity_pairs(k, nmax):
 
 def _canonicalize(n, k, symmetric, edge_list):
     """Sort an explicit edge list with its sign; duplicate edges kill the
-    term (odd squares vanish)."""
+    term (odd squares vanish).  Only one-vertex edges (k = 1) can meet
+    twice.  For k >= 2 no insertion repeats an edge: an edge reconnected at
+    the slot keeps an outer vertex (two of them keep different ones), an
+    inner edge has none, an interval kept or shifted past the inserted block
+    meets it in at most one vertex, and a relabeling is injective.  The k = 1
+    cases of test_compose_matches_reference_enumeration reach the check."""
     edges = tuple(sorted(edge_list))
     if any(a == b for a, b in zip(edges, edges[1:])):
         return 0, None

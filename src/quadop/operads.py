@@ -5,9 +5,11 @@ edges for BKW and DK, k-element subsets for HG(k) and its refinement RHG(k)
 (RHG(2) is DK, RHG(3) is EHKR), and length-k intervals for the nonsymmetric
 LG and LHG(k).  Partial compositions insert m vertices at a slot and follow
 the index scheme's per-generator formula.  The scheme owns the generator
-spaces, compositions and group action, built once per process for each
-scheme and k; a family adds only its relations.  The axiom verifier checks
-everything exhaustively at bounded arity on generator bases.
+spaces, compositions (all slots of one (n, m) share one source V(n) ⊕ V(m))
+and group action, built once per process for each scheme and k; a family
+adds only its relations, and the full ones (BKW, HG, LG, LHG) take the
+cached signed square itself.  The axiom verifier checks everything
+exhaustively at bounded arity on generator bases.
 """
 
 from functools import lru_cache
@@ -34,12 +36,9 @@ from .report import Report, first_failure
 
 
 def transpositions(n):
-    out = []
-    for i in range(1, n):
-        p = list(range(1, n + 1))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        out.append(tuple(p))
-    return out
+    """The adjacent transpositions (i i+1) of S_n, for i = 1..n-1."""
+    return [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
+            for i in range(1, n)]
 
 
 def perm_inverse(p):
@@ -68,13 +67,8 @@ def inflate_outer(sigma, n, m, p):
 
 def inflate_inner(tau, n, m, p):
     """tau' in S_{n+m-1} with mu o_p (nu.tau) = (mu o_p nu).tau'."""
-    out = []
-    for v in range(1, n + m):
-        if v < p or v >= p + m:
-            out.append(v)
-        else:
-            out.append(p - 1 + tau[v - p])
-    return tuple(out)
+    return tuple(v if v < p or v >= p + m else p - 1 + tau[v - p]
+                 for v in range(1, n + m))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +95,8 @@ class _Scheme:
     def __init__(self, k):
         self.k = k
         self._spaces = {}
+        self._positions = {}
+        self._sources = {}
         self._comps = {}
         self._actions = {}
 
@@ -109,9 +105,16 @@ class _Scheme:
             self._spaces[n] = GradedSpace.from_labels(map(_label, self.indices(n)))
         return self._spaces[n]
 
+    def _position(self, n):
+        """Index -> basis position in V(n), in index order; one per arity."""
+        if n not in self._positions:
+            self._positions[n] = {I: i for i, I in enumerate(self.indices(n))}
+        return self._positions[n]
+
     def comp(self, n, m, p):
-        """The partial composition V(n) ⊕ V(m) -> V(n+m-1) at slot p; the
-        source is outer/inner tagged to keep labels distinct when n = m."""
+        """The partial composition V(n) ⊕ V(m) -> V(n+m-1) at slot p.  Its
+        source is outer/inner tagged to keep labels distinct when n = m, and
+        is one object per (n, m), shared by every slot."""
         key = (n, m, p)
         if key not in self._comps:
             if not 1 <= p <= n:
@@ -120,18 +123,19 @@ class _Scheme:
                 # deletion needs the reconnection sum of the symmetric case
                 # to be associative; linear families have no arity-0 insertions
                 raise ValueError("nonsymmetric families do not compose with arity 0")
-            src = direct_sum(
-                _tagged(self.gen_space(n), "o:"), _tagged(self.gen_space(m), "i:")
-            )
-            pos = {I: i for i, I in enumerate(self.indices(n + m - 1))}
+            if (n, m) not in self._sources:
+                self._sources[n, m] = direct_sum(
+                    _tagged(self.gen_space(n), "o:"), _tagged(self.gen_space(m), "i:"))
+            pos = self._position(n + m - 1)
             cols = []
             for rule, arity in ((self.compose_outer, n), (self.compose_inner, m)):
-                for I in self.indices(arity):
+                for I in self._position(arity):
                     col = {}
                     for coeff, J in rule(I, n, m, p):
                         col[pos[J]] = col.get(pos[J], 0) + coeff
                     cols.append(col)
-            self._comps[key] = LinearMap(src, self.gen_space(n + m - 1), cols)
+            self._comps[key] = LinearMap(
+                self._sources[n, m], self.gen_space(n + m - 1), cols)
         return self._comps[key]
 
     def action(self, n, sigma):
@@ -140,11 +144,10 @@ class _Scheme:
             raise ValueError("nonsymmetric family has no symmetric-group action")
         key = (n, tuple(sigma))
         if key not in self._actions:
-            idx = self.indices(n)
-            pos = {I: i for i, I in enumerate(idx)}
+            pos = self._position(n)
             inv = perm_inverse(sigma)
             amb = self.gen_space(n)
-            cols = [{pos[self.act(I, inv)]: 1} for I in idx]
+            cols = [{pos[self.act(I, inv)]: 1} for I in pos]
             self._actions[key] = LinearMap(amb, amb, cols)
         return self._actions[key]
 
@@ -235,8 +238,8 @@ class OperadFamily:
                 self._components[n] = qd_zero(QDFlavor.SKEW)
             else:
                 gens = self.gen_space(n)
-                rows = self._relation_fn(self, n, idx, gens)
-                self._components[n] = make_qd(QDFlavor.SKEW, gens, rows)
+                rels = self._relation_fn(self, n, idx, gens)
+                self._components[n] = make_qd(QDFlavor.SKEW, gens, rels)
         return self._components[n]
 
 
@@ -244,7 +247,8 @@ class OperadFamily:
 
 
 def _rel_full(family, n, idx, gens):
-    return list(signed_square(gens, SQUARE_SIGN[QDFlavor.SKEW]).rows)
+    """The cached skew signed square, which make_qd takes as it is."""
+    return signed_square(gens, SQUARE_SIGN[QDFlavor.SKEW])
 
 
 def _rel_refined(family, n, idx, gens):
@@ -317,75 +321,85 @@ def family_shell(family):
 # composition evaluation and exhaustive axiom checks
 
 
-def _first_difference(lhs, rhs):
-    """The first index at which two differing column lists differ."""
-    return next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+def _sequential(s, triples):
+    """x o_i (y o_j z) and (x o_i y) o_{i+j-1} z on the generators of x, y,
+    z, in (n, m, l, i, j) order; each composition is read once per level."""
+    for n, m, l in triples:
+        dn, dnm = s.gen_space(n).dim, s.gen_space(n + m - 1).dim
+        yz = [s.comp(m, l, j).cols for j in range(1, m + 1)]
+        after = [s.comp(n + m - 1, l, q).cols for q in range(1, n + m)]
+        after = [(c, list(c[dnm:])) for c in after]
+        for i in range(1, n + 1):
+            c1, xy = s.comp(n, m + l - 1, i).cols, s.comp(n, m, i).cols
+            head, tail = list(c1[:dn]), c1[dn:]
+            for j in range(1, m + 1):
+                c2, rest = after[i + j - 2]
+                yield ((n, m, l, i, j), head + compose_cols(tail, yz[j - 1]),
+                       compose_cols(c2, xy) + rest)
 
 
-def _sequential_cases(family, n, m, l, i, j):
-    """x o_i (y o_j z) and (x o_i y) o_{i+j-1} z on the generators of x, y, z."""
-    c1 = family.comp(n, m + l - 1, i)
-    c2 = family.comp(n + m - 1, l, i + j - 1)
-    dn = family.gen_space(n).dim
-    lhs = list(c1.cols[:dn]) + compose_cols(c1.cols[dn:], family.comp(m, l, j).cols)
-    rhs = compose_cols(c2.cols, family.comp(n, m, i).cols)
-    rhs += c2.cols[family.gen_space(n + m - 1).dim:]
-    return lhs, rhs
-
-
-def _parallel_cases(family, n, m, l, i, j):
+def _parallel(s, triples):
     """(x o_i y) o_{j+m-1} z and (x o_j z) o_i y, for i < j, on the
-    generators of x, y, z."""
-    c1 = family.comp(n + m - 1, l, j + m - 1)
-    c2 = family.comp(n + l - 1, m, i)
-    cnl = family.comp(n, l, j)
-    dn = family.gen_space(n).dim
-    lhs = compose_cols(c1.cols, family.comp(n, m, i).cols)
-    lhs += c1.cols[family.gen_space(n + m - 1).dim:]
-    rhs = compose_cols(c2.cols, cnl.cols[:dn])
-    rhs += c2.cols[family.gen_space(n + l - 1).dim:]
-    rhs += compose_cols(c2.cols, cnl.cols[dn:])
-    return lhs, rhs
+    generators of x, y, z, in (n, m, l, i, j) order."""
+    for n, m, l in triples:
+        dn = s.gen_space(n).dim
+        dnm, dnl = s.gen_space(n + m - 1).dim, s.gen_space(n + l - 1).dim
+        after = [s.comp(n + m - 1, l, j + m - 1).cols for j in range(1, n + 1)]
+        after = [(c, list(c[dnm:])) for c in after]
+        xz = [s.comp(n, l, j).cols for j in range(1, n + 1)]
+        for i in range(1, n):
+            xy, c2 = s.comp(n, m, i).cols, s.comp(n + l - 1, m, i).cols
+            rest2 = list(c2[dnl:])
+            for j in range(i + 1, n + 1):
+                (c1, rest1), x = after[j - 1], xz[j - 1]
+                yield ((n, m, l, i, j), compose_cols(c1, xy) + rest1,
+                       compose_cols(c2, x[:dn]) + rest2 + compose_cols(c2, x[dn:]))
 
 
-def _outer_cases(family, n, m, p, sigma):
-    """(x.sigma) o_p y and (x o_{sigma(p)} y).sigma' on the generators of x."""
-    c = family.comp(n, m, p)
-    infl = family.action(n + m - 1, inflate_outer(sigma, n, m, p))
-    lhs = compose_cols(c.cols, family.action(n, sigma).cols)
-    cq = family.comp(n, m, sigma[p - 1])
-    return lhs, compose_cols(infl.cols, cq.cols[:len(lhs)])
-
-
-def _inner_cases(family, n, m, p, tau):
-    """x o_p (y.tau) and (x o_p y).tau' on the generators of y."""
-    c = family.comp(n, m, p)
-    infl = family.action(n + m - 1, inflate_inner(tau, n, m, p))
-    dn = family.gen_space(n).dim
-    inner = c.cols[dn:]
-    return (compose_cols(inner, family.action(m, tau).cols),
-            compose_cols(infl.cols, inner))
+def _equivariance(s, nmax):
+    """(x.sigma) o_p y and (x o_{sigma(p)} y).sigma' on the generators of x,
+    then x o_p (y.tau) and (x o_p y).tau' on those of y, a case per column."""
+    for n in range(1, nmax + 1):
+        dn = s.gen_space(n).dim
+        outer = [(sigma, s.action(n, sigma).cols) for sigma in transpositions(n)]
+        for m in range(nmax + 2 - n):
+            comps = [s.comp(n, m, p).cols for p in range(1, n + 1)]
+            inner = [(tau, s.action(m, tau).cols) for tau in transpositions(m)]
+            for p, c in enumerate(comps, 1):
+                for sigma, act in outer:
+                    infl = s.action(n + m - 1, inflate_outer(sigma, n, m, p)).cols
+                    rhs = compose_cols(infl, comps[sigma[p - 1] - 1][:dn])
+                    for g, (a, b) in enumerate(zip(compose_cols(c, act), rhs)):
+                        yield ("outer", n, m, p, sigma, g), a, b
+                for tau, act in inner:
+                    infl = s.action(n + m - 1, inflate_inner(tau, n, m, p)).cols
+                    lhs = compose_cols(c[dn:], act)
+                    for g, (a, b) in enumerate(zip(lhs, compose_cols(infl, c[dn:]))):
+                        yield ("inner", n, m, p, tau, g), a, b
 
 
 def verify_axioms(family, nmax):
     """Sequential, parallel, unit, and (for symmetric families) both
     equivariance axioms, exhaustively on generator bases for all admissible
     arity/slot combinations with output arity <= nmax.  Each axiom is an
-    equality of the columns of two composites.  Reads only the generator
-    spaces, compositions and action, so the verdict is one per scheme and a
-    scheme may stand for its families."""
-    arities = range(0 if family.symmetric else 1, nmax + 1)
+    equality of the columns of two composites.  Reads only the scheme of a
+    family, or a bare scheme: its generator spaces, its compositions (one
+    shared source per (n, m)) and its action, each once per loop level of a
+    stream; no relations, such as the signed square the full families
+    share.  So the verdict is one per scheme."""
+    s = getattr(family, "scheme", family)
+    arities = range(0 if s.symmetric else 1, nmax + 1)
     reports = []
     # unit laws
     for n in arities:
-        unit = [{g: 1} for g in range(family.gen_space(n).dim)]
+        unit = [{g: 1} for g in range(s.gen_space(n).dim)]
         for p in range(1, n + 1):
             reports += [Report("unit.right.n%d.p%d" % (n, p), False,
                                "composition with the arity-1 unit moved a generator")
-                        for col, want in zip(family.comp(n, 1, p).cols, unit)
+                        for col, want in zip(s.comp(n, 1, p).cols, unit)
                         if col != want]
         reports += [Report("unit.left.n%d" % n, False, "")
-                    for col, want in zip(family.comp(1, n, 1).cols, unit)
+                    for col, want in zip(s.comp(1, n, 1).cols, unit)
                     if col != want]
     if not reports:
         reports.append(Report("unit", True, "left/right unit laws on all generators"))
@@ -393,40 +407,26 @@ def verify_axioms(family, nmax):
     # sequential and parallel, each in (n, m, l, i, j) order
     triples = [(n, m, l) for n in range(1, nmax + 1) for m in range(1, nmax + 1)
                for l in arities]
-    skipped = sum(n + m + l - 2 > nmax for n, m, l in triples)
-    for name, cases, slots in (
-        ("sequential", _sequential_cases, lambda n, m, i: range(1, m + 1)),
-        ("parallel", _parallel_cases, lambda n, m, i: range(i + 1, n + 1)),
-    ):
-        count, fail = first_failure(
-            ((n, m, l, i, j), *cases(family, n, m, l, i, j))
-            for n, m, l in triples if n + m + l - 2 <= nmax
-            for i in range(1, n + 1) for j in slots(n, m, i))
+    within = [t for t in triples if sum(t) - 2 <= nmax]
+    for name, cases in (("sequential", _sequential(s, within)),
+                        ("parallel", _parallel(s, within))):
+        count, fail = first_failure(cases)
         if fail is None:
             reports.append(Report(name, True, "%d cases" % count))
         else:
             case, lhs, rhs = fail
-            g = _first_difference(lhs, rhs)
+            g = next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             reports.append(Report(name, False, "first failure at (n,m,l,i,j)=%s"
                                   % (case,), witness=(lhs[g], rhs[g])))
 
-    # equivariance, one case per generator column
-    if family.symmetric:
-        count, fail = first_failure(
-            ((side, n, m, p, perm, g), a, b)
-            for n in range(1, nmax + 1) for m in range(nmax + 2 - n)
-            for p in range(1, n + 1)
-            for side, cases, perms in (("outer", _outer_cases, transpositions(n)),
-                                       ("inner", _inner_cases, transpositions(m)))
-            for perm in perms
-            for g, (a, b) in enumerate(zip(*cases(family, n, m, p, perm))))
+    if s.symmetric:
+        count, fail = first_failure(_equivariance(s, nmax))
         reports.append(Report("equivariance", fail is None,
                               "%d cases over generating transpositions" % count
                               if fail is None else "first failure %s" % (fail[0],)))
-    if skipped:
-        reports.append(Report("skipped", True,
-                              "%d arity combinations above the bound" % skipped,
-                              status="SKIPPED"))
+    if len(within) < len(triples):
+        reports.append(Report("skipped", True, "%d arity combinations above the bound"
+                              % (len(triples) - len(within)), status="SKIPPED"))
     return reports
 
 

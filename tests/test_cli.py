@@ -133,6 +133,23 @@ def test_verify_exit_codes_and_determinism(tmp_path, capsys):
     assert doc["cases"] == sorted(doc["cases"], key=lambda c: c["name"])
 
 
+def test_json_files_are_written_and_read_as_utf8(tmp_path):
+    # the labels hold "s·", "⊗" and "τ": with the locale's encoding they
+    # would not survive a non-UTF-8 locale, so --out and a --qd file are
+    # UTF-8, and the warning for an implicit encoding is an error here
+    path = tmp_path / "f.json"
+    base = [sys.executable, "-X", "warn_default_encoding",
+            "-W", "error::EncodingWarning", "-m", "quadop", "build"]
+    for argv in (["--functor", "shriek", "--qd", "DK", "--n", "3", "--out", str(path)],
+                 ["--functor", "star", "--qd", str(path)]):
+        proc = subprocess.run(base + argv, capture_output=True, text=True,
+                              encoding="utf-8")
+        assert proc.returncode == 0, proc.stderr
+    text = path.read_bytes().decode("utf-8")
+    assert any(ord(c) > 127 for c in text)
+    assert json.loads(text)
+
+
 def test_verify_minimality_subprocess():
     # end to end through the entry point, exercising exit code 0
     proc = subprocess.run(

@@ -74,6 +74,12 @@ for command in sys.argv[1:]:
     # the second run reads warm graph enumerations, compositions and
     # interned graphs
     ("verify gra-iso", "verify gra-iso"),
+    # these share the operad generator schemes, one composition source per
+    # (n, m) of each, and the signed squares that are the relations of the
+    # full families; the second run of a pair reads them warm
+    ("verify gra-iso", "verify operad-axioms"),
+    ("verify operad-axioms", "verify gra-iso"),
+    ("verify operad-axioms", "verify operad-axioms"),
     # these share the process-wide signed squares and random relation pools
     ("verify qd-coherence --trials 10", "verify realize-duality"),
     ("verify realize-duality", "verify qd-coherence --trials 10"),

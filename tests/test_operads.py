@@ -3,19 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from quadop.exactlin import LinearMap, compose_cols
+from quadop.exactlin import LinearMap, Subspace, compose_cols
+from quadop.graded import direct_sum, signed_square, square
 from quadop.operads import (
     OperadFamily,
     build_family,
     compare_families,
     family_shell,
+    inflate_inner,
+    inflate_outer,
     minimal_suboperad,
+    transpositions,
     verify_axioms,
     verify_relation_morphism,
     _SubsetScheme,
     _rel_refined,
     _rel_zero,
+    _tagged,
 )
+from quadop.qd import SQUARE_SIGN, QDFlavor
+from quadop.report import first_failure
 from quadop.suites import _FAMILY_BOUNDS, suite_operad_axioms
 
 
@@ -186,6 +193,153 @@ def test_failing_axiom_reports(make, want):
     # failing reports carry the first failing case and its two sides, so
     # their bytes are pinned here; the golden reports cover passing runs only
     assert [r.as_case() for r in verify_axioms(make(), 4)] == want
+
+
+# the axiom streams written case by case, each case reading every map it
+# needs afresh: the reference for the streams that read each map once
+def _reference_sequential(s, n, m, l, i, j):
+    c1 = s.comp(n, m + l - 1, i)
+    c2 = s.comp(n + m - 1, l, i + j - 1)
+    dn = s.gen_space(n).dim
+    lhs = list(c1.cols[:dn]) + compose_cols(c1.cols[dn:], s.comp(m, l, j).cols)
+    rhs = compose_cols(c2.cols, s.comp(n, m, i).cols)
+    rhs += c2.cols[s.gen_space(n + m - 1).dim:]
+    return lhs, rhs
+
+
+def _reference_parallel(s, n, m, l, i, j):
+    c1 = s.comp(n + m - 1, l, j + m - 1)
+    c2 = s.comp(n + l - 1, m, i)
+    cnl = s.comp(n, l, j)
+    dn = s.gen_space(n).dim
+    lhs = compose_cols(c1.cols, s.comp(n, m, i).cols)
+    lhs += c1.cols[s.gen_space(n + m - 1).dim:]
+    rhs = compose_cols(c2.cols, cnl.cols[:dn])
+    rhs += c2.cols[s.gen_space(n + l - 1).dim:]
+    rhs += compose_cols(c2.cols, cnl.cols[dn:])
+    return lhs, rhs
+
+
+def _reference_outer(s, n, m, p, sigma):
+    c = s.comp(n, m, p)
+    infl = s.action(n + m - 1, inflate_outer(sigma, n, m, p))
+    lhs = compose_cols(c.cols, s.action(n, sigma).cols)
+    cq = s.comp(n, m, sigma[p - 1])
+    return lhs, compose_cols(infl.cols, cq.cols[:len(lhs)])
+
+
+def _reference_inner(s, n, m, p, tau):
+    c = s.comp(n, m, p)
+    infl = s.action(n + m - 1, inflate_inner(tau, n, m, p))
+    inner = c.cols[s.gen_space(n).dim:]
+    return (compose_cols(inner, s.action(m, tau).cols),
+            compose_cols(infl.cols, inner))
+
+
+def _reference_failures(s, nmax):
+    """{law: (cases read, first failing case)} of the sequential, parallel
+    and equivariance laws, the failing case with its full two sides."""
+    triples = [(n, m, l) for n in range(1, nmax + 1) for m in range(1, nmax + 1)
+               for l in range(nmax + 1) if n + m + l - 2 <= nmax]
+    out = {}
+    for name, cases, slots in (
+        ("sequential", _reference_sequential, lambda n, m, i: range(1, m + 1)),
+        ("parallel", _reference_parallel, lambda n, m, i: range(i + 1, n + 1)),
+    ):
+        out[name] = first_failure(
+            ((n, m, l, i, j), *cases(s, n, m, l, i, j))
+            for n, m, l in triples
+            for i in range(1, n + 1) for j in slots(n, m, i))
+    out["equivariance"] = first_failure(
+        ((side, n, m, p, perm, g), a, b)
+        for n in range(1, nmax + 1) for m in range(nmax + 2 - n)
+        for p in range(1, n + 1)
+        for side, cases, perms in (("outer", _reference_outer, transpositions(n)),
+                                   ("inner", _reference_inner, transpositions(m)))
+        for perm in perms
+        for g, (a, b) in enumerate(zip(*cases(s, n, m, p, perm))))
+    return out
+
+
+def _corrupt_both_sides(key, outer, inner):
+    """A private DK scheme whose composition key has one outer and one
+    inner column replaced, so that both equivariance sides fail at key."""
+    scheme = _corrupt_comp(key, *outer)
+    bad = scheme._comps[key]
+    cols = list(bad.cols)
+    cols[inner[0]] = inner[1]
+    scheme._comps[key] = LinearMap(bad.source, bad.target, cols)
+    return scheme
+
+
+@pytest.mark.parametrize("make, failing", [
+    # the inner generator of (3, 2, 2) negated: first read deep in both
+    # the sequential and the parallel stream
+    (lambda: _corrupt_comp((3, 2, 2), 3, {3: -1}), {"sequential", "parallel"}),
+    (lambda: _corrupt_comp((4, 2, 3), 6, {5: 1, 3: 1}),
+     {"sequential", "parallel", "equivariance"}),
+    (lambda: _corrupt_action(4, (1, 3, 2, 4), 2, {1: 1}), {"equivariance"}),
+    # outer before inner at one (n, m, p): the outer side fails first
+    (lambda: _corrupt_both_sides((2, 3, 1), (0, {0: 1}), (1, {0: -1})),
+     {"sequential", "parallel", "equivariance"}),
+], ids=["comp-3-2-2", "comp-4-2-3", "action-4", "comp-2-3-1-both-sides"])
+def test_deep_failures_match_a_case_by_case_enumeration(make, failing):
+    # the streams read each map once per loop level; their first failure,
+    # its key, its witness and the count of passing laws must be those of
+    # the case-by-case enumeration
+    want = _reference_failures(make(), 5)
+    assert {name for name, (_, fail) in want.items() if fail} == failing
+    assert all(count > 5 for count, _ in want.values())
+    for r in verify_axioms(make(), 5):
+        if r.name not in want:
+            continue
+        count, fail = want.pop(r.name)
+        assert r.passed == (fail is None)
+        if fail is None:
+            assert r.details.startswith("%d cases" % count)
+        elif r.name == "equivariance":
+            assert r.details == "first failure %s" % (fail[0],)
+        else:
+            _, lhs, rhs = fail
+            g = next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            assert r.details == "first failure at (n,m,l,i,j)=%s" % (fail[0],)
+            assert str(r.witness) == str((lhs[g], rhs[g]))
+    assert not want
+
+
+@pytest.mark.parametrize("name, k", [
+    ("BKW", None), ("HG", 3), ("HG", 4), ("LG", None), ("LHG", 3)])
+def test_full_families_take_the_shared_signed_square(name, k):
+    # a full family's relations are the cached signed square itself, equal,
+    # rows and their item order included, to an elimination of its pair
+    # vectors from scratch
+    fam = build_family(name, k=k)
+    [bound] = [b for nm, kk, b in _FAMILY_BOUNDS if (nm, kk) == (name, k)]
+    built = 0
+    for n in range(bound + 1):
+        comp = fam.component(n)
+        gens = comp.generators
+        if not gens.dim:
+            assert comp.rdim == 0
+            continue
+        sq = signed_square(gens, SQUARE_SIGN[QDFlavor.SKEW])
+        assert comp.relations is sq
+        pairs = signed_square.__wrapped__(gens, SQUARE_SIGN[QDFlavor.SKEW]).rows
+        fresh = Subspace(square(gens), [dict(r) for r in pairs])
+        assert comp.relations == fresh
+        assert [list(r.items()) for r in sq.rows] == [list(r.items()) for r in fresh.rows]
+        built += 1
+    assert built
+
+
+def test_compositions_of_one_arity_pair_share_one_source():
+    for name, k, bound in _FAMILY_BOUNDS:
+        s = build_family(name, k=k).scheme
+        for n in range(1, bound + 1):
+            for m in range(0 if s.symmetric else 1, bound + 2 - n):
+                [src] = {id(s.comp(n, m, p).source) for p in range(1, n + 1)}
+                assert s.comp(n, m, 1).source == direct_sum(
+                    _tagged(s.gen_space(n), "o:"), _tagged(s.gen_space(m), "i:"))
 
 
 def test_one_family_object_per_name_and_k():
