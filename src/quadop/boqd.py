@@ -22,6 +22,7 @@ from .exactlin import (
     LinearMap,
     Subspace,
     Vector,
+    compose_cols,
     nullspace_rows,
     rows_past,
 )
@@ -52,10 +53,10 @@ class S2Module:
     action: LinearMap
 
     def __post_init__(self):
-        space = self.space
+        space, cols = self.space, self.action.cols
         if self.action.source != space or self.action.target != space:
             raise ValueError("action does not act on the module")
-        if self.action.compose(self.action) != LinearMap.identity(space):
+        if compose_cols(cols, cols) != [{i: 1} for i in range(space.dim)]:
             raise ValueError("the transposition action must be an involution")
 
     @property
@@ -317,10 +318,12 @@ def boqd_product(name, a, b):
     oplus, tril and trir add whole tau blocks, which rotate permutes and
     swap keeps; ucirc and circ take all three tau_i of each eigenvector
     pair; black and white are an image and a preimage under the
-    equivariant tree duplication.  Each distinct product is built and
-    checked once per process, in a bounded cache; the results are shared,
-    so read-only.  The sides of the phi and psi interchange checks, which
-    do not repeat, are built outside the cache."""
+    equivariant tree duplication.  vee, oplus, tril, trir and white store
+    their rows as built, which are canonical; black, ucirc and circ
+    eliminate theirs.  Each distinct product is built and checked once per
+    process, in a bounded cache; the results are shared, so read-only.  The
+    sides of the phi and psi interchange checks, which do not repeat, are
+    built outside the cache."""
     return _product(name.lower(), a, b)
 
 
@@ -330,11 +333,12 @@ def _product(name, a, b):
         mod = _module_tensor(a, b)
         cols = _diagonal_cols(a, b)
         if name == "black":
-            rows = pair_image_rows(cols, b.space.dim, a.relations.rows,
-                                   b.relations.rows)
-        else:
-            rows = _white_rows(a, b, cols)
-        return make_boqd(mod, rows)
+            # images of row pairs can collide or vanish: eliminate
+            return make_boqd(mod, pair_image_rows(
+                cols, b.space.dim, a.relations.rows, b.relations.rows))
+        # RREF rows of one elimination, all shifted alike: canonical as built
+        rows = _white_rows(a, b, cols)
+        return BOQDData(mod, Subspace.from_rref(mod.arity3.ambient, rows))
     mod = _module_sum(a, b)
     space = mod.arity3
     na, nt = a.gdim, mod.dim
@@ -342,9 +346,11 @@ def _product(name, a, b):
                              a.relations.rows, b.relations.rows, None)
     arange = range(na)
     brange = range(na, nt)
-    if name == "vee":
-        pass
-    elif name == "oplus":
+    if name in ("ucirc", "circ"):
+        # the eigenbases of A and B are not jointly echelon: eliminate
+        return make_boqd(mod, rows + _matched_pair_rows(
+            space, a, b, 1 if name == "ucirc" else -1))
+    if name == "oplus":
         rows += _circ1_rows(space, brange, arange)
         rows += _circ1_rows(space, arange, brange)
     elif name == "tril":
@@ -352,13 +358,12 @@ def _product(name, a, b):
         rows += _circ1_rows(space, arange, brange)
     elif name == "trir":
         rows += _circ1_rows(space, brange, arange)
-    elif name == "ucirc":
-        rows += _matched_pair_rows(space, a, b, +1)
-    elif name == "circ":
-        rows += _matched_pair_rows(space, a, b, -1)
-    else:
+    elif name != "vee":
         raise ValueError(name)
-    return make_boqd(mod, rows)
+    # the rows are canonical as built: R_A, R_B and the unit tau-block rows
+    # have disjoint supports, and the embedding is monotone on columns, so
+    # it keeps each canonical row of R_A and R_B column-sorted
+    return BOQDData(mod, Subspace.from_rref(space.ambient, rows))
 
 
 # the same build outside the cache, for products that do not repeat

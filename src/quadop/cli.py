@@ -31,7 +31,7 @@ def _family_descriptor(fam, nmax):
 
 
 def _emit(args, payload, tsv_rows=None):
-    if args.format == "tsv" and tsv_rows is not None:
+    if args.format == "tsv":
         text = "\n".join("\t".join(str(x) for x in row) for row in tsv_rows) + "\n"
     else:
         text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
@@ -64,8 +64,8 @@ def _resolve_qd(args):
     return data
 
 
-# options that only some commands read; every command reads --seed, --format
-# and --out (a command that draws nothing at random ignores its seed)
+# options that only some commands read; every command reads --seed, --out and
+# --format json (seedless ones ignore the seed; only dims prints TSV)
 _SELECTIVE = ("family", "qd", "k", "n", "nmax", "wmax", "trials", "timings",
               "relations", "shell", "functor", "product")
 
@@ -231,6 +231,8 @@ def main(argv=None):
                                  % (name, low, value))
         if args.command == "dims":
             return cmd_dims(args)
+        if args.format == "tsv":
+            raise UsageError("%s has no TSV form" % args.command)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "build":

@@ -10,8 +10,10 @@ rows are equal.  There are two ways to one: Subspace(ambient, rows) runs
 the kernel's elimination on any spanning rows, and Subspace.from_rref
 stores rows that a construction already produced in that form, checking
 only that their leads are distinct, positive and cleared from every other
-row.  Their rows, membership residuals and the rows derived
-from them are int rows.  A Fraction appears only at parse and render:
+row (the QD and BOQD products whose rows are canonical as built, and random
+BOQD data).  nullspace_rows reads such rows, with any sign per column, with
+no elimination either.  Their rows, membership residuals and the rows
+derived from them are int rows.  A Fraction appears only at parse and render:
 scalar() reads an exact scalar (an int when integral, a Fraction only with
 a denominator, the normal form of the scalars of vectors and maps), and
 graded.rows_to_json prints each row divided by its pivot.  Membership
@@ -84,22 +86,11 @@ class Subspace:
         non-positive lead, or a row that holds another row's lead.  Column
         order and primitivity are the caller's to prove (checking them here
         would cost most of what skipping the elimination saves)."""
-        by_lead = {}
-        for row in rows:
-            lead = next(iter(row), None)
-            if lead is None:
-                raise ValueError("a row is empty")
-            if lead in by_lead:
-                raise ValueError("two rows are led at column %d" % lead)
-            by_lead[lead] = row
-        leads = by_lead.keys()
+        by_lead = _by_lead(rows)
         for lead, row in by_lead.items():
             if row[lead] <= 0:
                 raise ValueError("the row led at column %d has lead %s"
                                  % (lead, row[lead]))
-            if len(row.keys() & leads) != 1:
-                raise ValueError("the row led at column %d holds the lead "
-                                 "of another row" % lead)
         self = cls.__new__(cls)
         self.ambient = ambient
         self.rows = tuple(map(by_lead.get, sorted(by_lead)))
@@ -175,6 +166,24 @@ class Subspace:
         return "Subspace(dim=%d of %d)" % (self.dim, self.ambient.dim)
 
 
+def _by_lead(rows):
+    """rows by lead (first column); ValueError: empty row or shared lead."""
+    by_lead = {}
+    for row in rows:
+        lead = next(iter(row), None)
+        if lead is None:
+            raise ValueError("a row is empty")
+        if lead in by_lead:
+            raise ValueError("two rows are led at column %d" % lead)
+        by_lead[lead] = row
+    leads = by_lead.keys()
+    for lead, row in by_lead.items():
+        if len(row.keys() & leads) != 1:
+            raise ValueError("the row led at column %d holds the lead "
+                             "of another row" % lead)
+    return by_lead
+
+
 def zero_space(ambient):
     return Subspace(ambient, [])
 
@@ -208,17 +217,17 @@ def intersect(a, b):
 
 
 def nullspace_rows(rows, ncols):
-    """Basis of {x : row.x = 0 for all rows}, as sparse int rows over ncols:
-    one per free column f, which gets the lcm of the pivot entries of the
-    RREF rows that meet it."""
-    # rref() rows are column-sorted, so a row's first column is its pivot
-    led = [(next(iter(r)), r) for r in echelon_rows(rows)]
-    pivot_set = {p for p, _ in led}
+    """Basis of {x : row.x = 0 for all rows} over ncols for int rows in
+    RREF with any sign per column, as stored rows are: no elimination runs,
+    and the leads are checked as from_rref checks them, bar their sign.
+    One int row per free column f, which gets the lcm of the leads of the
+    rows that meet it."""
+    led = _by_lead(rows)
     out = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in led:
             continue
-        hits = [(p, r) for p, r in led if f in r]
+        hits = [(p, r) for p, r in led.items() if f in r]
         scale = lcm(*(r[p] for p, r in hits))
         vec = {f: scale}
         for p, r in hits:

@@ -8,8 +8,8 @@ import random
 import zlib
 from functools import lru_cache
 
-from .boqd import S2Module, make_boqd
-from .exactlin import LinearMap
+from .boqd import BOQDData, S2Module
+from .exactlin import LinearMap, Subspace
 from .graded import GradedSpace, signed_square, square
 from .kernel import EchelonBasis
 from .qd import SQUARE_SIGN, QDFlavor, make_qd
@@ -105,22 +105,21 @@ def random_s2module(rng, prefix, max_dim=2):
 
 
 def s3_closure_rows(module, rows):
-    """Close a set of arity-3 rows under the permutation action."""
+    """The RREF rows of the closure of a set of arity-3 rows under the
+    permutation action; only a row that raises the rank is moved on."""
     space = module.arity3
     basis = EchelonBasis()
-    queue = [dict(r) for r in rows]
-    out = []
+    queue = list(rows)
     while queue:
         row = queue.pop()
         if basis.add(row):
-            out.append(row)
             queue += space.swap(row), space.rotate(row)
-    return out
+    return basis.rref()
 
 
 def random_boqd(rng, prefix, max_dim=2):
     """Random relations, closed under S3 here because BOQDData only checks
-    closure."""
+    closure, and stored as built: s3_closure_rows returns their RREF."""
     mod = random_s2module(rng, prefix, max_dim)
     amb = mod.arity3.ambient
     rows = []
@@ -130,4 +129,4 @@ def random_boqd(rng, prefix, max_dim=2):
         cand = {c: v for c, v in cand.items() if v}
         if cand:
             rows.append(cand)
-    return make_boqd(mod, s3_closure_rows(mod, rows))
+    return BOQDData(mod, Subspace.from_rref(amb, s3_closure_rows(mod, rows)))

@@ -5,6 +5,7 @@ import pytest
 
 from quadop import boqd
 from quadop.boqd import (
+    BOQDData,
     S2Module,
     _diagonal_cols,
     boqd_dual,
@@ -304,6 +305,88 @@ def test_closure_check_rejects_open_relations():
     mod = trivial_module(GradedSpace(("x",), (0,)))
     with pytest.raises(ValueError, match="not closed"):
         make_boqd(mod, [{mod.arity3.index(1, 0, 0): 1}])
+
+
+def test_closure_check_rejects_relations_open_under_the_swap_alone():
+    # x and y swapped by u: the sum of tau_i(x, x) is fixed by (123), but
+    # (12) sends tau_1(x, x) to tau_1(x, y)
+    v = GradedSpace(("x", "y"), (0, 0))
+    mod = S2Module(v, LinearMap(v, v, [{1: 1}, {0: 1}]))
+    sp = mod.arity3
+    row = {sp.index(i, 0, 0): 1 for i in (1, 2, 3)}
+    assert sp.rotate(row) == row and sp.swap(row) != row
+    with pytest.raises(ValueError, match="not closed"):
+        make_boqd(mod, [row])
+    with pytest.raises(ValueError, match="not closed"):
+        BOQDData(mod, Subspace.from_rref(sp.ambient, [row]))
+
+
+def test_closure_check_rejects_a_closed_datum_less_one_row():
+    # the check raises exactly when the rows left span no closed space
+    rng = random.Random(53)
+    raised = 0
+    for _ in range(30):
+        a = random_boqd(rng, "a")
+        rows = a.relations.rows
+        for k in range(len(rows)):
+            rest = rows[:k] + rows[k + 1:]
+            closed = len(s3_closure_rows(a.generators, rest)) == len(rest)
+            for build in (lambda: make_boqd(a.generators, rest),
+                          lambda: BOQDData(a.generators, Subspace.from_rref(
+                              a.space.ambient, rest))):
+                if closed:
+                    build()
+                else:
+                    with pytest.raises(ValueError, match="not closed"):
+                        build()
+            raised += not closed
+    assert raised >= 10
+
+
+def _as_built(sub):
+    """The stored rows with their item order, which the hashes read."""
+    return [list(r.items()) for r in sub.rows]
+
+
+def test_data_stored_as_built_equal_a_fresh_elimination():
+    # vee, oplus, tril, trir and white, and random data, store their rows
+    # with no elimination; each must be the canonical RREF, row order and
+    # item order included
+    rng = random.Random(59)
+    data = [random_boqd(rng, p) for p in "ab" * 400]
+    for m in data:
+        closure = [g(r) for g in _group_words(m.space) for r in m.relations.rows]
+        fresh = Subspace(m.space.ambient, closure)
+        assert _as_built(m.relations) == _as_built(fresh)
+    pairs = list(zip(data[::2], data[1::2]))
+    for _ in range(4):
+        mod = random_s2module(rng, "e")
+        empty = make_boqd(mod, [])
+        full = make_boqd(mod, [{c: 1} for c in range(mod.arity3.dim)])
+        other = random_boqd(rng, "f")
+        # a direct sum needs distinct labels: a second module for the pairs
+        # of two degenerate factors
+        gmod = random_s2module(rng, "g")
+        empty_g = make_boqd(gmod, [])
+        full_g = make_boqd(gmod, [{c: 1} for c in range(gmod.arity3.dim)])
+        pairs += [(empty, other), (other, full), (full, empty_g),
+                  (empty, full_g), (full, full_g), (zero_boqd(), other),
+                  (other, zero_boqd())]
+    odd = swapped = non_unit = False
+    built = 0
+    for a, b in pairs:
+        for m in (a, b):
+            odd = odd or any(d % 2 for d in m.generators.space.degrees)
+            swapped = swapped or any(
+                list(col) != [i] for i, col in enumerate(m.generators.action.cols))
+            non_unit = non_unit or any(
+                r[next(iter(r))] != 1 for r in m.relations.rows)
+        for name in ("vee", "oplus", "tril", "trir", "white"):
+            p = boqd._fresh_product(name, a, b)
+            fresh = Subspace(p.space.ambient, p.relations.rows)
+            assert _as_built(p.relations) == _as_built(fresh), name
+            built += 1
+    assert built >= 2000 and odd and swapped and non_unit
 
 
 def test_product_relations_are_closed():

@@ -60,6 +60,18 @@ def test_dims_bkw2_relations(capsys):
     assert out.strip() == "0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "koszul-duals"],
+    ["build", "--qd", "AOS", "--n", "3"],
+])
+def test_tsv_outside_dims_is_a_usage_error(capsys, argv):
+    # only dims has a TSV form; elsewhere --format tsv would print JSON
+    code, out, err = run_cli(argv + ["--format", "tsv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "TSV" in err
+
+
 def test_build_shriek_dk4(capsys):
     code, out, _ = run_cli(["build", "--functor", "shriek", "--qd", "DK", "--n", "4"], capsys)
     assert code == 0

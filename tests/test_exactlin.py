@@ -227,7 +227,7 @@ def test_queries_agree_with_fresh_elimination(rows, queries, coeffs, zeros):
 @given(st.lists(_row, max_size=QN + 1))
 def test_stored_null_and_cut_rows_are_int_rows(rows):
     sub = Subspace(QAMB, rows)
-    null = exactlin.nullspace_rows(rows, QN)
+    null = exactlin.nullspace_rows(sub.rows, QN)
     for r in list(sub.rows) + null + exactlin.rows_past(rows, 2):
         assert all(type(v) is int and v for v in r.values())
     assert Subspace(QAMB, null).dim == len(null) == QN - sub.dim
@@ -306,3 +306,49 @@ def test_from_rref_stores_canonical_rows_and_rejects_other_leads(monkeypatch):
     ):
         with pytest.raises(ValueError):
             Subspace.from_rref(QAMB, bad)
+
+
+def _signed_columns(rows, signs):
+    return [{c: v * signs[c] for c, v in r.items()} for r in rows]
+
+
+def test_nullspace_rows_of_canonical_and_column_signed_rows(monkeypatch):
+    # stored rows, and stored rows times a sign per column (as annihilator
+    # pairs them), take no elimination: the result is orthogonal to every
+    # input row, has dim ncols - rank, and the signs move it by themselves
+    rng = random.Random(31)
+    amb = GradedSpace.from_labels(tuple("abcdefgh"))
+    n = amb.dim
+    cases = [rand_subspace(rng, amb) for _ in range(150)]
+    cases += [zero_space(amb), Subspace(amb, [{i: 1} for i in range(n)])]
+    monkeypatch.setattr(exactlin, "echelon_rows", None)
+    kernels = []
+    for sub in cases:
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        signed = _signed_columns(sub.rows, signs)
+        plain = exactlin.nullspace_rows(sub.rows, n)
+        null = exactlin.nullspace_rows(signed, n)
+        for rows, kernel in ((sub.rows, plain), (signed, null)):
+            assert len(kernel) == n - sub.dim
+            for x in kernel:
+                assert all(type(v) is int for v in x.values())
+                assert all(sum(v * x.get(c, 0) for c, v in r.items()) == 0
+                           for r in rows)
+        kernels.append((signed, plain, null, signs))
+    monkeypatch.undo()
+    assert any(r[next(iter(r))] < 0 for k in kernels for r in k[0])
+    for signed, plain, null, signs in kernels:
+        assert Subspace(amb, null).dim == len(null)
+        assert Subspace(amb, null) == \
+            Subspace(amb, _signed_columns(plain, signs))
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 3: 1}, {0: 2, 4: 1}],    # a repeated lead
+    [{0: 1, 2: 1}, {2: 1, 4: 1}],    # a row holds another row's lead
+    [{2: -1, 4: 1}, {0: 1, 2: 3}],   # the same, with the rows out of order
+    [{0: 1}, {}],                    # an empty row
+])
+def test_nullspace_rows_rejects_rows_that_are_not_reduced(rows):
+    with pytest.raises(ValueError):
+        exactlin.nullspace_rows(rows, QN)

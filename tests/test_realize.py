@@ -220,8 +220,10 @@ def _all_slices_oracle(rel_rows, n, w):
             for u in range(n ** i) for row in rel_rows for v in range(n ** j)
         ])
     total = EchelonBasis().add_many([r for s in slices for r in s]).rank
-    perps = [r for s in slices for r in nullspace_rows(s, ncols)]
-    return ncols - total, echelon_rows(nullspace_rows(perps, ncols))
+    perps = [r for s in slices
+             for r in nullspace_rows(echelon_rows(s), ncols)]
+    return ncols - total, echelon_rows(
+        nullspace_rows(echelon_rows(perps), ncols))
 
 
 @st.composite
