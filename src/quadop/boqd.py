@@ -58,6 +58,9 @@ class S2Module:
             raise ValueError("action does not act on the module")
         if compose_cols(cols, cols) != [{i: 1} for i in range(space.dim)]:
             raise ValueError("the transposition action must be an involution")
+        if any(space.degrees[t] != space.degrees[i]
+               for i, col in enumerate(cols) for t in col):
+            raise ValueError("the transposition action must keep degrees")
 
     @property
     def dim(self):

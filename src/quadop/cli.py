@@ -22,8 +22,8 @@ from .suites import DEFAULT_SEED, SUITES
 def _family_descriptor(fam, nmax):
     return {
         "name": fam.name,
-        "symmetric": fam.symmetric,
-        "k": fam.k,
+        "symmetric": fam.scheme.symmetric,
+        "k": fam.scheme.k,
         "max_arity": nmax,
         "generator_dims": [fam.component(n).gdim for n in range(nmax + 1)],
         "relation_dims": [fam.component(n).rdim for n in range(nmax + 1)],

@@ -362,7 +362,8 @@ def sc_iso_check(family, nmax, wmax):
     isomorphism at the tested bounds.  On a symmetric family, clause (iv)
     stops at arity min(nmax, 4): for k = 3, whose compositions start at
     arity 5, it checks no pair."""
-    k, symmetric = family.k, family.symmetric
+    scheme = family.scheme
+    k, symmetric = scheme.k, scheme.symmetric
 
     def empty(n):
         return LabeledHypergraph(n, k, symmetric, ())
@@ -398,12 +399,12 @@ def sc_iso_check(family, nmax, wmax):
         # with the outer unit, in the order of the composition's source columns
         for n, m in _arity_pairs(k, nmax):
             pairs = [(LabeledHypergraph(n, k, symmetric, (I,)), empty(m))
-                     for I in family.gen_indices(n)]
+                     for I in scheme.indices(n)]
             pairs += [(empty(n), LabeledHypergraph(m, k, symmetric, (I,)))
-                      for I in family.gen_indices(m)]
-            idx_t = family.gen_indices(n + m - 1)
+                      for I in scheme.indices(m)]
+            idx_t = scheme.indices(n + m - 1)
             for p in range(1, n + 1):
-                for (g1, g2), want in zip(pairs, family.comp(n, m, p).cols):
+                for (g1, g2), want in zip(pairs, scheme.comp(n, m, p).cols):
                     got = {idx_t.index(gg.edges[0]): c
                            for gg, c in _compose_terms(g1, p, g2) if gg.weight == 1}
                     yield (n, m, p, (g1.edges or g2.edges)[0], got, want), got, want

@@ -58,8 +58,8 @@ def int_row(row):
 class EchelonBasis:
     """Incremental row-echelon accumulator for sparse rational rows.
 
-    add() folds one row in and reports whether the rank grew; contains()
-    tests membership; rref() emits the canonical reduced form.
+    add() folds one row in and reports whether the rank grew; rref() emits
+    the canonical reduced form.
     """
 
     def __init__(self):
@@ -148,9 +148,6 @@ class EchelonBasis:
         for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
             self.add(row)
         return self
-
-    def contains(self, row):
-        return self._reduce_int(int_row(row)) is None
 
     def pivot_columns(self):
         return sorted(self.pivots)

@@ -6,22 +6,22 @@ edges for BKW and DK, k-element subsets for HG(k) and its refinement RHG(k)
 LG and LHG(k).  Partial compositions insert m vertices at a slot and follow
 the index scheme's per-generator formula.  The scheme owns the generator
 spaces, compositions (all slots of one (n, m) share one source V(n) ⊕ V(m))
-and group action, built once per process for each scheme and k; a family
-adds only its relations, and the full ones (BKW, HG, LG, LHG) take the
-cached signed square itself.  The axiom verifier checks everything
-exhaustively at bounded arity on generator bases.
+and group action, built once per process for each scheme and k.  A family
+is a scheme plus its relations relation_fn(scheme, n), and the full ones
+(BKW, HG, LG, LHG) take the cached signed square itself.  The axiom
+verifier and the minimal closure take the scheme alone; the axioms are
+checked exhaustively at bounded arity on generator bases.
 """
 
 from functools import lru_cache
 from itertools import combinations
 
-from .exactlin import LinearMap, Subspace, compose_cols
-from .graded import GradedSpace, direct_sum, signed_square, square, wedge_row
+from .exactlin import LinearMap, compose_cols
+from .graded import GradedSpace, direct_sum, signed_square, wedge_row
 from .kernel import EchelonBasis
 from .qd import (
     SQUARE_SIGN,
     QDFlavor,
-    QuadraticData,
     escaping_image,
     make_qd,
     qd_zero,
@@ -207,38 +207,23 @@ def _scheme(cls, k):
 
 
 class OperadFamily:
-    """Arity-indexed skew quadratic data: the generators, partial
-    compositions and group action of a shared scheme, plus the family's own
-    relations."""
+    """Arity-indexed skew quadratic data: a shared scheme, which owns the
+    generators, partial compositions and group action, plus the family's
+    own relations relation_fn(scheme, n) in each arity with generators."""
 
     def __init__(self, name, scheme, relation_fn):
         self.name = name
         self.scheme = scheme
-        self.symmetric = scheme.symmetric
-        self.k = scheme.k
         self._relation_fn = relation_fn
         self._components = {}
 
-    def gen_indices(self, n):
-        return self.scheme.indices(n)
-
-    def gen_space(self, n):
-        return self.scheme.gen_space(n)
-
-    def comp(self, n, m, p):
-        return self.scheme.comp(n, m, p)
-
-    def action(self, n, sigma):
-        return self.scheme.action(n, sigma)
-
     def component(self, n):
         if n not in self._components:
-            idx = self.gen_indices(n)
-            if not idx:
+            gens = self.scheme.gen_space(n)
+            if gens.dim == 0:
                 self._components[n] = qd_zero(QDFlavor.SKEW)
             else:
-                gens = self.gen_space(n)
-                rels = self._relation_fn(self, n, idx, gens)
+                rels = self._relation_fn(self.scheme, n)
                 self._components[n] = make_qd(QDFlavor.SKEW, gens, rels)
         return self._components[n]
 
@@ -246,15 +231,15 @@ class OperadFamily:
 # relation builders ---------------------------------------------------------
 
 
-def _rel_full(family, n, idx, gens):
+def _rel_full(scheme, n):
     """The cached skew signed square, which make_qd takes as it is."""
-    return signed_square(gens, SQUARE_SIGN[QDFlavor.SKEW])
+    return signed_square(scheme.gen_space(n), SQUARE_SIGN[QDFlavor.SKEW])
 
 
-def _rel_refined(family, n, idx, gens):
+def _rel_refined(scheme, n):
     """Disjoint wedges plus the second-type sums over (hyperedge, disjoint
     (k-1)-set) pairs; for k = 2 this is the triangle presentation."""
-    k = family.k
+    k, idx = scheme.k, scheme.indices(n)
     nn = len(idx)
     pos = {I: i for i, I in enumerate(idx)}
     rows = []
@@ -270,10 +255,6 @@ def _rel_refined(family, n, idx, gens):
             rows.append(wedge_row(nn, [(pos[I], pos[tuple(sorted(J + (i,)))], 1)
                                        for i in I]))
     return rows
-
-
-def _rel_zero(family, n, idx, gens):
-    return []
 
 
 # name -> (scheme class, relation builder, k); k None is read from the caller
@@ -310,11 +291,6 @@ def _family(name, k):
     cls, relation_fn, fixed_k = _FAMILIES[name]
     label = name if fixed_k else "%s(%d)" % (name, k)
     return OperadFamily(label, _scheme(cls, k), relation_fn)
-
-
-def family_shell(family):
-    """Same generators, compositions and actions, but empty relations."""
-    return OperadFamily(family.name + "-shell", family.scheme, _rel_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +354,26 @@ def _equivariance(s, nmax):
                         yield ("inner", n, m, p, tau, g), a, b
 
 
-def verify_axioms(family, nmax):
-    """Sequential, parallel, unit, and (for symmetric families) both
+def verify_axioms(scheme, nmax):
+    """Sequential, parallel, unit, and (for symmetric schemes) both
     equivariance axioms, exhaustively on generator bases for all admissible
     arity/slot combinations with output arity <= nmax.  Each axiom is an
-    equality of the columns of two composites.  Reads only the scheme of a
-    family, or a bare scheme: its generator spaces, its compositions (one
-    shared source per (n, m)) and its action, each once per loop level of a
-    stream; no relations, such as the signed square the full families
-    share.  So the verdict is one per scheme."""
-    s = getattr(family, "scheme", family)
-    arities = range(0 if s.symmetric else 1, nmax + 1)
+    equality of the columns of two composites.  The laws read only the
+    scheme: its generator spaces, its compositions (one shared source per
+    (n, m)) and its action, each once per loop level of a stream; no
+    relations, so the families on one scheme share one verdict."""
+    arities = range(0 if scheme.symmetric else 1, nmax + 1)
     reports = []
     # unit laws
     for n in arities:
-        unit = [{g: 1} for g in range(s.gen_space(n).dim)]
+        unit = [{g: 1} for g in range(scheme.gen_space(n).dim)]
         for p in range(1, n + 1):
             reports += [Report("unit.right.n%d.p%d" % (n, p), False,
                                "composition with the arity-1 unit moved a generator")
-                        for col, want in zip(s.comp(n, 1, p).cols, unit)
+                        for col, want in zip(scheme.comp(n, 1, p).cols, unit)
                         if col != want]
         reports += [Report("unit.left.n%d" % n, False, "")
-                    for col, want in zip(s.comp(1, n, 1).cols, unit)
+                    for col, want in zip(scheme.comp(1, n, 1).cols, unit)
                     if col != want]
     if not reports:
         reports.append(Report("unit", True, "left/right unit laws on all generators"))
@@ -408,8 +382,8 @@ def verify_axioms(family, nmax):
     triples = [(n, m, l) for n in range(1, nmax + 1) for m in range(1, nmax + 1)
                for l in arities]
     within = [t for t in triples if sum(t) - 2 <= nmax]
-    for name, cases in (("sequential", _sequential(s, within)),
-                        ("parallel", _parallel(s, within))):
+    for name, cases in (("sequential", _sequential(scheme, within)),
+                        ("parallel", _parallel(scheme, within))):
         count, fail = first_failure(cases)
         if fail is None:
             reports.append(Report(name, True, "%d cases" % count))
@@ -419,8 +393,8 @@ def verify_axioms(family, nmax):
             reports.append(Report(name, False, "first failure at (n,m,l,i,j)=%s"
                                   % (case,), witness=(lhs[g], rhs[g])))
 
-    if s.symmetric:
-        count, fail = first_failure(_equivariance(s, nmax))
+    if scheme.symmetric:
+        count, fail = first_failure(_equivariance(scheme, nmax))
         reports.append(Report("equivariance", fail is None,
                               "%d cases over generating transpositions" % count
                               if fail is None else "first failure %s" % (fail[0],)))
@@ -433,7 +407,7 @@ def verify_axioms(family, nmax):
 def verify_relation_morphism(family, nmax):
     """(o_p)^(x)2 maps R(n) ⊕ [V(n),V(m)]_- ⊕ R(m) into R(n+m-1)."""
     checked = 0
-    lo = 0 if family.symmetric else 1
+    lo = 0 if family.scheme.symmetric else 1
     for n in range(1, nmax + 1):
         for m in range(lo, nmax + 2 - n):
             a, b = family.component(n), family.component(m)
@@ -447,7 +421,7 @@ def verify_relation_morphism(family, nmax):
             # (in practice the unit insertions o_p 1), so it is pushed once
             pushed = []
             for p in range(1, n + 1):
-                c = family.comp(n, m, p)
+                c = family.scheme.comp(n, m, p)
                 checked += len(rows)
                 if c in pushed:
                     continue
@@ -461,12 +435,13 @@ def verify_relation_morphism(family, nmax):
                    "%d relation images checked" % checked)]
 
 
-def minimal_suboperad(shell, nmax, schedule_rng=None):
-    """Fixpoint closure: the smallest arity-wise relation spaces containing
-    all composition images of lower data and closed under the group action.
-    Returns a family with the same compositions and the computed relations.
-    schedule_rng shuffles the processing order per round; the result is
-    schedule-independent (confluence)."""
+def minimal_suboperad(scheme, nmax, schedule_rng=None):
+    """Fixpoint closure on a scheme: the smallest arity-wise relation spaces
+    up to arity nmax containing all composition images of lower data and
+    closed under the group action.  Returns the family on the scheme whose
+    relations are the closure's rows; an arity above nmax with generators
+    raises ValueError.  schedule_rng shuffles the processing order per
+    round; the result is schedule-independent (confluence)."""
     bases = {n: EchelonBasis() for n in range(nmax + 1)}
     rref_of = {}  # arity -> RREF of bases[n], dropped when its rank grows
 
@@ -489,43 +464,40 @@ def minimal_suboperad(shell, nmax, schedule_rng=None):
         if schedule_rng is not None:
             schedule_rng.shuffle(order)
         for n in order:
-            target = shell.gen_space(n)
+            target = scheme.gen_space(n)
             if target.dim == 0:
                 continue
             # group closure
-            if shell.symmetric:
+            if scheme.symmetric:
                 for sigma in transpositions(n):
-                    act = shell.action(n, sigma)
+                    act = scheme.action(n, sigma)
                     for img in square_apply_rows(act, current_rows(n)):
                         if add(n, img):
                             changed = True
             # composition images
             for a in range(1, min(n + 1, nmax) + 1):
                 b = n + 1 - a
-                if b == 0 and not shell.symmetric:
+                if b == 0 and not scheme.symmetric:
                     continue
                 rows = sum_relation_rows(
-                    shell.gen_space(a), shell.gen_space(b),
+                    scheme.gen_space(a), scheme.gen_space(b),
                     current_rows(a), current_rows(b), -1,
                 )
                 if not rows:
                     continue
                 for p in range(1, a + 1):
-                    c = shell.comp(a, b, p)
+                    c = scheme.comp(a, b, p)
                     for img in square_apply_rows(c, rows):
                         if img and add(n, img):
                             changed = True
 
-    out = OperadFamily(shell.name + "-min", shell.scheme, _rel_zero)
-    for n in range(nmax + 1):
-        gens = shell.gen_space(n)
-        if gens.dim == 0:
-            out._components[n] = qd_zero(QDFlavor.SKEW)
-        else:
-            out._components[n] = QuadraticData(
-                QDFlavor.SKEW, gens, Subspace(square(gens), current_rows(n))
-            )
-    return out
+    def relations(scheme, n):
+        if n > nmax:
+            raise ValueError("the closure was computed up to arity %d; arity %d "
+                             "is past its bound" % (nmax, n))
+        return current_rows(n)
+
+    return OperadFamily("minimal", scheme, relations)
 
 
 def compare_families(a, b, nmax):

@@ -20,7 +20,6 @@ from .catalog import aos_data, arnold_rows, named_qd, pentagon_rows
 from .operads import (
     build_family,
     compare_families,
-    family_shell,
     minimal_suboperad,
     verify_axioms,
     verify_relation_morphism,
@@ -188,7 +187,7 @@ def suite_operad_axioms(family=None, k=None, nmax=None, seed=DEFAULT_SEED):
         fam = build_family(name, k=kk)
         key = (fam.scheme, bound)
         if key not in axioms:
-            axioms[key] = verify_axioms(fam, bound)
+            axioms[key] = verify_axioms(fam.scheme, bound)
         _add_prefixed(rep, fam.name, axioms[key])
         _add_prefixed(rep, fam.name, verify_relation_morphism(fam, bound))
     return rep
@@ -219,7 +218,7 @@ def suite_minimality(shell=None, k=None, nmax=None, seed=DEFAULT_SEED):
         cases = ((name, kk, bound if nmax is None else nmax, ref, refk),)
     for name, kk, bound, ref, refk in cases:
         fam = build_family(name, k=kk)
-        mini = minimal_suboperad(family_shell(fam), bound)
+        mini = minimal_suboperad(fam.scheme, bound)
         target = build_family(ref, k=refk)
         label = "%s->%s.n%d" % (fam.name, target.name, bound)
         _, fail = first_failure(
@@ -247,7 +246,7 @@ def suite_koszul_duals(nmax=6, seed=DEFAULT_SEED):
     for n in range(2, nmax + 1):
         comp = dk.component(n)
         dual = apply_functor(FunctorName.SHRIEK, comp)
-        edges = dk.gen_indices(n)
+        edges = dk.scheme.indices(n)
         pos = {e: i for i, e in enumerate(edges)}
         rows = arnold_rows(n, pos, len(edges))
         span = Subspace(dual.relations.ambient, rows)
@@ -260,7 +259,7 @@ def suite_koszul_duals(nmax=6, seed=DEFAULT_SEED):
     for n in range(3, nmax + 1):
         comp = ehkr.component(n)
         dual = apply_functor(FunctorName.SHRIEK, comp)
-        idx = ehkr.gen_indices(n)
+        idx = ehkr.scheme.indices(n)
         pos = {e: i for i, e in enumerate(idx)}
         rows = pentagon_rows(n, pos, len(idx))
         span = Subspace(dual.relations.ambient, rows)

@@ -28,7 +28,6 @@ from quadop.graphs import (
 )
 from quadop.operads import (
     build_family,
-    family_shell,
     minimal_suboperad,
     verify_axioms,
     verify_relation_morphism,
@@ -65,7 +64,7 @@ def criterion_1_operad_laws():
         ("HG", 4, 6), ("RHG", 4, 6), ("LG", None, 8), ("LHG", 3, 8),
     ):
         fam = build_family(name, k=k)
-        for r in verify_axioms(fam, bound) + verify_relation_morphism(fam, bound):
+        for r in verify_axioms(fam.scheme, bound) + verify_relation_morphism(fam, bound):
             if r.status == "FAIL":
                 ok = False
     elapsed = time.time() - t0
@@ -83,7 +82,7 @@ def criterion_2_minimality():
         ("HG", 3, 6, "EHKR", None),
         ("HG", 4, 6, "RHG", 4),
     ):
-        shell = family_shell(build_family(shell_name, k=k))
+        shell = build_family(shell_name, k=k).scheme
         mini = minimal_suboperad(shell, bound)
         target = build_family(ref, k=refk)
         for n in range(bound + 1):
@@ -101,7 +100,7 @@ def criterion_3_koszul_duality():
     dk = build_family("DK")
     for n in range(2, 7):
         dual = apply_functor("shriek", dk.component(n))
-        idx = dk.gen_indices(n)
+        idx = dk.scheme.indices(n)
         pos = {e: i for i, e in enumerate(idx)}
         span = Subspace(dual.relations.ambient, arnold_rows(n, pos, len(idx)))
         if not (span == dual.relations and dual.rdim == math.comb(n, 3)):
@@ -110,7 +109,7 @@ def criterion_3_koszul_duality():
     dims = []
     for n in range(3, 7):
         dual = apply_functor("shriek", ehkr.component(n))
-        idx = ehkr.gen_indices(n)
+        idx = ehkr.scheme.indices(n)
         pos = {e: i for i, e in enumerate(idx)}
         span = Subspace(dual.relations.ambient, pentagon_rows(n, pos, len(idx)))
         dims.append((dual.rdim, span.dim))

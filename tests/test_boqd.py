@@ -88,6 +88,12 @@ def test_involution_required():
     bad = LinearMap(v, v, [{0: 1, 1: 1}, {1: 1}])
     with pytest.raises(ValueError):
         S2Module(v, bad)
+    # an involution that swaps generators of different degrees would send
+    # tau_1(x,x), of degree 0, to tau_1(x,y), of degree 1
+    mixed = GradedSpace(("x", "y"), (0, 1))
+    swap = LinearMap(mixed, mixed, [{1: 1}, {0: 1}])
+    with pytest.raises(ValueError, match="keep degrees"):
+        S2Module(mixed, swap)
 
 
 def test_com_dual_is_jacobi_span():

@@ -177,7 +177,7 @@ def _fresh_contains(rows, v):
     basis = EchelonBasis()
     for r in rows:
         basis.add(r)
-    return basis.contains(v)
+    return not basis.add(v)
 
 
 def _combination(rows, coeffs, zeros):

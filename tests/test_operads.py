@@ -9,7 +9,6 @@ from quadop.operads import (
     OperadFamily,
     build_family,
     compare_families,
-    family_shell,
     inflate_inner,
     inflate_outer,
     minimal_suboperad,
@@ -18,7 +17,6 @@ from quadop.operads import (
     verify_relation_morphism,
     _SubsetScheme,
     _rel_refined,
-    _rel_zero,
     _tagged,
 )
 from quadop.qd import SQUARE_SIGN, QDFlavor
@@ -27,7 +25,7 @@ from quadop.suites import _FAMILY_BOUNDS, suite_operad_axioms
 
 
 def labels(fam, n):
-    return fam.gen_space(n).labels
+    return fam.scheme.gen_space(n).labels
 
 
 def test_family_dimensions():
@@ -60,27 +58,27 @@ def test_special_cases_coincide():
 def test_composition_spot_checks():
     bkw = build_family("BKW")
     l3 = labels(bkw, 3)
-    img = compose_cols(bkw.comp(2, 2, 1).cols, [{0: 1}])[0]
+    img = compose_cols(bkw.scheme.comp(2, 2, 1).cols, [{0: 1}])[0]
     assert img == {l3.index("t_1.3"): Fraction(1), l3.index("t_2.3"): Fraction(1)}
-    img = compose_cols(bkw.comp(2, 2, 2).cols, [{1: 1}])[0]  # inner generator
+    img = compose_cols(bkw.scheme.comp(2, 2, 2).cols, [{1: 1}])[0]  # inner generator
     assert img == {l3.index("t_2.3"): Fraction(1)}
-    assert compose_cols(bkw.comp(2, 0, 1).cols, [{0: 1}])[0] == {}
+    assert compose_cols(bkw.scheme.comp(2, 0, 1).cols, [{0: 1}])[0] == {}
     lhg = build_family("LHG", k=3)
-    i13 = lhg.gen_indices(5).index((1, 2, 3))
-    assert compose_cols(lhg.comp(5, 3, 2).cols, [{i13: 1}])[0] == {}
+    i13 = lhg.scheme.indices(5).index((1, 2, 3))
+    assert compose_cols(lhg.scheme.comp(5, 3, 2).cols, [{i13: 1}])[0] == {}
     # the map lands in V(3) and sends a basis vector of V(2) ⊕ V(2) to its column
-    c = bkw.comp(2, 2, 1)
-    assert c.target == bkw.gen_space(3)
+    c = bkw.scheme.comp(2, 2, 1)
+    assert c.target == bkw.scheme.gen_space(3)
     assert compose_cols(c.cols, [{0: 1}])[0] == c.cols[0]
 
 
 def test_deletion_is_fi_consistent():
     bkw = build_family("BKW")
     for n in range(2, 7):
-        idx = bkw.gen_indices(n)
+        idx = bkw.scheme.indices(n)
         for p in range(1, n + 1):
-            c = bkw.comp(n, 0, p)
-            tgt = bkw.gen_indices(n - 1)
+            c = bkw.scheme.comp(n, 0, p)
+            tgt = bkw.scheme.indices(n - 1)
             for gi, I in enumerate(idx):
                 img = compose_cols(c.cols, [{gi: 1}])[0]
                 if p in I:
@@ -92,10 +90,10 @@ def test_deletion_is_fi_consistent():
 
 def test_axioms_pass_small():
     dk = build_family("DK")
-    assert all(r.status != "FAIL" for r in verify_axioms(dk, 5))
+    assert all(r.status != "FAIL" for r in verify_axioms(dk.scheme, 5))
     assert all(r.passed for r in verify_relation_morphism(dk, 5))
     lg = build_family("LG")
-    assert all(r.status != "FAIL" for r in verify_axioms(lg, 6))
+    assert all(r.status != "FAIL" for r in verify_axioms(lg.scheme, 6))
 
 
 def test_axioms_negative_control():
@@ -109,7 +107,7 @@ def test_axioms_negative_control():
     scheme._comps[key] = LinearMap(good.source, good.target, bad_cols)
     reports = verify_axioms(scheme, 4)
     assert any(r.status == "FAIL" for r in reports)
-    assert build_family("DK").comp(*key).cols == good.cols
+    assert build_family("DK").scheme.comp(*key).cols == good.cols
 
 
 def _corrupt_comp(key, g, col):
@@ -363,15 +361,16 @@ def test_one_family_object_per_name_and_k():
 
 def test_families_on_one_scheme_share_its_maps():
     bkw = build_family("BKW")
-    assert bkw.comp(3, 2, 1) is build_family("DK").comp(3, 2, 1)
-    assert bkw.action(3, (2, 1, 3)) is build_family("HG", k=2).action(3, (2, 1, 3))
-    assert build_family("LG").comp(3, 2, 1) is build_family("LHG", k=2).comp(3, 2, 1)
+    assert bkw.scheme.comp(3, 2, 1) is build_family("DK").scheme.comp(3, 2, 1)
+    assert bkw.scheme.action(3, (2, 1, 3)) is build_family(
+        "HG", k=2).scheme.action(3, (2, 1, 3))
+    assert build_family("LG").scheme.comp(3, 2, 1) is build_family(
+        "LHG", k=2).scheme.comp(3, 2, 1)
     assert build_family("EHKR").scheme is not build_family("HG", k=4).scheme
-    shell = family_shell(bkw)
-    mini = minimal_suboperad(shell, 4)
-    assert shell.scheme is mini.scheme is bkw.scheme
-    assert mini.comp(2, 2, 1) is bkw.comp(2, 2, 1)
-    assert mini.gen_space(4) is bkw.gen_space(4) is bkw.component(4).generators
+    mini = minimal_suboperad(bkw.scheme, 4)
+    assert mini.scheme is bkw.scheme
+    assert (mini.component(4).generators is bkw.scheme.gen_space(4)
+            is bkw.component(4).generators)
 
 
 def test_axiom_cases_once_per_scheme_match_a_private_scheme():
@@ -417,7 +416,7 @@ class _BentScheme(_SubsetScheme):
 @pytest.mark.parametrize("make, want", [
     # BKW's generators and maps with empty relations in every arity: the
     # first bracket image escapes the (empty) target relation space
-    (lambda: OperadFamily("shrunk", build_family("BKW").scheme, _rel_zero),
+    (lambda: OperadFamily("shrunk", build_family("BKW").scheme, lambda s, n: []),
      ("escape at (n,m,p)=(2, 2, 1)", "{3: 1, 6: 1, 1: -1, 2: -1}")),
     # a unit insertion that differs from its p = 1 twin must still be pushed
     (lambda: OperadFamily("bent", _BentScheme(2), _rel_refined),
@@ -431,19 +430,28 @@ def test_failing_relation_morphism_reports(make, want):
 
 
 def test_minimality_bkw_to_dk():
-    shell = family_shell(build_family("BKW"))
-    mini = minimal_suboperad(shell, 4)
+    mini = minimal_suboperad(build_family("BKW").scheme, 4)
     dk = build_family("DK")
     assert mini.component(4).rdim == 11
     for n in range(5):
         assert mini.component(n).relations == dk.component(n).relations
 
 
+def test_minimal_family_raises_past_its_bound():
+    # the closure knows no relations above its bound: a family that answered
+    # there with empty relations would report R(5) = 0 where DK(5) has 35
+    mini = minimal_suboperad(build_family("BKW").scheme, 4)
+    assert build_family("DK").component(5).rdim == 35
+    for n in (5, 6):
+        with pytest.raises(ValueError, match="up to arity 4"):
+            mini.component(n)
+
+
 def test_minimality_confluence():
-    shell = family_shell(build_family("BKW"))
-    base = minimal_suboperad(shell, 4)
+    scheme = build_family("BKW").scheme
+    base = minimal_suboperad(scheme, 4)
     for seed in (1, 5, 9):
-        alt = minimal_suboperad(shell, 4, schedule_rng=random.Random(seed))
+        alt = minimal_suboperad(scheme, 4, schedule_rng=random.Random(seed))
         for n in range(5):
             assert alt.component(n).relations == base.component(n).relations
 
@@ -458,7 +466,7 @@ def test_action_preserves_relations():
             if comp.gdim == 0:
                 continue
             for sigma in transpositions(n):
-                act = fam.action(n, sigma)
+                act = fam.scheme.action(n, sigma)
                 imgs = square_apply_rows(act, comp.relations.rows)
                 for img in imgs:
                     assert comp.relations.contains(img)
@@ -470,10 +478,11 @@ def test_composition_and_action_columns_are_ints():
     from quadop.operads import transpositions
 
     fam = build_family("DK")
-    maps = [fam.comp(n, m, p)
+    maps = [fam.scheme.comp(n, m, p)
             for n in range(1, 6) for m in range(0, 6 - n + 1)
             for p in range(1, n + 1)]
-    maps += [fam.action(n, sigma) for n in range(2, 6) for sigma in transpositions(n)]
+    maps += [fam.scheme.action(n, sigma)
+             for n in range(2, 6) for sigma in transpositions(n)]
     values = [v for f in maps for col in f.cols for v in col.values()]
     assert values
     assert all(type(v) is int for v in values)
@@ -490,9 +499,9 @@ def test_compare_families():
 def test_nonsymmetric_rejects_arity_zero():
     lg = build_family("LG")
     with pytest.raises(ValueError):
-        lg.comp(3, 0, 1)
+        lg.scheme.comp(3, 0, 1)
     with pytest.raises(ValueError):
-        lg.action(3, (1, 2, 3))
+        lg.scheme.action(3, (1, 2, 3))
 
 
 def test_bracket_image_spot():
@@ -504,15 +513,15 @@ def test_bracket_image_spot():
     from quadop.operads import _tagged
 
     bkw = build_family("BKW")
-    ta = _tagged(bkw.gen_space(2), "o:")
-    tb = _tagged(bkw.gen_space(2), "i:")
-    c = bkw.comp(2, 2, 1)
+    ta = _tagged(bkw.scheme.gen_space(2), "o:")
+    tb = _tagged(bkw.scheme.gen_space(2), "i:")
+    c = bkw.scheme.comp(2, 2, 1)
     bracket = Subspace(square(c.source), mixed_bracket(ta, tb, -1))
     assert bracket.dim == 1
     imgs = square_apply_rows(c, bracket.rows)
-    img = Subspace(square(bkw.gen_space(3)), imgs)
+    img = Subspace(square(bkw.scheme.gen_space(3)), imgs)
     assert img.dim == 1
-    l3 = bkw.gen_space(3).labels
+    l3 = bkw.scheme.gen_space(3).labels
     i12, i13, i23 = (l3.index(x) for x in ("t_1.2", "t_1.3", "t_2.3"))
     n = 3
     want = {}
@@ -524,7 +533,7 @@ def test_bracket_image_spot():
 
 def test_fixpoint_is_bounded_by_full():
     bkw = build_family("BKW")
-    mini = minimal_suboperad(family_shell(bkw), 4)
+    mini = minimal_suboperad(bkw.scheme, 4)
     for n in range(5):
         full = bkw.component(n)
         assert full.relations.contains_subspace(mini.component(n).relations)
