@@ -24,6 +24,7 @@ from .exactlin import (
     Vector,
     compose_cols,
     nullspace_rows,
+    quotient_images,
     rows_past,
 )
 from .graded import (
@@ -282,18 +283,6 @@ def _diagonal_cols(a, b):
     return out
 
 
-def _quotient_images(a):
-    """(p * image, p) of each arity-3 column of a in T(3)/R, in the
-    coordinates of the non-pivot columns: the stored rows are RREF, so a
-    non-pivot column c maps to e_c with p = 1, and a pivot column c of pivot
-    p maps p * e_c to minus the rest of its row."""
-    out = [({c: 1}, 1) for c in range(a.space.dim)]
-    for row in a.relations.rows:
-        lead = next(iter(row))
-        out[lead] = ({c: -v for c, v in row.items() if c != lead}, row[lead])
-    return out
-
-
 def _white_rows(a, b, cols):
     """The white product's relations: the preimage under the tree
     duplication of R_A (x) T_B(3) + T_A(3) (x) R_B, which is S3-stable
@@ -303,7 +292,7 @@ def _white_rows(a, b, cols):
     times its signed image | p_A p_B past all quotient columns).  cols is
     the duplication as _diagonal_cols codes it."""
     dim_b3 = b.space.dim
-    images_a, images_b = _quotient_images(a), _quotient_images(b)
+    images_a, images_b = quotient_images(a.relations), quotient_images(b.relations)
     past = a.space.dim * dim_b3
     rows = []
     for c, (col, sign) in cols.items():

@@ -10,15 +10,16 @@ rows are equal.  There are two ways to one: Subspace(ambient, rows) runs
 the kernel's elimination on any spanning rows, and Subspace.from_rref
 stores rows that a construction already produced in that form, checking
 only that their leads are distinct, positive and cleared from every other
-row (the QD and BOQD products whose rows are canonical as built, and random
-BOQD data).  nullspace_rows reads such rows, with any sign per column, with
-no elimination either.  Their rows, membership residuals and the rows
-derived from them are int rows.  A Fraction appears only at parse and render:
-scalar() reads an exact scalar (an int when integral, a Fraction only with
-a denominator, the normal form of the scalars of vectors and maps), and
-graded.rows_to_json prints each row divided by its pivot.  Membership
-queries reduce against the stored rows, indexed by pivot column, and run no
-elimination.  All values are immutable after construction.
+row (every QD product, the BOQD products whose rows are canonical as built,
+signed squares and random BOQD data).  nullspace_rows (for the duals, with
+any sign per column) and quotient_images (for both white products) read
+such rows with no elimination either.  Their rows, membership residuals
+and the rows derived from them are int rows.  A Fraction appears only at
+parse and render: scalar() reads an exact scalar (an int when integral, a
+Fraction only with a denominator, the normal form of the scalars of
+vectors and maps), and graded.rows_to_json prints each row divided by its
+pivot.  Membership queries reduce against the stored rows by pivot column
+and run no elimination.  All values are immutable after construction.
 """
 
 from fractions import Fraction
@@ -233,6 +234,18 @@ def nullspace_rows(rows, ncols):
         for p, r in hits:
             vec[p] = -r[f] * (scale // r[p])
         out.append(vec)
+    return out
+
+
+def quotient_images(a):
+    """(p * image, p) of each ambient column in the quotient by the subspace
+    a, in the coordinates of its non-pivot columns: a non-pivot column c
+    maps to e_c with p = 1, and a pivot column c of lead p maps p * e_c to
+    minus the rest of its row."""
+    out = [({c: 1}, 1) for c in range(a.ambient.dim)]
+    for row in a.rows:
+        lead = next(iter(row))
+        out[lead] = ({c: -v for c, v in row.items() if c != lead}, row[lead])
     return out
 
 

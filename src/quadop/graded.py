@@ -143,7 +143,9 @@ def tensor_product(v, w):
     )
 
 
+@lru_cache(maxsize=1024)
 def direct_sum(v, w):
+    """V ⊕ W, one space per pair of summands, shared like tensor_product."""
     return GradedSpace(
         v.labels + w.labels, v.degrees + w.degrees, v.odds + w.odds
     )
@@ -226,16 +228,16 @@ def _pair_vector(v, i, j, sign_flag):
 @lru_cache(maxsize=1024)
 def signed_square(v, sign):
     """The signed symmetric (sign +1) or antisymmetric (sign -1) part of
-    square(v) in characteristic 0, spanned by the pair vectors of i <= j.
-    One subspace per (v, sign), shared by every caller in the process, so
-    its rows are read-only."""
-    return Subspace(
-        square(v),
-        [
-            _pair_vector(v, i, j, sign)
-            for i, j in combinations_with_replacement(range(v.dim), 2)
-        ],
-    )
+    square(v) in characteristic 0: the pair vectors of i <= j, the diagonal
+    scaled to 1, stored as built, since each is led at x_i (x) x_j and its
+    other entry x_j (x) x_i is no row's lead.  One subspace per (v, sign),
+    shared by every caller in the process, so its rows are read-only."""
+    rows = []
+    for i, j in combinations_with_replacement(range(v.dim), 2):
+        row = _pair_vector(v, i, j, sign)
+        if row:
+            rows.append({i * v.dim + i: 1} if i == j else row)
+    return Subspace.from_rref(square(v), rows)
 
 
 def in_signed_square(v, row, sign):

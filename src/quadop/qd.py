@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from math import gcd
 
 from .exactlin import (
     AmbientMismatch,
@@ -20,6 +20,7 @@ from .exactlin import (
     annihilator,
     apply_map,
     intersect,
+    quotient_images,
     zero_space,
 )
 from .graded import (
@@ -240,18 +241,32 @@ def pair_image_rows(cols, dim_b, rows_a, rows_b):
     return out
 
 
-def _s23_cols(va, vb):
-    """The middle swap S_(23): square(va) (x) square(vb) -> square(va (x) vb)
-    on columns, (x1 x2) (x) (x3 x4) -> (x1 x3)(x2 x4) with the Koszul sign
-    (-1)^{|x2||x3|}, coded for pair_image_rows."""
+def _s23_parts(va, vb):
+    """The middle swap S_(23): square(va) (x) square(vb) -> square(va (x) vb),
+    (x1 x2) (x) (x3 x4) -> (x1 x3)(x2 x4) with the Koszul sign
+    (-1)^{|x2||x3|}, as the separable map it is: one (column offset, odd
+    bit) per column of each square, so that e_ca (x) e_cb goes to the sum
+    of the two offsets, negated iff both bits are set."""
     na, nb = va.dim, vb.dim
     nt = na * nb
-    out = {}
-    for i, j, k, l in product(range(na), range(na), range(nb), range(nb)):
-        odd = va.degrees[j] * vb.degrees[k] % 2
-        out[((i * na + j) * nb + k) * nb + l] = (
-            (i * nb + k) * nt + j * nb + l, -1 if odd else 1)
-    return out
+    return ([(i * nb * nt + j * nb, va.degrees[j] % 2)
+             for i in range(na) for j in range(na)],
+            [(k * nt + l, vb.degrees[k] % 2)
+             for k in range(nb) for l in range(nb)])
+
+
+def _s23_row(parts, terms):
+    """The image under S_(23), coded by _s23_parts, of the sum of
+    v e_ca (x) e_cb over (ca, cb, v) in terms, each pair (ca, cb) once, as a
+    column-sorted primitive row with a positive lead."""
+    parts_a, parts_b = parts
+    row = []
+    for ca, cb, v in terms:
+        (oa, sa), (ob, sb) = parts_a[ca], parts_b[cb]
+        row.append((oa + ob, -v if sa & sb else v))
+    row.sort()
+    g = gcd(*(v for _, v in row)) * (1 if row[0][1] > 0 else -1)
+    return {c: v // g for c, v in row}
 
 
 class ProductName(str, Enum):
@@ -272,7 +287,7 @@ PRODUCTS = {
 }
 
 # the bracket sign of each direct-sum product (None: no bracket); a product
-# not listed is an image under the middle swap S_(23)
+# not listed is built behind the middle swap S_(23)
 _BRACKET = {ProductName.TENSOR: -1, ProductName.OPLUS: -1,
             ProductName.UTENSOR: +1, ProductName.VEE: None}
 
@@ -294,34 +309,32 @@ def monoidal_product(name, a, b):
         rels = Subspace.from_rref(square(gens), sum_relation_rows(
             va, vb, a.relations.rows, b.relations.rows, _BRACKET[name]))
     else:
+        # the rows are canonical as built.  Each row below has its other
+        # terms at pairs (ca', cb') with ca' >= ca and cb' >= cb of its lead
+        # pair (ca, cb), and S_(23), which orders columns as (i, k, j, l),
+        # keeps the lead first among them; _s23_row makes the row primitive
         gens = tensor_product(va, vb)
-        cols, dim_b = _s23_cols(va, vb), vb.dim * vb.dim
-        rows_a, rows_b = a.relations.rows, b.relations.rows
+        parts, rows_a, rows_b = _s23_parts(va, vb), a.relations.rows, b.relations.rows
         if name is ProductName.BLACK:
-            # R_A (x) R_B is canonical once each image row is column-sorted
-            # with a positive lead.  S_(23) orders columns as (i, k, j, l),
-            # so the lead of ra (x) rb is the image of (lead ra, lead rb),
-            # and no other pair of rows holds both; the product of two
-            # primitive rows is primitive (Gauss's lemma), and the signs of
-            # S_(23) keep it so.
-            rows = []
-            for row in pair_image_rows(cols, dim_b, rows_a, rows_b):
-                row = sorted(row.items())
-                if row[0][1] < 0:
-                    row = [(c, -v) for c, v in row]
-                rows.append(dict(row))
-            rels = Subspace.from_rref(square(gens), rows)
+            # R_A (x) R_B: ra (x) rb is led at (lead ra, lead rb), alone
+            rows = [_s23_row(parts, ((ca, cb, x * y) for ca, x in ra.items()
+                                     for cb, y in rb.items()))
+                    for ra in rows_a for rb in rows_b]
         else:
-            # R_A (x) T_B + T_A (x) R_B, with T_A = R_A + N_A for N_A the
-            # unit rows off the pivots of R_A: R_A (x) R_B is counted once
-            pivots = {next(iter(r)) for r in rows_a}
-            free_a = [{c: 1} for c in range(va.dim * va.dim)
-                      if c not in pivots]
-            rows = pair_image_rows(cols, dim_b, rows_a,
-                                   [{c: 1} for c in range(dim_b)])
-            rows += pair_image_rows(cols, dim_b, free_a, rows_b)
-            # distinct leads, but not reduced: eliminate
-            rels = Subspace(square(gens), rows)
+            # R_A (x) T_B + T_A (x) R_B is the kernel of the quotient onto
+            # T_A/R_A (x) T_B/R_B, where p e_c = q(c), q(c) = e_c off the
+            # pivots and past c at a pivot; its row at each pair (ca, cb) with
+            # a pivot is p_A p_B e_(ca, cb) - q_A (x) q_B, the rest off pivots
+            images_a, images_b = quotient_images(a.relations), quotient_images(b.relations)
+            pivots_a = {next(iter(r)) for r in rows_a}
+            pivots_b = [next(iter(r)) for r in rows_b]
+            rows = []
+            for ca, (qa, pa) in enumerate(images_a):
+                for cb in range(len(images_b)) if ca in pivots_a else pivots_b:
+                    qb, pb = images_b[cb]
+                    rows.append(_s23_row(parts, [(ca, cb, pa * pb)] + [
+                        (x, y, -u * v) for x, u in qa.items() for y, v in qb.items()]))
+        rels = Subspace.from_rref(square(gens), rows)
     return QuadraticData(a.flavor, gens, rels)
 
 
@@ -469,6 +482,9 @@ def qd_to_json(a):
 def qd_from_json(doc):
     if not isinstance(doc, dict):
         raise ValueError("quadratic data %r is not a JSON object" % (doc,))
+    for key in ("flavor", "generators", "relations"):
+        if key not in doc:
+            raise ValueError("quadratic data has no %r entry" % key)
     gens = space_from_json(doc["generators"])
     rows = rows_from_json(doc["relations"], gens.dim ** 2)
     return make_qd(doc["flavor"], gens, rows)

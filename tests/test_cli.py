@@ -292,6 +292,12 @@ _ONE_GEN = [{"label": "x", "degree": 0}]
      "relation row 0"),
     ({"flavor": "plain", "generators": _ONE_GEN, "relations": [[True]]},
      "relation row 0"),
+    ({"generators": _ONE_GEN, "relations": []},
+     "quadratic data has no 'flavor' entry"),
+    ({"flavor": "plain", "relations": []},
+     "quadratic data has no 'generators' entry"),
+    ({"flavor": "plain", "generators": _ONE_GEN},
+     "quadratic data has no 'relations' entry"),
 ])
 def test_build_rejects_malformed_json(tmp_path, capsys, doc, named):
     # a malformed document is a usage error that names the bad entry, not a

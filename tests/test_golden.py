@@ -83,6 +83,11 @@ for command in sys.argv[1:]:
     # these share the process-wide signed squares and random relation pools
     ("verify qd-coherence --trials 10", "verify realize-duality"),
     ("verify realize-duality", "verify qd-coherence --trials 10"),
+    # these share the process-wide direct sums of graded spaces, which are
+    # the generators of the QD direct-sum products and of the BOQD module
+    # sums, and the operad composition sources
+    ("verify operad-axioms", "verify qd-coherence --trials 10"),
+    ("verify qd-coherence --trials 10", "verify operad-axioms"),
 ])
 def test_reports_do_not_depend_on_suite_order(commands):
     proc = subprocess.run(

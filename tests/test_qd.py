@@ -118,10 +118,14 @@ def test_each_product_is_defined_on_its_flavors_and_keeps_them():
 
 
 def test_products_store_the_rows_a_fresh_elimination_gives():
-    # the direct sums and black store their relation rows as built, with no
-    # elimination; the kernel's RREF of those rows must return them, in the
-    # same order and with each row's items in the same order, or equal data
+    # every product stores its relation rows as built, with no elimination:
+    # the direct sums, black and white.  The kernel's RREF of those rows, or
+    # of the rows spanning black and white, must return them, in the same
+    # order and with each row's items in the same order, or equal data
     # could hash apart
+    def items(rows):
+        return [list(r.items()) for r in rows]
+
     for seed in range(300):
         rng = child_rng(seed, "canonical-products")
         for flavor, names in PRODUCTS.items():
@@ -130,8 +134,32 @@ def test_products_store_the_rows_a_fresh_elimination_gives():
             for name in names:
                 rels = monoidal_product(name, a, b).relations
                 fresh = Subspace(rels.ambient, rels.rows)
-                assert [list(r.items()) for r in rels.rows] == \
-                    [list(r.items()) for r in fresh.rows], (seed, name)
+                assert items(rels.rows) == items(fresh.rows), (seed, name)
+    # black and white at interchange size: factors of up to 6 generators
+    # that are tensor or utensor products of two random data, as
+    # interchange_phi and interchange_psi build them, against the S_(23)
+    # image of R_A (x) R_B, and of R_A (x) T_B + T_A (x) R_B
+    largest = 0
+    for seed in range(100):
+        rng = child_rng(seed, "canonical-interchange-products")
+        a, ap, b, bp = (random_qd(rng, "plain", p) for p in ("a", "a'", "b", "b'"))
+        for dia in ("tensor", "utensor"):
+            x, y = monoidal_product(dia, a, ap), monoidal_product(dia, b, bp)
+            va, vb = x.generators, y.generators
+            rows_a, rows_b = x.relations.rows, y.relations.rows
+            units_a = [{c: 1} for c in range(va.dim ** 2)]
+            units_b = [{c: 1} for c in range(vb.dim ** 2)]
+            spans = {
+                "black": _s23_image(va, vb, rows_a, rows_b),
+                "white": _s23_image(va, vb, rows_a, units_b)
+                + _s23_image(va, vb, units_a, rows_b),
+            }
+            for name, span in spans.items():
+                rels = monoidal_product(name, x, y).relations
+                fresh = Subspace(rels.ambient, span)
+                assert items(rels.rows) == items(fresh.rows), (seed, dia, name)
+            largest = max(largest, va.dim, vb.dim)
+    assert largest == 6
 
 
 def test_unit_law_reports():
@@ -353,20 +381,15 @@ def test_annihilated_summand():
     phi = interchange_phi(a, ap, b, bp)
     assert isinstance(phi, QDMorphism)
     # S23(R(A) (x) R(B')) is annihilated by the projection square
-    from quadop.qd import _s23_cols, pair_image_rows, square_apply_rows
+    from quadop.qd import square_apply_rows
 
-    gens = phi.source.generators
-    rows = pair_image_rows(_s23_cols(gens, gens), gens.dim ** 2, [], [])
-    assert rows == []  # shape check only
     # build R(A) (x) R(B') inside the big square: index 0 is a, index 3 is b'
     na = 2
     arow = {0 * na + 0: Fraction(1)}  # a (x) a in (A1+A'1)^2 coordinates
     brow = {1 * na + 1: Fraction(1)}  # b' (x) b'
-    cross = pair_image_rows(
-        _s23_cols(GradedSpace(("a", "a'"), (0, 0)),
-                  GradedSpace(("b", "b'"), (0, 0))),
-        4, [arow], [brow],
-    )
+    cross = _s23_image(GradedSpace(("a", "a'"), (0, 0)),
+                       GradedSpace(("b", "b'"), (0, 0)), [arow], [brow])
+    assert cross and all(cross)
     imgs = square_apply_rows(phi.map, cross)
     assert all(not img for img in imgs)
 
@@ -513,7 +536,8 @@ def test_flavor_pool_is_the_signed_square_rref(degrees):
     # the random relation rows draw from this pool, so it must keep the rows
     # and the order of the pair enumeration it replaced (the signed pair
     # vectors of i <= j, the diagonal scaled to 1), or every seeded report
-    # would move
+    # would move; signed_square stores those rows as built, so they must also
+    # be what a fresh elimination of them gives
     v = GradedSpace(tuple("x%d" % i for i in range(len(degrees))), tuple(degrees))
     n = v.dim
     for flavor, sign in ((QDFlavor.SYM, 1), (QDFlavor.SKEW, -1)):
@@ -526,6 +550,8 @@ def test_flavor_pool_is_the_signed_square_rref(degrees):
         pool = _flavor_pool(v, flavor)
         assert [list(r.items()) for r in pool] == \
             [list(r.items()) for r in pairs]
+        assert [list(r.items()) for r in pool] == \
+            [list(r.items()) for r in Subspace(square(v), pairs).rows]
 
 
 def test_flavor_violation_names_the_first_escaping_row():
