@@ -12,6 +12,11 @@ from which the permutation action on the basis is derived.
 The dual pairing is tau-diagonal with sign vector (+1,+1,+1): this is the
 convention pinned down by the involution identities and the dual-of-full spot
 checks; a regression test freezes it.
+
+The eight products are one function, boqd_product, and the dual is
+boqd_dual.  The interchange laws between products are not restated here:
+qd.interchange states them once for quadratic data and for these data, with
+boqd_product (or fresh_product) as its product.
 """
 
 from dataclasses import dataclass
@@ -21,7 +26,6 @@ from itertools import product
 from .exactlin import (
     LinearMap,
     Subspace,
-    Vector,
     compose_cols,
     nullspace_rows,
     quotient_images,
@@ -34,16 +38,7 @@ from .graded import (
     tensor_product,
 )
 from .kernel import echelon_rows
-from .qd import (
-    _map_tensor,
-    escaping_image,
-    inj14_map,
-    interchange_sides,
-    pair_image_rows,
-    pr14_map,
-    sum_relation_rows,
-)
-from .report import Report
+from .qd import _map_tensor, sum_relation_rows
 
 
 @dataclass(frozen=True)
@@ -260,9 +255,28 @@ def _matched_pair_rows(space, a, b, sign):
     return rows
 
 
+def _pair_image_rows(cols, dim_b, rows_a, rows_b):
+    """The image of the pairs of rows_a and rows_b under a signed column map
+    cols, one row per pair: cols sends ca * dim_b + cb to (column, sign), and
+    a term it does not list dies.  The map is injective, so no two terms of
+    a pair share a column."""
+    out = []
+    for ra in rows_a:
+        for rb in rows_b:
+            acc = {}
+            for ca, va in ra.items():
+                base = ca * dim_b
+                for cb, vb in rb.items():
+                    hit = cols.get(base + cb)
+                    if hit:
+                        acc[hit[0]] = hit[1] * va * vb
+            out.append(acc)
+    return out
+
+
 def _diagonal_cols(a, b):
     """The tree duplication T(A (x) B)(3) -> T(A)(3) (x) T(B)(3) on columns,
-    a column of the right side coded ca * 3 db^2 + cb as pair_image_rows
+    a column of the right side coded ca * 3 db^2 + cb as _pair_image_rows
     reads it.  It hits only the tau-diagonal columns tau_i(x,x') (x)
     tau_i(y,y'); each maps to (column tau_i(x(x)y, x'(x)y') of the product,
     sign (-1)^{|x'||y| + |x||y'|}).
@@ -304,54 +318,49 @@ def _white_rows(a, b, cols):
     return rows_past(rows, past)
 
 
-def boqd_product(name, a, b):
-    """One of the eight products.  Each relation span is S3-stable as built,
-    so no closure is taken; BOQDData still checks it.  vee is R_A + R_B;
-    oplus, tril and trir add whole tau blocks, which rotate permutes and
-    swap keeps; ucirc and circ take all three tau_i of each eigenvector
-    pair; black and white are an image and a preimage under the
-    equivariant tree duplication.  vee, oplus, tril, trir and white store
-    their rows as built, which are canonical; black, ucirc and circ
-    eliminate theirs.  Each distinct product is built and checked once per
-    process, in a bounded cache; the results are shared, so read-only.  The
-    sides of the phi and psi interchange checks, which do not repeat, are
-    built outside the cache."""
-    return _product(name.lower(), a, b)
+# the unit tau blocks each direct-sum product adds to R_A + R_B, as (outer,
+# inner) summands, 0 for A and 1 for B: all tau_i(y, x) with y in the outer
+# summand and x in the inner one.  tril takes the relations of A, then
+# B1 o1 A1 = span tau_i(a, b), then the relations of B
+_BLOCKS = {"vee": (), "oplus": ((1, 0), (0, 1)), "tril": ((0, 1),),
+           "trir": ((1, 0),)}
 
 
 @lru_cache(maxsize=32)
-def _product(name, a, b):
+def boqd_product(name, a, b):
+    """One of the eight products, named in lower case.  Each relation span is
+    S3-stable as built, so no closure is taken; BOQDData still checks it.
+    vee is R_A + R_B; oplus, tril and trir add the whole tau blocks _BLOCKS
+    lists, which rotate permutes and swap keeps; ucirc and circ take all
+    three tau_i of each eigenvector pair; black and white are an image and a
+    preimage under the equivariant tree duplication.  vee, oplus, tril, trir
+    and white store their rows as built, which are canonical; black, ucirc
+    and circ eliminate theirs.  Each distinct product is built and checked
+    once per process, in a bounded cache; the results are shared, so
+    read-only.  fresh_product builds one outside the cache."""
     if name in ("black", "white"):
         mod = _module_tensor(a, b)
         cols = _diagonal_cols(a, b)
         if name == "black":
             # images of row pairs can collide or vanish: eliminate
-            return make_boqd(mod, pair_image_rows(
+            return make_boqd(mod, _pair_image_rows(
                 cols, b.space.dim, a.relations.rows, b.relations.rows))
         # RREF rows of one elimination, all shifted alike: canonical as built
         rows = _white_rows(a, b, cols)
         return BOQDData(mod, Subspace.from_rref(mod.arity3.ambient, rows))
     mod = _module_sum(a, b)
     space = mod.arity3
-    na, nt = a.gdim, mod.dim
     rows = sum_relation_rows(a.generators.space, b.generators.space,
                              a.relations.rows, b.relations.rows, None)
-    arange = range(na)
-    brange = range(na, nt)
     if name in ("ucirc", "circ"):
         # the eigenbases of A and B are not jointly echelon: eliminate
         return make_boqd(mod, rows + _matched_pair_rows(
             space, a, b, 1 if name == "ucirc" else -1))
-    if name == "oplus":
-        rows += _circ1_rows(space, brange, arange)
-        rows += _circ1_rows(space, arange, brange)
-    elif name == "tril":
-        # relations of A, then B1 o1 A1 = span tau_i(a, b), then relations of B
-        rows += _circ1_rows(space, arange, brange)
-    elif name == "trir":
-        rows += _circ1_rows(space, brange, arange)
-    elif name != "vee":
+    if name not in _BLOCKS:
         raise ValueError(name)
+    summands = (range(a.gdim), range(a.gdim, mod.dim))
+    for outer, inner in _BLOCKS[name]:
+        rows += _circ1_rows(space, summands[outer], summands[inner])
     # the rows are canonical as built: R_A, R_B and the unit tau-block rows
     # have disjoint supports, and the embedding is monotone on columns, so
     # it keeps each canonical row of R_A and R_B column-sorted
@@ -359,7 +368,7 @@ def _product(name, a, b):
 
 
 # the same build outside the cache, for products that do not repeat
-_fresh_product = _product.__wrapped__
+fresh_product = boqd_product.__wrapped__
 
 
 # ---------------------------------------------------------------------------
@@ -385,59 +394,3 @@ def boqd_dual(a):
     rows = nullspace_rows(a.relations.rows, a.space.dim)
     dspace = dmod.arity3
     return BOQDData(dmod, Subspace(dspace.ambient, rows))
-
-
-def koszul_involution_check(a, b):
-    """(A v B)* = A* (+) B*, (A <| B)* = A* |> B*, (A ucirc B)* = A* circ B*."""
-    da, db = boqd_dual(a), boqd_dual(b)
-    reports = []
-    for name, lhs_name, rhs_name in (
-        ("vee-oplus", "vee", "oplus"),
-        ("tril-trir", "tril", "trir"),
-        ("ucirc-circ", "ucirc", "circ"),
-    ):
-        lhs = boqd_dual(boqd_product(lhs_name, a, b))
-        rhs = boqd_product(rhs_name, da, db)
-        reports.append(Report("involution.%s" % name, lhs == rhs,
-                              "dims %d vs %d" % (lhs.rdim, rhs.rdim)))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# interchange
-
-
-def boqd_interchange_check(kind, a, ap, b, bp):
-    """kind: 'phi' for the (black, ucirc) lax law, 'psi' for (circ, white),
-    or ('quintuple', box, dia) for the eight lax+colax pairs."""
-    spaces = [m.generators.space for m in (a, ap, b, bp)]
-
-    def check(name, f, src, tgt):
-        img = escaping_image(f, src.relations.rows, tgt.relations)
-        if img is not None:
-            return Report(name, False, "relation image escapes",
-                          witness=Vector(tgt.relations.ambient, img))
-        return Report(name, True, "dims %d -> %d" % (src.rdim, tgt.rdim))
-
-    def sides(box, dia, product=boqd_product):
-        return interchange_sides(product, box, dia, a, ap, b, bp)
-
-    # the phi and psi sides of one draw are built once, and the products of
-    # another draw differ, so they are built outside the bounded product
-    # cache, where they would only push out entries that repeat
-    if kind == "phi":
-        src, tgt = sides("black", "ucirc", _fresh_product)
-        return [check("phi.black-ucirc", pr14_map(*spaces), src, tgt)]
-    if kind == "psi":
-        tgt, src = sides("white", "circ", _fresh_product)
-        return [check("psi.circ-white", inj14_map(*spaces), src, tgt)]
-    if isinstance(kind, tuple) and kind[0] == "quintuple":
-        box, dia = kind[1], kind[2]
-        lax_src, lax_tgt = sides(box, dia)
-        return [
-            check("quintuple.%s-%s.lax" % (box, dia), pr14_map(*spaces),
-                  lax_src, lax_tgt),
-            check("quintuple.%s-%s.colax" % (box, dia), inj14_map(*spaces),
-                  lax_tgt, lax_src),
-        ]
-    raise ValueError(kind)

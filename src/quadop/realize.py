@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .exactlin import intersect_rows
 from .kernel import EchelonBasis
-from .qd import FunctorName, QDFlavor, apply_functor
+from .qd import FlavorMismatch, FunctorName, QDFlavor, apply_functor
 from .graded import ArityError
 from .report import Report
 
@@ -464,24 +464,20 @@ def _component_cached(realization, q, w):
         return len(tensor_cofree_rows(qq.relations.rows, qq.gdim, w))
     if realization == "S":
         if q.flavor is not QDFlavor.SYM:
-            raise FlavorExpected("S realisation needs symmetric data")
+            raise FlavorMismatch("S realisation needs symmetric data")
         return sym_quotient_dim(q.relations.rows, q.generators.degrees, w)
     if realization == "Sc":
         if q.flavor is not QDFlavor.SYM:
-            raise FlavorExpected("Sc realisation needs symmetric data")
+            raise FlavorMismatch("Sc realisation needs symmetric data")
         return _component_cached("S", apply_functor(FunctorName.STAR, q), w)
     if realization == "L":
         if q.flavor is not QDFlavor.SKEW:
-            raise FlavorExpected("L realisation needs skew data")
+            raise FlavorMismatch("L realisation needs skew data")
         if w == 0:
             return 0
         return sum(lie_dims_by_parity(q.relations.rows, q.generators.degrees,
                                       w)[w])
     raise ValueError(realization)
-
-
-class FlavorExpected(ValueError):
-    pass
 
 
 def weight_component(realization, q, w):
@@ -544,7 +540,7 @@ def ue_compare(q, wmax):
     """PBW check: weight dims of A(Lambda(q)) against the enveloping-algebra
     prediction from the Lie dims of L(q)."""
     if q.flavor is not QDFlavor.SKEW:
-        raise FlavorExpected("ue_compare needs skew data")
+        raise FlavorMismatch("ue_compare needs skew data")
     by_parity = lie_dims_by_parity(q.relations.rows, q.generators.degrees, wmax)
     predicted = pbw_series(by_parity, wmax)
     actual = hilbert_series("A", q, wmax)

@@ -12,12 +12,7 @@ import subprocess
 import sys
 import time
 
-from quadop.boqd import (
-    boqd_dual,
-    boqd_interchange_check,
-    com_data,
-    koszul_involution_check,
-)
+from quadop.boqd import boqd_dual, boqd_product, com_data, fresh_product
 from quadop.catalog import aos_data, arnold_rows, pentagon_rows
 from quadop.exactlin import Subspace
 from quadop.graphs import (
@@ -34,11 +29,10 @@ from quadop.operads import (
 )
 from quadop.qd import (
     FACES,
-    QDMorphism,
     apply_functor,
     check_phi_associator_coherence,
-    interchange_phi,
-    interchange_psi,
+    interchange_holds,
+    monoidal_product,
     verify_diagram_face,
 )
 from quadop.rand import child_rng, random_boqd, random_qd
@@ -150,10 +144,11 @@ def criterion_6_interchange():
     for t in range(200):
         rng = child_rng(SEED, "acc.phi.%d" % t)
         args = [random_qd(rng, "plain", p, 3) for p in ("a", "a'", "b", "b'")]
-        if not isinstance(interchange_phi(*args), QDMorphism):
-            ok = False
-        if not isinstance(interchange_psi(*args), QDMorphism):
-            ok = False
+        spaces = [q.generators for q in args]
+        for box, dia, lax in (("black", "utensor", True),
+                              ("white", "tensor", False)):
+            ok = ok and interchange_holds(monoidal_product, box, dia, lax,
+                                          args, spaces)
     for t in range(50):
         rng = child_rng(SEED, "acc.coh.%d" % t)
         args = [random_qd(rng, "plain", p, 2) for p in ("a", "a'", "b", "b'", "c", "c'")]
@@ -163,17 +158,19 @@ def criterion_6_interchange():
     for t in range(100):
         rng = child_rng(SEED, "acc.boqd.%d" % t)
         args = [random_boqd(rng, p, max_dim=2) for p in ("a", "a'", "b", "b'")]
+        spaces = [m.generators.space for m in args]
         quad_count += 1
-        for r in boqd_interchange_check("phi", *args):
-            ok = ok and r.passed
-        for r in boqd_interchange_check("psi", *args):
-            ok = ok and r.passed
+        for box, dia, lax in (("black", "ucirc", True), ("white", "circ", False)):
+            ok = ok and interchange_holds(fresh_product, box, dia, lax,
+                                          args, spaces)
         small = [random_boqd(child_rng(SEED, "acc.quint.%d" % t), p, max_dim=1)
                  for p in ("a", "a'", "b", "b'")]
+        spaces = [m.generators.space for m in small]
         for box in ("black", "white"):
             for dia in ("vee", "oplus", "tril", "trir"):
-                for r in boqd_interchange_check(("quintuple", box, dia), *small):
-                    ok = ok and r.passed
+                for lax in (True, False):
+                    ok = ok and interchange_holds(boqd_product, box, dia, lax,
+                                                  small, spaces)
     return record("6 interchange laws: 200 quadruples, 50 triples, "
                   "100 module quadruples with all eight quintuples", ok)
 
@@ -253,8 +250,9 @@ def criterion_10_involutions():
         rng = child_rng(SEED, "acc.inv.%d" % t)
         a = random_boqd(rng, "a")
         b = random_boqd(rng, "b")
-        for r in koszul_involution_check(a, b):
-            ok = ok and r.passed
+        for p, q in (("vee", "oplus"), ("tril", "trir"), ("ucirc", "circ")):
+            ok = ok and (boqd_dual(boqd_product(p, a, b))
+                         == boqd_product(q, boqd_dual(a), boqd_dual(b)))
     com = com_data()
     lie = boqd_dual(com)
     sp = lie.space

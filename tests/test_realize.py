@@ -8,10 +8,9 @@ from quadop.cli import main
 from quadop.graded import ArityError, GradedSpace
 from quadop.exactlin import nullspace_rows
 from quadop.kernel import EchelonBasis, echelon_rows
-from quadop.qd import apply_functor, make_qd, qd_zero
+from quadop.qd import FlavorMismatch, apply_functor, make_qd, qd_zero
 from quadop.rand import random_qd
 from quadop.realize import (
-    FlavorExpected,
     _certified_dim,
     _project_rel_to_sym,
     _sort_mono,
@@ -64,7 +63,7 @@ def test_s_aos_and_l_dk_dims():
 
 def test_weight_component_flavor_guards():
     dk = named_qd("DK", 3)
-    with pytest.raises(FlavorExpected):
+    with pytest.raises(FlavorMismatch):
         weight_component("S", dk, 2)
     with pytest.raises(ArityError):
         weight_component("A", dk, -1)
