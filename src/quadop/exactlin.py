@@ -11,9 +11,11 @@ the kernel's elimination on any spanning rows, and Subspace.from_rref
 stores rows that a construction already produced in that form, checking
 only that their leads are distinct, positive and cleared from every other
 row (every QD product, the BOQD products whose rows are canonical as built,
-signed squares and random BOQD data).  nullspace_rows (for the duals, with
-any sign per column) and quotient_images (for both white products) read
-such rows with no elimination either.  Their rows, membership residuals
+signed squares and random BOQD data).  nullspace_rows (with any sign per
+column) and quotient_images (for both white products) read such rows with
+no elimination either.  perp_rows, the one complement of any rows, runs
+one elimination and reads canonical rows off nullspace_rows; the QD duals
+and the cofree side take them as built.  Their rows, membership residuals
 and the rows derived from them are int rows.  A Fraction appears only at
 parse and render: scalar() reads an exact scalar (an int when integral, a
 Fraction only with a denominator, the normal form of the scalars of
@@ -23,7 +25,7 @@ and run no elimination.  All values are immutable after construction.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .kernel import echelon_rows
 
@@ -201,22 +203,6 @@ def rows_past(rows, ncols):
     ]
 
 
-def intersect_rows(rows_a, rows_b, ncols):
-    """RREF rows of span(rows_a) & span(rows_b) over ncols columns, by the
-    Zassenhaus trick: fold (r | r) for r in rows_a and (r | 0) for r in
-    rows_b; the rows led past ncols span the intersection."""
-    stacked = [{**r, **{c + ncols: v for c, v in r.items()}} for r in rows_a]
-    stacked.extend(rows_b)
-    return rows_past(stacked, ncols)
-
-
-def intersect(a, b):
-    """Intersection of two subspaces of one ambient."""
-    if a.ambient != b.ambient:
-        raise AmbientMismatch("subspaces live in different ambients")
-    return Subspace(a.ambient, intersect_rows(a.rows, b.rows, a.ambient.dim))
-
-
 def nullspace_rows(rows, ncols):
     """Basis of {x : row.x = 0 for all rows} over ncols for int rows in
     RREF with any sign per column, as stored rows are: no elimination runs,
@@ -234,6 +220,50 @@ def nullspace_rows(rows, ncols):
         for p, r in hits:
             vec[p] = -r[f] * (scale // r[p])
         out.append(vec)
+    return out
+
+
+def perp_rows(constraints, ncols):
+    """Canonical RREF rows of {x : c.x = 0 for each constraint row c} over
+    ncols columns, for any int rows, eliminated once in reversed column
+    order: each solution nullspace_rows reads off that RREF is led at its
+    own free column and holds no other, so it is RREF as written, up to
+    its content and column order."""
+    top = ncols - 1
+    rows = echelon_rows([{top - c: v for c, v in r.items()} for r in constraints])
+    out = []
+    for x in reversed(nullspace_rows(rows, ncols)):
+        g = gcd(*x.values())
+        out.append({top - c: v // g for c, v in sorted(x.items(), reverse=True)})
+    return out
+
+
+def perp_in_span(basis, funcs, width):
+    """Canonical RREF rows of the vectors of span(basis), RREF rows sorted
+    by lead, that each functional f of funcs kills on each block of width
+    columns (f reads b*width + c as c), solved by perp_rows in the
+    coordinates of basis.  A RREF combination of RREF rows is RREF as
+    written, up to its content and column order."""
+    by_col = {}
+    for j, f in enumerate(funcs):
+        for c, v in f.items():
+            by_col.setdefault(c, []).append((j, v))
+    pairings = {}
+    for i, row in enumerate(basis):
+        for c, x in row.items():
+            block, c = divmod(c, width)
+            for j, v in by_col.get(c, ()):
+                p = pairings.setdefault((block, j), {})
+                p[i] = p.get(i, 0) + x * v
+    out = []
+    for y in perp_rows(pairings.values(), len(basis)):
+        acc = {}
+        for i, v in y.items():
+            for c, x in basis[i].items():
+                acc[c] = acc.get(c, 0) + v * x
+        acc = [(c, x) for c, x in sorted(acc.items()) if x]
+        g = gcd(*(x for _, x in acc))
+        out.append({c: x // g for c, x in acc})
     return out
 
 
@@ -255,8 +285,13 @@ def annihilator(a, dual, signs):
     n = a.ambient.dim
     if dual.dim != n or len(signs) != n:
         raise ValueError("pairing shape mismatch")
-    constraints = [{c: v * signs[c] for c, v in r.items()} for r in a.rows]
-    return Subspace(dual, nullspace_rows(constraints, n))
+    return Subspace.from_rref(dual, perp_rows(signed_rows(a.rows, signs), n))
+
+
+def signed_rows(rows, signs):
+    """rows with column c scaled by signs[c]: the functionals that pair
+    with a vector as the rows do under the diagonal pairing of signs."""
+    return [{c: v * signs[c] for c, v in r.items()} for r in rows]
 
 
 class LinearMap:
@@ -330,9 +365,3 @@ def compose_cols(cols, data):
         out.append(acc)
     return out
 
-
-def apply_map(f, a):
-    """Image f(a) in canonical form."""
-    if a.ambient != f.source:
-        raise AmbientMismatch("subspace is not in the source ambient")
-    return Subspace(f.target, compose_cols(f.cols, a.rows))

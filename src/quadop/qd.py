@@ -18,9 +18,9 @@ from .exactlin import (
     Subspace,
     Vector,
     annihilator,
-    apply_map,
-    intersect,
+    perp_in_span,
     quotient_images,
+    signed_rows,
     zero_space,
 )
 from .graded import (
@@ -320,11 +320,18 @@ def _reflavor(a, expect, out_flavor, extra_rows=None):
 
 def _shift_qd(a, step):
     """(V, R) -> (sV, s^2 R): generators shift once, so each relation (a
-    subspace of the tensor square) shifts by two degrees."""
+    subspace of the tensor square) shifts by two degrees.  The square map
+    is a signed identity on columns, so each stored row keeps its support
+    and stays canonical, negated when its lead turns negative."""
     sv = shift(a.generators, step)
-    rels = apply_map(shift_square_map(a.generators, step), a.relations)
+    signs = [col[c] for c, col in enumerate(shift_square_map(a.generators, step).cols)]
+    rows = []
+    for row in a.relations.rows:
+        flip = signs[next(iter(row))]
+        rows.append({c: v * signs[c] * flip for c, v in row.items()})
     swapped = {QDFlavor.SYM: QDFlavor.SKEW, QDFlavor.SKEW: QDFlavor.SYM}
-    return QuadraticData(swapped.get(a.flavor, a.flavor), sv, rels)
+    return QuadraticData(swapped.get(a.flavor, a.flavor), sv,
+                         Subspace.from_rref(square(sv), rows))
 
 
 def apply_functor(name, a):
@@ -349,13 +356,17 @@ def _functor_image(name, a):
     if name is FunctorName.ANTISHRIEK_INV:
         return _shift_qd(a, -1)
     if name is FunctorName.STAR:
+        # R^perp under the Koszul pairing; on symmetric or skew data, solved
+        # in the coordinates of the rows of the signed square
         dv = dual(a.generators)
-        ann = annihilator(
-            a.relations, square(dv),
-            [word_sign(k) for k in a.relations.ambient.odds],
-        )
-        if a.flavor in SQUARE_SIGN:
-            ann = intersect(ann, signed_square(dv, SQUARE_SIGN[a.flavor]))
+        signs = [word_sign(k) for k in a.relations.ambient.odds]
+        sign = SQUARE_SIGN.get(a.flavor)
+        if sign is None:
+            ann = annihilator(a.relations, square(dv), signs)
+        else:
+            ann = Subspace.from_rref(square(dv), perp_in_span(
+                signed_square(dv, sign).rows, signed_rows(a.relations.rows, signs),
+                len(signs)))
         return QuadraticData(a.flavor, dv, ann)
     if name is FunctorName.SHRIEK:
         return apply_functor(FunctorName.STAR, apply_functor(FunctorName.ANTISHRIEK, a))

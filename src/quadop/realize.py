@@ -1,10 +1,11 @@
 """Weight dimensions of the realisations of quadratic data.
 
 The associative realisation is the tensor algebra modulo the two-sided ideal
-on R, the cofree side is the intersection of the shifted relation slices, the
-commutative realisation works directly in the signed symmetric-power monomial
-basis, and the Lie realisation counts a (super-)Lyndon basis and subtracts the
-ranks of the ideal slices, built in the tensor ambient.  Each component is
+on R, the cofree side is the kernel of C_{u-1} (x) V onto
+V^(u-2) (x) (V (x) V / R) at each weight u, the commutative realisation
+works directly in the signed symmetric-power monomial basis, and the Lie
+realisation counts a (super-)Lyndon basis and subtracts the ranks of the
+ideal slices, built in the tensor ambient.  Each component is
 answered by its dimension alone, from weight-by-weight exact linear algebra;
 no representatives are kept.  From weight 4 on, A, S and L are counted
 instead when the quadratic leads of the relations are certified as a PBW
@@ -17,8 +18,8 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .exactlin import intersect_rows
-from .kernel import EchelonBasis
+from .exactlin import nullspace_rows, perp_in_span
+from .kernel import EchelonBasis, echelon_rows
 from .qd import FlavorMismatch, FunctorName, QDFlavor, apply_functor
 from .graded import ArityError
 from .report import Report
@@ -56,16 +57,19 @@ def tensor_quotient_dim(rel_rows, n, w):
 
 
 def tensor_cofree_rows(rel_rows, n, w):
-    """RREF rows of the weight-w component of the cofree side: the
-    intersection of all slices V^i (x) R (x) V^j, built as C_1 = V and
-    C_u = (C_{u-1} (x) V) & (V^(u-2) (x) R)."""
-    acc = [{i: 1} for i in range(n)] if w else [{0: 1}]
-    for u in range(2, w + 1):
+    """RREF rows of the weight-w component of the cofree side, the
+    intersection of all slices V^i (x) R (x) V^j: C_1 = V, C_2 = R, and
+    C_u is the kernel of C_{u-1} (x) V -> V^(u-2) (x) (V (x) V / R), solved
+    in the coordinates of the rows of C_{u-1} (x) V against R^perp on each
+    block of n^2 columns.  rel_rows may be any rows spanning R."""
+    if w < 2:
+        return [{i: 1} for i in range(n)] if w else [{0: 1}]
+    acc = echelon_rows(rel_rows)
+    perp = nullspace_rows(acc, n * n)
+    for _ in range(3, w + 1):
         if not acc:
-            return []
-        acc = intersect_rows(
-            _times_v(acc, n), _last_slice_rows(rel_rows, n, u), n ** u
-        )
+            break
+        acc = perp_in_span(_times_v(acc, n), perp, n * n)
     return acc
 
 

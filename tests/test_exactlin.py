@@ -11,13 +11,11 @@ from quadop.exactlin import (
     Subspace,
     Vector,
     annihilator,
-    apply_map,
     compose_cols,
-    intersect,
     zero_space,
 )
 from quadop.graded import GradedSpace
-from quadop.kernel import EchelonBasis
+from quadop.kernel import EchelonBasis, echelon_rows
 
 
 def rand_subspace(rng, amb, max_rank=None):
@@ -27,6 +25,22 @@ def rand_subspace(rng, amb, max_rank=None):
         row = {rng.randrange(n): Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))}
         rows.append({c: v for c, v in row.items() if v})
     return Subspace(amb, rows)
+
+
+def _intersect(a, b):
+    """span(a) & span(b) by the Zassenhaus trick: fold (r | r) for the rows
+    r of a and (r | 0) for those of b; the RREF rows led past the ambient
+    span the intersection."""
+    n = a.ambient.dim
+    stacked = [{**r, **{c + n: v for c, v in r.items()}} for r in a.rows]
+    rows = echelon_rows(stacked + list(b.rows))
+    return Subspace(a.ambient, [{c - n: v for c, v in r.items()}
+                                for r in rows if min(r) >= n])
+
+
+def _image(f, a):
+    """The image f(a) in canonical form."""
+    return Subspace(f.target, compose_cols(f.cols, a.rows))
 
 
 def test_span_basics():
@@ -41,8 +55,8 @@ def test_intersect_examples():
     A = GradedSpace.from_labels(("x", "y"))
     sx = Subspace(A, [{0: 1}])
     sy = Subspace(A, [{1: 1}])
-    assert intersect(sx, sx) == sx
-    assert intersect(sx, sy).dim == 0
+    assert _intersect(sx, sx) == sx
+    assert _intersect(sx, sy).dim == 0
 
 
 def test_dimension_formula_random():
@@ -51,7 +65,7 @@ def test_dimension_formula_random():
     for _ in range(40):
         a = rand_subspace(rng, amb)
         b = rand_subspace(rng, amb)
-        assert (a + b).dim + intersect(a, b).dim == a.dim + b.dim
+        assert (a + b).dim + _intersect(a, b).dim == a.dim + b.dim
 
 
 def test_annihilator_trivial_and_double():
@@ -105,9 +119,9 @@ def test_apply_map_composition_and_identity():
     ident = LinearMap.identity(A)
     for _ in range(25):
         s = rand_subspace(rng, A)
-        assert apply_map(ident, s) == s
-        assert apply_map(g.compose(f), s) == apply_map(g, apply_map(f, s))
-        assert apply_map(f, s).dim <= s.dim
+        assert _image(ident, s) == s
+        assert _image(g.compose(f), s) == _image(g, _image(f, s))
+        assert _image(f, s).dim <= s.dim
 
 
 def test_compose_cols():
@@ -352,3 +366,28 @@ def test_nullspace_rows_of_canonical_and_column_signed_rows(monkeypatch):
 def test_nullspace_rows_rejects_rows_that_are_not_reduced(rows):
     with pytest.raises(ValueError):
         exactlin.nullspace_rows(rows, QN)
+
+
+def test_perp_rows_match_nullspace_rows_then_elimination():
+    # the old construction: the kernel of the RREF constraints read off by
+    # nullspace_rows, then eliminated into canonical form
+    rng = random.Random(35)
+    amb = GradedSpace.from_labels(tuple("abcdefg"))
+    n = amb.dim
+    cases = [rand_subspace(rng, amb) for _ in range(300)]
+    cases += [zero_space(amb), Subspace(amb, [{i: 1} for i in range(n)])]
+    for sub in cases:
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        signed = _signed_columns(sub.rows, signs)
+        raw = signed + [{c: 2 * v for c, v in r.items()} for r in signed] + [{}]
+        rng.shuffle(raw)
+        expected = echelon_rows(exactlin.nullspace_rows(signed, n))
+        for constraints in (signed, raw):
+            rows = exactlin.perp_rows(constraints, n)
+            assert rows == expected
+            assert [list(r.items()) for r in rows] == \
+                [sorted(r.items()) for r in expected]
+        assert Subspace.from_rref(amb, expected) == annihilator(sub, amb, signs)
+    assert exactlin.perp_rows([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert exactlin.perp_rows([{0: 1}, {1: -2}, {2: 3}], 3) == []
+    assert exactlin.perp_rows([], 0) == []

@@ -10,17 +10,21 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadop.exactlin import LinearMap, Subspace, Vector
+from quadop.exactlin import LinearMap, Subspace, Vector, compose_cols, nullspace_rows
 from quadop.graded import (
     GradedSpace,
     _pair_vector,
     direct_sum,
+    dual,
     in_signed_square,
     shift,
+    shift_square_map,
     signed_square,
     square,
     tensor_product,
+    word_sign,
 )
+from quadop.kernel import echelon_rows
 from quadop.qd import (
     FlavorMismatch,
     FlavorViolation,
@@ -28,6 +32,7 @@ from quadop.qd import (
     ProductName,
     QDFlavor,
     PRODUCTS,
+    SQUARE_SIGN,
     STRONG_MONOIDALITY_TABLE,
     apply_functor,
     check_associativity,
@@ -257,6 +262,55 @@ def test_star_involutive_random():
     for _ in range(25):
         a = random_qd(rng, rng.choice(["plain", "symmetric", "skew"]), "a", max_dim=4)
         assert apply_functor("star", apply_functor("star", a)) == a
+
+
+def _old_star(a):
+    """STAR as it was built before: the annihilator read off by
+    nullspace_rows and eliminated, cut by the signed square through the
+    Zassenhaus trick on symmetric and skew data."""
+    dv = dual(a.generators)
+    n2 = a.gdim ** 2
+    signs = [word_sign(k) for k in a.relations.ambient.odds]
+    ann = echelon_rows(nullspace_rows(
+        [{c: v * signs[c] for c, v in r.items()} for r in a.relations.rows], n2))
+    if a.flavor in SQUARE_SIGN:
+        stacked = [{**r, **{c + n2: v for c, v in r.items()}} for r in ann]
+        stacked += signed_square(dv, SQUARE_SIGN[a.flavor]).rows
+        ann = [{c - n2: v for c, v in r.items()}
+               for r in echelon_rows(stacked) if min(r) >= n2]
+    return Subspace(square(dv), ann)
+
+
+def test_star_matches_the_annihilator_cut_by_the_signed_square():
+    rng = random.Random(35)
+    with_odd = 0
+    for flavor, count in (("symmetric", 200), ("skew", 200), ("plain", 100)):
+        for _ in range(count):
+            a = random_qd(rng, flavor, "a", max_dim=4)
+            with_odd += flavor != "plain" and 1 in a.generators.degrees
+            star = _functor_image.__wrapped__(FunctorName.STAR, a)
+            expected = _old_star(a)
+            assert star.relations == expected, a
+            # stored column-sorted, as the elimination stores them
+            assert [list(r.items()) for r in star.relations.rows] == \
+                [list(r.items()) for r in expected.rows]
+    assert with_odd > 200
+
+
+def test_shift_matches_the_image_under_the_square_map():
+    rng = random.Random(36)
+    steps = {1: FunctorName.ANTISHRIEK, -1: FunctorName.ANTISHRIEK_INV}
+    for _ in range(100):
+        for flavor in ("plain", "symmetric", "skew"):
+            a = random_qd(rng, flavor, "a", max_dim=4)
+            for step, name in steps.items():
+                m = shift_square_map(a.generators, step)
+                expected = Subspace(m.target, compose_cols(m.cols, a.relations.rows))
+                image = _functor_image.__wrapped__(name, a)
+                assert image.generators == shift(a.generators, step)
+                assert image.relations == expected
+                assert [list(r.items()) for r in image.relations.rows] == \
+                    [list(r.items()) for r in expected.rows]
 
 
 def test_memoised_functor_images_equal_fresh_ones():

@@ -243,6 +243,45 @@ def test_weight_recursion_matches_all_slices(case):
     assert tensor_cofree_rows(rows, n, w) == cofree
 
 
+def _zassenhaus_cofree_rows(rel_rows, n, w):
+    """The cofree rows as they were built before: C_1 = V and
+    C_u = (C_{u-1} (x) V) & (V^(u-2) (x) R), each intersection by the
+    Zassenhaus trick, folding (r | r) for the rows of the first and (r | 0)
+    for those of the second and keeping the RREF rows led past n^u."""
+    acc = [{i: 1} for i in range(n)] if w else [{0: 1}]
+    for u in range(2, w + 1):
+        ncols = n ** u
+        stacked = [{**r, **{c + ncols: v for c, v in r.items()}}
+                   for r in ([{c * n + g: x for c, x in row.items()}
+                              for row in acc for g in range(n)])]
+        stacked += [{p * n * n + c: v for c, v in row.items()}
+                    for p in range(n ** (u - 2)) for row in rel_rows]
+        acc = [{c - ncols: v for c, v in r.items()}
+               for r in echelon_rows(stacked) if min(r) >= ncols]
+    return acc
+
+
+@st.composite
+def _raw_tensor_cases(draw):
+    """Relation rows as a caller may pass them: zero entries, empty rows
+    and repeated rows allowed."""
+    n = draw(st.integers(1, 3))
+    row = st.dictionaries(st.integers(0, n * n - 1), st.integers(-3, 3), max_size=3)
+    rows = draw(st.lists(row, max_size=4))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return rows, n, draw(st.integers(0, 4 if n == 3 else 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_raw_tensor_cases())
+# a repeated row: reading R^perp off the rows with no elimination fails here
+@example(([{0: 1}, {0: 1}], 1, 2))
+def test_cofree_rows_match_the_zassenhaus_recursion(case):
+    rows, n, w = case
+    assert tensor_cofree_rows(rows, n, w) == _zassenhaus_cofree_rows(rows, n, w)
+
+
 def test_certified_counts_match_elimination():
     # every value at weights 4-5 against the elimination routines called
     # directly; the certified share shows the counting path is exercised
