@@ -438,16 +438,10 @@ def gerstenhaber_dim_check(k, nmax):
                 dims = (1,)
             else:
                 shifted = apply_functor("antishriek", comp)
-                dims = []
-                w = 0
-                while True:
-                    d = weight_component("Sc", shifted, w)
-                    dims.append(d)
-                    if d == 0 or w > comp.gdim:
-                        break
-                    w += 1
+                dims = hilbert_series("Sc", shifted, comp.gdim + 1)
+                # cut after the first zero, which ends the series
+                dims = tuple(dims[: dims.index(0) + 1] if 0 in dims else dims)
                 total = sum(dims)
-                dims = tuple(dims)
             ok = total == factorial(n)
             reports.append(
                 Report("gerst.dim.n%d" % n, ok, "dims %s total %d" % (dims, total))

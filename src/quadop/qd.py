@@ -589,32 +589,17 @@ def check_phi_associator_coherence(a, ap, b, bp, c, cp):
         monoidal_product(ProductName.BLACK, monoidal_product(ProductName.BLACK, a, b), c),
         monoidal_product(ProductName.BLACK, monoidal_product(ProductName.BLACK, ap, bp), cp),
     )
-    va, vap, vb, vbp = a.generators, ap.generators, b.generators, bp.generators
-    f1 = pr14_map(va, vap, vb, vbp)
+    va, vap, vb, vbp, vc, vcp = (x.generators for x in (a, ap, b, bp, c, cp))
     # route 1: (phi_{A,A',B,B'} black id) then phi_{A black B, A' black B', C, C'}
-    f2 = pr14_map(
-        tensor_product(va, vb), tensor_product(vap, vbp), c.generators, cp.generators
-    )
-    idc = LinearMap.identity(cc.generators)
-    step1 = _map_tensor(f1, idc, src.generators, f2.source)
+    f1 = pr14_map(va, vap, vb, vbp)
+    f2 = pr14_map(tensor_product(va, vb), tensor_product(vap, vbp), vc, vcp)
+    step1 = _map_tensor(f1, LinearMap.identity(cc.generators), src.generators, f2.source)
     route1 = f2.compose(step1)
-    # route 2: project the middle factors directly: build the one-step
-    # projection from the triple product onto the (1,1,1)+(2,2,2) blocks
-    na, nap, nb, nbp, nc, ncp = (a.gdim, ap.gdim, b.gdim, bp.gdim, c.gdim, cp.gdim)
-    cols = []
-    for u in range(na + nap):
-        for w in range(nb + nbp):
-            for z in range(nc + ncp):
-                if u < na and w < nb and z < nc:
-                    cols.append({(u * nb + w) * nc + z: 1})
-                elif u >= na and w >= nb and z >= nc:
-                    off = na * nb * nc
-                    cols.append(
-                        {off + ((u - na) * nbp + (w - nb)) * ncp + (z - nc): 1}
-                    )
-                else:
-                    cols.append({})
-    route2 = LinearMap(src.generators, tgt.generators, cols)
+    # route 2: (id black phi_{B,B',C,C'}) then phi_{A, A', B black C, B' black C'}
+    g1 = pr14_map(vb, vbp, vc, vcp)
+    g2 = pr14_map(va, vap, tensor_product(vb, vc), tensor_product(vbp, vcp))
+    step2 = _map_tensor(LinearMap.identity(ab.generators), g1, src.generators, g2.source)
+    route2 = g2.compose(step2)
     if route1 != route2:
         return False
     return check_morphism(route1, src, tgt)

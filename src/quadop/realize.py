@@ -5,16 +5,17 @@ on R, the cofree side is the kernel of C_{u-1} (x) V onto
 V^(u-2) (x) (V (x) V / R) at each weight u, the commutative realisation
 works directly in the signed symmetric-power monomial basis, and the Lie
 realisation counts a (super-)Lyndon basis and subtracts the ranks of the
-ideal slices, built in the tensor ambient.  Each component is
-answered by its dimension alone, from weight-by-weight exact linear algebra;
-no representatives are kept.  From weight 4 on, A, S and L are counted
-instead when the quadratic leads of the relations are certified as a PBW
-basis by one exact check at weight 3; otherwise they are eliminated.  The
-column index of a tensor word is its base-n value, so no labels are
-materialised in the hot loops.
+ideal slices, built in the tensor ambient.  Each realisation of a datum is
+one ladder, a generator of its weight dimensions that is climbed once and
+extended on demand, keeping at most its top rung; no representatives are
+kept.  From weight 4 on, A, S and L are counted instead, and the elimination
+state dropped, when one exact check at weight 3 certifies the quadratic
+leads of the relations as a PBW basis.  The column index of a tensor word is
+its base-n value, so no labels are materialised in the hot loops.
 """
 
 from functools import lru_cache
+from itertools import chain, count, islice
 from math import comb
 from typing import NamedTuple
 
@@ -44,33 +45,33 @@ def _times_v(rows, n):
             for row in rows for v in range(n)]
 
 
-def tensor_quotient_dim(rel_rows, n, w):
-    """dim of weight w of T(V)/(R): words minus the rank of the ideal I_w,
-    built as I_1 = 0 and I_u = I_{u-1} (x) V + V^(u-2) (x) R.  The pivot
-    rows of I_{u-1}, times V, stay in echelon form and seed I_u as they are,
-    so only the last slice is eliminated."""
+def tensor_quotient_dims(rel_rows, n):
+    """dims of T(V)/(R) at weights 0, 1, 2, ...: words minus the rank of the
+    ideal I_w, built as I_0 = I_1 = 0 and I_u = I_{u-1} (x) V + V^(u-2) (x) R.
+    The pivot rows of I_{u-1}, times V, stay in echelon form and seed I_u as
+    they are, so only the last slice is eliminated; only the top rung is
+    kept."""
     basis = EchelonBasis()
-    for u in range(2, w + 1):
-        seed = EchelonBasis.from_echelon_rows(_times_v(basis.pivot_rows(), n))
-        basis = seed.add_many(_last_slice_rows(rel_rows, n, u))
-    return n ** w - basis.rank
+    for u in count():
+        if u >= 2:
+            seed = EchelonBasis.from_echelon_rows(_times_v(basis.pivot_rows(), n))
+            basis = seed.add_many(_last_slice_rows(rel_rows, n, u))
+        yield n ** u - basis.rank
 
 
-def tensor_cofree_rows(rel_rows, n, w):
-    """RREF rows of the weight-w component of the cofree side, the
-    intersection of all slices V^i (x) R (x) V^j: C_1 = V, C_2 = R, and
+def tensor_cofree_rows(rel_rows, n):
+    """RREF rows of the cofree side at weights 0, 1, 2, ..., the
+    intersections of all slices V^i (x) R (x) V^j: C_1 = V, C_2 = R, and
     C_u is the kernel of C_{u-1} (x) V -> V^(u-2) (x) (V (x) V / R), solved
     in the coordinates of the rows of C_{u-1} (x) V against R^perp on each
     block of n^2 columns.  rel_rows may be any rows spanning R."""
-    if w < 2:
-        return [{i: 1} for i in range(n)] if w else [{0: 1}]
+    yield from ([{0: 1}], [{i: 1} for i in range(n)])
     acc = echelon_rows(rel_rows)
+    yield acc
     perp = nullspace_rows(acc, n * n)
-    for _ in range(3, w + 1):
-        if not acc:
-            break
-        acc = perp_in_span(_times_v(acc, n), perp, n * n)
-    return acc
+    while True:
+        acc = perp_in_span(_times_v(acc, n), perp, n * n) if acc else acc
+        yield acc
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +226,8 @@ def free_lie_dims_by_parity(degrees, w):
     return tuple(dims)
 
 
-def lie_dims_by_parity(rel_rows, degrees, wmax):
-    """{w: (even dim, odd dim)} of L(V,R) for w = 1..wmax.
+def lie_dims_by_parity(rel_rows, degrees):
+    """(even dim, odd dim) of L(V,R) at weights 1, 2, 3, ...
 
     The ideal slices are I_2 = R and I_u = [V, I_{u-1}], each built once and
     kept per degree parity.  The bracket [g, s] = g(x)s - (-1)^{|g||s|} s(x)g
@@ -236,8 +237,7 @@ def lie_dims_by_parity(rel_rows, degrees, wmax):
     """
     n = len(degrees)
     ideal = ([], [])
-    out = {}
-    for w in range(1, wmax + 1):
+    for w in count(1):
         if w == 2:
             for r in rel_rows:
                 degs = {degrees[c // n] + degrees[c % n] for c in r}
@@ -264,8 +264,7 @@ def lie_dims_by_parity(rel_rows, degrees, wmax):
                             slices[(p + degrees[g]) % 2].append(row)
             ideal = slices
         even, odd = free_lie_dims_by_parity(degrees, w)
-        out[w] = (even - len(ideal[0]), odd - len(ideal[1]))
-    return out
+        yield even - len(ideal[0]), odd - len(ideal[1])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +382,7 @@ def pbw_certificate(side, q):
     """The PBW certificate of A(q) (side "A": the given letter order, then
     the reversed one) or of S(q) (side "S": the reverse-lex order).  dim3
     always comes from elimination, never from the counter."""
-    dim3 = _component_cached(side, q, 3)
+    dim3 = weight_component(side, q, 3)
     parity = [d % 2 for d in q.generators.degrees]
     if side == "A":
         qq = _as_plain("A", q)
@@ -396,30 +395,39 @@ def pbw_certificate(side, q):
                                             q.generators.degrees)}
         tried = (("reverse-lex",
                   _standard_monomials(orders["reverse-lex"], parity, 3)),)
-    for order, count in tried:
-        if count == dim3:
+    for order, found in tried:
+        if found == dim3:
             return PBWCertificate(side, order, tried, dim3, orders[order])
     return PBWCertificate(side, None, tried, dim3, frozenset())
 
 
-def _certified_dim(realization, q, w):
-    """The counted dim at weight w >= 4, or None when the leads do not
-    certify.  L comes from A = U(L): the parity-split normal-word series is
-    the super PBW product of L's dims, inverted weight by weight."""
+def _certified(realization, q, eliminated):
+    """The rungs of A, S or L of q: the eliminated ones up to weight 3, then,
+    when the leads certify (L reads A's certificate, as A = U(L)), counted
+    ones with the elimination state dropped, else the eliminated ones."""
+    yield from islice(eliminated, 4)
     cert = pbw_certificate("A" if realization == "L" else realization, q)
-    if cert.order is None:
-        return None
-    parity = [d % 2 for d in q.generators.degrees]
+    if cert.order is not None:
+        eliminated = _counted(realization, cert.leads, [d % 2 for d in q.generators.degrees])
+    yield from eliminated
+
+
+def _counted(realization, leads, parity):
+    """The counted dims from weight 4 on.  L's come from the parity-split
+    normal-word series, the super PBW product of L's dims, inverted one
+    weight at a time."""
     if realization == "S":
-        return _standard_monomials(cert.leads, parity, w)
-    if realization == "A":
-        return sum(_normal_words_by_parity(cert.leads, parity, w))
-    lie = {}
-    for u in range(1, w + 1):
-        even, odd = _normal_words_by_parity(cert.leads, parity, u)
-        pe, po = pbw_series_by_parity(lie, u)[u]
-        lie[u] = (even - pe, odd - po)
-    return sum(lie[w])
+        yield from (_standard_monomials(leads, parity, w) for w in count(4))
+    elif realization == "A":
+        yield from (sum(_normal_words_by_parity(leads, parity, w)) for w in count(4))
+    else:
+        lie = {}
+        for w in count(1):
+            even, odd = _normal_words_by_parity(leads, parity, w)
+            pe, po = pbw_series_by_parity(lie, w)[w]
+            lie[w] = (even - pe, odd - po)
+            if w >= 4:
+                yield sum(lie[w])
 
 
 # ---------------------------------------------------------------------------
@@ -446,46 +454,58 @@ def algebra_side(q):
     return "S" if q.flavor is QDFlavor.SYM else "A"
 
 
-@lru_cache(maxsize=4096)
-def _component_cached(realization, q, w):
-    if w < 0:
-        raise ArityError("weight must be non-negative")
-    if realization in ("A", "S", "L", "Sc") and w >= 2:
-        # each of these (Sc is S of the dual) is generated in weight 1, so a
-        # zero weight ends the series; L_0 = 0 is only a convention, hence
-        # w >= 2
-        if _component_cached(realization, q, w - 1) == 0:
-            return 0
-    if realization in ("A", "S", "L") and w >= 4:
-        dim = _certified_dim(realization, q, w)
-        if dim is not None:
-            return dim
-    if realization == "A":
-        qq = _as_plain("A", q)
-        return tensor_quotient_dim(qq.relations.rows, qq.gdim, w)
-    if realization == "Tc":
-        qq = _as_plain("Tc", q)
-        return len(tensor_cofree_rows(qq.relations.rows, qq.gdim, w))
-    if realization == "S":
-        if q.flavor is not QDFlavor.SYM:
-            raise FlavorMismatch("S realisation needs symmetric data")
-        return sym_quotient_dim(q.relations.rows, q.generators.degrees, w)
+class _Ladder:
+    """The dims of one realisation of one datum climbed so far, and the
+    generator of the rungs above them, made by climb()."""
+
+    def __init__(self, climb):
+        self.climb = climb
+        self.dims, self.rungs = [], climb()
+
+
+@lru_cache(maxsize=1024)
+def _component_cached(realization, q):
+    """The one ladder of a realisation of q; Sc is the S ladder of STAR(q)."""
+    if realization in ("S", "Sc") and q.flavor is not QDFlavor.SYM:
+        raise FlavorMismatch("%s realisation needs symmetric data" % realization)
+    if realization == "L" and q.flavor is not QDFlavor.SKEW:
+        raise FlavorMismatch("L realisation needs skew data")
     if realization == "Sc":
-        if q.flavor is not QDFlavor.SYM:
-            raise FlavorMismatch("Sc realisation needs symmetric data")
-        return _component_cached("S", apply_functor(FunctorName.STAR, q), w)
-    if realization == "L":
-        if q.flavor is not QDFlavor.SKEW:
-            raise FlavorMismatch("L realisation needs skew data")
-        if w == 0:
-            return 0
-        return sum(lie_dims_by_parity(q.relations.rows, q.generators.degrees,
-                                      w)[w])
-    raise ValueError(realization)
+        return _component_cached("S", apply_functor(FunctorName.STAR, q))
+    qq = _as_plain(realization, q)
+    rows, n, degrees = qq.relations.rows, qq.gdim, q.generators.degrees
+    if realization == "Tc":
+        return _Ladder(lambda: map(len, tensor_cofree_rows(rows, n)))
+    eliminated = {
+        "A": lambda: tensor_quotient_dims(rows, n),
+        "S": lambda: (sym_quotient_dim(rows, degrees, w) for w in count()),
+        "L": lambda: chain((0,), map(sum, lie_dims_by_parity(rows, degrees))),
+    }.get(realization)
+    if eliminated is None:
+        raise ValueError(realization)
+    return _Ladder(lambda: _certified(realization, q, eliminated()))
 
 
 def weight_component(realization, q, w):
-    return _component_cached(realization, q, w)
+    """dim of weight w of a realisation of q, read off its ladder, which is
+    climbed at most once per (realisation, datum).
+
+    A zero at a weight >= 1 ends the series (A, S, L and Sc are generated
+    in weight 1, and C_w lies in C_{w-1} (x) V; L_0 = 0 is a convention), so
+    no rung above it is built.  A climb that raises starts the ladder over:
+    the next read raises again, where a spent generator would end it."""
+    if w < 0:
+        raise ArityError("weight must be non-negative")
+    ladder = _component_cached(realization, q)
+    while len(ladder.dims) <= w:
+        if len(ladder.dims) > 1 and not ladder.dims[-1]:
+            return 0
+        try:
+            ladder.dims.append(next(ladder.rungs))
+        except BaseException:
+            ladder.dims, ladder.rungs = [], ladder.climb()
+            raise
+    return ladder.dims[w]
 
 
 def hilbert_series(realization, q, wmax):
@@ -545,7 +565,8 @@ def ue_compare(q, wmax):
     prediction from the Lie dims of L(q)."""
     if q.flavor is not QDFlavor.SKEW:
         raise FlavorMismatch("ue_compare needs skew data")
-    by_parity = lie_dims_by_parity(q.relations.rows, q.generators.degrees, wmax)
+    by_parity = dict(zip(range(1, wmax + 1), lie_dims_by_parity(
+        q.relations.rows, q.generators.degrees)))
     predicted = pbw_series(by_parity, wmax)
     actual = hilbert_series("A", q, wmax)
     ok = actual == predicted

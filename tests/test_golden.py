@@ -1,10 +1,10 @@
 """Golden reports: every suite's default-seed report is byte-identical to the
 one frozen in golden_reports.json (sha256 of the command's standard output).
 
-Each command runs in a fresh process, so the process-wide caches (component,
-family, scheme and functor lru_caches, interned graphs) cannot leak between
-cases; one test runs suites that share those caches in one process, in both
-orders, to show that the caches do not change a report either, and one
+Each command runs in a fresh process, so the process-wide caches (weight
+ladders, family, scheme and functor lru_caches, interned graphs) cannot leak
+between cases; one test runs suites that share those caches in one process,
+in both orders, to show that the caches do not change a report either, and one
 shows that suites leave the shared rows of the cached signed squares as
 they were built.  To refreeze after an intended change
 of a report, store the sha256 of the standard output of
@@ -64,6 +64,10 @@ for command in sys.argv[1:]:
     ("verify koszul-pbw", "verify koszul-duals"),
     ("verify diagram-faces", "verify realize-duality"),
     ("verify realize-duality", "verify diagram-faces"),
+    # the second command of each resumes the weight ladders of the first
+    # warm past weight 3, where counting may take over from elimination
+    ("dims --qd DK --n 4 --wmax 5", "dims --qd DK --n 4 --wmax 6"),
+    ("verify koszul-pbw", "verify realize-duality"),
     # these share the process-wide tensor products of graded spaces
     ("verify qd-coherence --trials 10", "verify boqd-coherence --trials 4"),
     ("verify boqd-coherence --trials 4", "verify qd-coherence --trials 10"),

@@ -475,6 +475,28 @@ def test_coherence_checks_random():
     assert check_phi_associator_coherence(*args)
 
 
+def _pr14_keeping_a_mixed_block(a, ap, b, bp):
+    """pr14 that reads the mixed block A' (x) B as if it were A (x) B:
+    x'_i (x) y_j goes where x_(i mod dim A) (x) y_j does."""
+    f = pr14_map(a, ap, b, bp)
+    cols, nw = list(f.cols), b.dim + bp.dim
+    for i in range(ap.dim if a.dim else 0):
+        for j in range(b.dim):
+            cols[(a.dim + i) * nw + j] = f.cols[(i % a.dim) * nw + j]
+    return LinearMap(f.source, f.target, cols)
+
+
+def test_phi_associator_coherence_fails_on_a_pr14_that_keeps_a_mixed_block(monkeypatch):
+    # the two bracketings project the mixed blocks in different orders, so
+    # a pr14 that keeps one takes them to different places
+    rng = random.Random(36)
+    draws = [[random_qd(rng, "plain", p, 2) for p in ("a", "a'", "b", "b'", "c", "c'")]
+             for _ in range(60)]
+    assert all(check_phi_associator_coherence(*args) for args in draws)
+    monkeypatch.setattr("quadop.qd.pr14_map", _pr14_keeping_a_mixed_block)
+    assert not any(check_phi_associator_coherence(*args) for args in draws)
+
+
 def test_diagram_faces_named():
     a = dk3()
     for face in ("shift_square", "lambda_perp", "envelope_pbw"):

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import random
+from collections import Counter
+from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +16,6 @@ from quadop.kernel import EchelonBasis, echelon_rows
 from quadop.qd import FlavorMismatch, apply_functor, make_qd, qd_zero
 from quadop.rand import random_qd
 from quadop.realize import (
-    _certified_dim,
     _project_rel_to_sym,
     _sort_mono,
     _sym_monomials,
@@ -23,11 +27,16 @@ from quadop.realize import (
     pbw_series,
     sym_quotient_dim,
     tensor_cofree_rows,
-    tensor_quotient_dim,
+    tensor_quotient_dims,
     ue_compare,
     weight_component,
 )
 from quadop.catalog import aos_data, named_qd
+
+
+def _rung(rungs, w):
+    """The rung at weight w of a generator of rungs from weight 0 on."""
+    return next(islice(rungs, w, None))
 
 
 def test_free_and_cofree_extremes():
@@ -153,7 +162,7 @@ def test_lie_weight_two_is_alt_mod_relations():
 def test_tc_weight3_is_triple_word():
     # relations x(x)x over x, y: the single cofree element at weight 3 is
     # x(x)x(x)x, word code 0
-    assert tensor_cofree_rows([{0: 1}], 2, 3) == [{0: 1}]
+    assert _rung(tensor_cofree_rows([{0: 1}], 2), 3) == [{0: 1}]
     assert weight_component(
         "Tc", make_qd("plain", GradedSpace.from_labels(["x", "y"]), [{0: 1}]), 3
     ) == 1
@@ -239,8 +248,8 @@ def _tensor_cases(draw):
 def test_weight_recursion_matches_all_slices(case):
     rows, n, w = case
     quotient, cofree = _all_slices_oracle(rows, n, w)
-    assert tensor_quotient_dim(rows, n, w) == quotient
-    assert tensor_cofree_rows(rows, n, w) == cofree
+    assert _rung(tensor_quotient_dims(rows, n), w) == quotient
+    assert _rung(tensor_cofree_rows(rows, n), w) == cofree
 
 
 def _zassenhaus_cofree_rows(rel_rows, n, w):
@@ -279,7 +288,7 @@ def _raw_tensor_cases(draw):
 @example(([{0: 1}, {0: 1}], 1, 2))
 def test_cofree_rows_match_the_zassenhaus_recursion(case):
     rows, n, w = case
-    assert tensor_cofree_rows(rows, n, w) == _zassenhaus_cofree_rows(rows, n, w)
+    assert _rung(tensor_cofree_rows(rows, n), w) == _zassenhaus_cofree_rows(rows, n, w)
 
 
 def test_certified_counts_match_elimination():
@@ -299,14 +308,14 @@ def test_certified_counts_match_elimination():
                 if flavor in with_odd and any(d % 2 for d in degrees):
                     with_odd[flavor] += 1
             if flavor == "skew":
-                lie = lie_dims_by_parity(rows, degrees, 5)
+                lie = dict(zip(range(1, 6), lie_dims_by_parity(rows, degrees)))
             for w in (4, 5):
                 if side == "S":
                     assert weight_component("S", q, w) == \
                         sym_quotient_dim(rows, degrees, w)
                     continue
                 assert weight_component("A", q, w) == \
-                    tensor_quotient_dim(rows, q.gdim, w)
+                    _rung(tensor_quotient_dims(rows, q.gdim), w)
                 if flavor == "skew":
                     assert weight_component("L", q, w) == sum(lie[w])
     assert min(certified.values()) >= 200, certified
@@ -326,7 +335,6 @@ def test_reversed_order_certifies_dk4_and_ehkr6_falls_back():
     assert cert.order is None
     assert cert.tried == (("given", 5500), ("reversed", 5485))
     assert cert.dim3 == 5440
-    assert _certified_dim("A", ehkr6, 4) is None
 
 
 def _witt(k, w):
@@ -389,3 +397,61 @@ def test_a_zero_weight_ends_the_series(monkeypatch):
     finally:
         realize._component_cached.cache_clear()
         realize.pbw_certificate.cache_clear()
+
+
+def test_no_rung_is_built_twice(monkeypatch):
+    # every tensor-side rung build is booked under the (realisation, datum)
+    # being read and the weight of the rung its ladder climbs to; two suites
+    # run in one process must build no rung twice (the old per-weight cache
+    # re-climbed from weight 2 for every weight)
+    reading, built = [], Counter()
+    read = realize.weight_component
+
+    def recorded_read(realization, q, w):
+        reading.append((realization, q))
+        try:
+            return read(realization, q, w)
+        finally:
+            reading.pop()
+
+    def recorder(name):
+        fn = getattr(realize, name)
+
+        def recorded(*args):
+            weight = len(realize._component_cached(*reading[-1]).dims)
+            built[reading[-1], name, weight] += 1
+            return fn(*args)
+        return recorded
+
+    monkeypatch.setattr(realize, "weight_component", recorded_read)
+    for name in ("_last_slice_rows", "perp_in_span"):
+        monkeypatch.setattr(realize, name, recorder(name))
+    realize._component_cached.cache_clear()
+    realize.pbw_certificate.cache_clear()
+    try:
+        for command in ("verify realize-duality", "verify diagram-faces"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(command.split()) == 0
+    finally:
+        realize._component_cached.cache_clear()
+        realize.pbw_certificate.cache_clear()
+    names = Counter(name for _, name, _ in built.elements())
+    assert names["_last_slice_rows"] > 50 and names["perp_in_span"] > 30, names
+    assert [key for key, n in built.items() if n > 1] == []
+
+
+def test_a_climb_that_raises_raises_again():
+    # x even, y odd: the relation x(x)y - y(x)x + y(x)y is not homogeneous,
+    # so L's climb raises at weight 2.  Each later read must raise again: a
+    # spent generator would leak StopIteration, which map() takes for the
+    # end of its input and a caller could take for a zero
+    q = make_qd("skew", GradedSpace(("x", "y"), (0, 1)), [{1: 1, 2: -1, 3: 1}])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-homogeneous"):
+            weight_component("L", q, 2)
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        hilbert_series("L", q, 4)
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        list(map(partial(weight_component, "L", q), range(5)))
+    # the rungs below the failing one still read
+    assert hilbert_series("L", q, 1) == [0, 2]
