@@ -19,7 +19,6 @@ qd.interchange states them once for quadratic data and for these data, with
 boqd_product (or fresh_product) as its product.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -41,22 +40,32 @@ from .kernel import echelon_rows
 from .qd import _map_tensor, sum_relation_rows
 
 
-@dataclass(frozen=True)
 class S2Module:
-    """Graded space with the binary-transposition involution."""
+    """Graded space with the binary-transposition involution.  Modules are
+    equal when their spaces and actions are, and hash by them."""
 
-    space: GradedSpace
-    action: LinearMap
+    # __dict__ holds the cached arity3
+    __slots__ = ("space", "action", "__dict__")
 
-    def __post_init__(self):
-        space, cols = self.space, self.action.cols
-        if self.action.source != space or self.action.target != space:
+    def __init__(self, space, action):
+        self.space = space
+        self.action = action
+        cols = action.cols
+        if action.source != space or action.target != space:
             raise ValueError("action does not act on the module")
         if compose_cols(cols, cols) != [{i: 1} for i in range(space.dim)]:
             raise ValueError("the transposition action must be an involution")
         if any(space.degrees[t] != space.degrees[i]
                for i, col in enumerate(cols) for t in col):
             raise ValueError("the transposition action must keep degrees")
+
+    def __eq__(self, other):
+        if other.__class__ is not S2Module:
+            return NotImplemented
+        return (self.space, self.action) == (other.space, other.action)
+
+    def __hash__(self):
+        return hash((self.space, self.action))
 
     @property
     def dim(self):
@@ -150,19 +159,32 @@ class Arity3Space:
                 for a, va in rowa.items() for b, vb in rowb.items()}
 
 
-@dataclass(frozen=True)
 class BOQDData:
-    generators: S2Module
-    relations: Subspace
+    """An involutive module and an S3-closed relation subspace of its
+    arity-3 component, checked on construction.  Data are equal when both
+    are, and hash by them."""
 
-    def __post_init__(self):
-        space = self.generators.arity3
-        if self.relations.ambient != space.ambient:
+    __slots__ = ("generators", "relations")
+
+    def __init__(self, generators, relations):
+        self.generators = generators
+        self.relations = relations
+        space = generators.arity3
+        if relations.ambient != space.ambient:
             raise ValueError("relations do not live in the arity-3 component")
-        for row in self.relations.rows:
-            if not (self.relations.contains(space.swap(row))
-                    and self.relations.contains(space.rotate(row))):
+        for row in relations.rows:
+            if not (relations.contains(space.swap(row))
+                    and relations.contains(space.rotate(row))):
                 raise ValueError("relations are not closed under the S3 action")
+
+    def __eq__(self, other):
+        if other.__class__ is not BOQDData:
+            return NotImplemented
+        return ((self.generators, self.relations)
+                == (other.generators, other.relations))
+
+    def __hash__(self):
+        return hash((self.generators, self.relations))
 
     @property
     def space(self):

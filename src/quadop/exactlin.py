@@ -21,10 +21,12 @@ parse and render: scalar() reads an exact scalar (an int when integral, a
 Fraction only with a denominator, the normal form of the scalars of
 vectors and maps), and graded.rows_to_json prints each row divided by its
 pivot.  Membership queries reduce against the stored rows by pivot column
-and run no elimination.  All values are immutable after construction.
+and run no elimination.  All values are immutable after construction by
+convention: the value classes here and in graded, qd, boqd and report are
+plain classes, and no method rebinds a field once the constructor has set
+it, though nothing stops a caller from doing so.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .kernel import echelon_rows
@@ -36,6 +38,7 @@ def scalar(v):
     comes back as an int when its denominator is 1."""
     if type(v) is int:
         return v
+    from fractions import Fraction    # here, so start-up loads no fractions
     q = Fraction(v)
     return q.numerator if q.denominator == 1 else q
 

@@ -10,8 +10,6 @@ identifications (double dual, shift round trips) are literal label
 equalities.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -26,7 +24,6 @@ class ArityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GradedSpace:
     """Finite ordered basis: labels[i] has degree degrees[i].
 
@@ -35,21 +32,26 @@ class GradedSpace:
     count is its degree mod 2).  Tensor products add the counts and duals
     keep them; they feed the Koszul signs of the dual pairings (word_sign),
     which is what makes linear duality strong monoidal on products of
-    mixed-degree spaces.  Equality compares labels, degrees and counts,
-    and the hash of the three is computed once per instance.
+    mixed-degree spaces.  The three fields are tuples, set once by the
+    constructor; equality compares them, and their hash is computed once
+    per instance, on construction.
     """
 
-    labels: tuple
-    degrees: tuple
-    odds: tuple = None
+    __slots__ = ("labels", "degrees", "odds", "_hash")
+
+    def __init__(self, labels, degrees, odds=None):
+        self.labels = tuple(labels)
+        self.degrees = tuple(degrees)
+        self.odds = odds
+        # the checks keep their own method: perfbench counts its calls as
+        # graded.space_builds
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "degrees", tuple(self.degrees))
         if self.odds is None:
-            object.__setattr__(self, "odds", tuple(d % 2 for d in self.degrees))
+            self.odds = tuple(d % 2 for d in self.degrees)
         else:
-            object.__setattr__(self, "odds", tuple(self.odds))
+            self.odds = tuple(self.odds)
             if any((k - d) % 2 for k, d in zip(self.odds, self.degrees)):
                 raise ValueError("odd-letter count and degree differ in parity")
         if not len(self.labels) == len(self.degrees) == len(self.odds):
@@ -58,8 +60,7 @@ class GradedSpace:
             raise ValueError("generator labels must be pairwise distinct")
         # computed here, not in a cached_property, whose first read takes a
         # lock on Python 3.11
-        object.__setattr__(
-            self, "_hash", hash((self.labels, self.degrees, self.odds)))
+        self._hash = hash((self.labels, self.degrees, self.odds))
 
     @classmethod
     def from_labels(cls, labels, degree=0):
@@ -69,6 +70,13 @@ class GradedSpace:
     @property
     def dim(self):
         return len(self.labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not GradedSpace:
+            return NotImplemented
+        return self is other or (
+            (self.labels, self.degrees, self.odds)
+            == (other.labels, other.degrees, other.odds))
 
     def __hash__(self):
         return self._hash
@@ -124,6 +132,7 @@ def rows_from_json(rows, ncols):
 def rows_to_json(rows, ncols):
     """JSON rows of ncols scalar strings of Subspace rows, each divided by
     its pivot (its first entry), so a subspace prints as its pivot-1 RREF."""
+    from fractions import Fraction    # here, so start-up loads no fractions
     out = []
     for r in rows:
         lead = next(iter(r.values()))

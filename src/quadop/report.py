@@ -1,8 +1,6 @@
 """PASS/FAIL case records, machine-readable verification reports, and the
 runner of exhaustive laws."""
 
-from dataclasses import dataclass, field
-
 
 class Report:
     """One named check: status PASS, FAIL, SKIPPED, or INFO.  The status is
@@ -44,12 +42,26 @@ def first_failure(cases):
     return count, None
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    seed: int
-    cases: list = field(default_factory=list)
-    runtime_ms: int = 0
+    """The cases of one suite run at one seed, and its runtime when timed.
+    Reports are equal when all four fields are; they are mutable, so they
+    do not hash."""
+
+    __slots__ = ("suite", "seed", "cases", "runtime_ms")
+
+    def __init__(self, suite, seed):
+        self.suite = suite
+        self.seed = seed
+        self.cases = []
+        self.runtime_ms = 0
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationReport:
+            return NotImplemented
+        return ((self.suite, self.seed, self.cases, self.runtime_ms)
+                == (other.suite, other.seed, other.cases, other.runtime_ms))
+
+    __hash__ = None
 
     def add(self, report):
         self.cases.append(report)

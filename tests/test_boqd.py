@@ -18,8 +18,10 @@ from quadop.boqd import (
 )
 from quadop.exactlin import LinearMap, Subspace, compose_cols, rows_past
 from quadop.graded import GradedSpace
-from quadop.qd import inj14_map, interchange_holds, pr14_map, square_apply_rows
+from quadop.qd import (inj14_map, interchange_holds, make_qd, pr14_map,
+                       square_apply_rows)
 from quadop.rand import random_boqd, random_s2module, s3_closure_rows
+from quadop.report import VerificationReport
 from quadop.suites import suite_boqd_coherence
 
 
@@ -229,6 +231,45 @@ def test_product_is_built_once_and_names_are_lower_case():
     for name in ("BLACK", "Vee", "star"):
         with pytest.raises(ValueError):
             boqd_product(name, a, b)
+
+
+def test_product_cache_keys_factors_by_value():
+    # the cache hits on factors that are equal but built afresh, so the
+    # data hash and compare by value
+    boqd_product.cache_clear()
+    black = boqd_product("black", com_data("a"), com_data("b"))
+    assert boqd_product("black", com_data("a"), com_data("b")) is black
+    assert boqd_product.cache_info().hits == 1
+
+
+def test_value_classes_compare_by_their_fields_and_type():
+    # each value class is equal to a separate build of itself, and hashes
+    # equal to it where it hashes; against a tuple of its own fields, ==
+    # and != answer without raising, since both sides return NotImplemented
+    def builds():
+        space = GradedSpace(("x", "y"), (0, 1))
+        q = make_qd("plain", space, [{1: 1}])
+        module = S2Module(space, LinearMap.identity(space))
+        data = make_boqd(module, [])
+        report = VerificationReport("qd-coherence", 7)
+        return [
+            (space, (space.labels, space.degrees, space.odds)),
+            (q, (q.flavor, q.generators, q.relations)),
+            (module, (module.space, module.action)),
+            (data, (data.generators, data.relations)),
+            (report, (report.suite, report.seed, report.cases,
+                      report.runtime_ms)),
+        ]
+    for (value, fields), (again, _) in zip(builds(), builds()):
+        assert value is not again and value == again
+        assert not value != again
+        assert not value == fields and value != fields
+        assert not fields == value and fields != value
+        if isinstance(value, VerificationReport):
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(again)
 
 
 def psi_rows(a, b, rows_a, rows_b):

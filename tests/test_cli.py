@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from quadop.cli import main
+from quadop.suites import SUITES
 
 
 def run_cli(args, capsys):
@@ -216,6 +218,17 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv, named):
     assert code == 2
     assert out == ""
     assert "usage error" in err and named in err
+
+
+def test_suite_parameters_are_all_positional_or_keyword():
+    # cmd_verify reads a suite's parameter names off its code object, which
+    # sees only the positional-or-keyword ones
+    for name, fn in SUITES.items():
+        params = inspect.signature(fn).parameters
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD
+                   for p in params.values()), name
+        code = fn.__code__
+        assert code.co_varnames[:code.co_argcount] == tuple(params), name
 
 
 def _qd_file(tmp_path, capsys, name):

@@ -678,14 +678,47 @@ assert any(
 """
 
 
-def test_star_pairing_is_signed_in_a_fresh_process():
-    # STAR is the first call of the process, so no earlier call can have
-    # supplied the pairing it uses
+def _run_fresh(code):
+    """Standard output of code run by this interpreter in a fresh process
+    that imports quadop from this checkout."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", STAR_IN_FRESH_PROCESS],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_star_pairing_is_signed_in_a_fresh_process():
+    # STAR is the first call of the process, so no earlier call can have
+    # supplied the pairing it uses
+    _run_fresh(STAR_IN_FRESH_PROCESS)
+
+
+CLI_IN_FRESH_PROCESS = """
+import sys
+import quadop.cli
+print(" ".join(sys.modules))
+from quadop.exactlin import scalar
+from quadop.graded import rows_to_json
+print(rows_to_json([{0: 2, 1: -1}], 2))
+q = scalar("-1/3")
+from fractions import Fraction
+print(q == Fraction(-1, 3))
+"""
+
+
+def test_cli_import_loads_no_inspect_dataclasses_or_fractions():
+    # the modules a bare interpreter loads by itself (site packages may
+    # load some) are not held against quadop; scalar and rows_to_json
+    # import fractions for themselves
+    bare = set(_run_fresh("import sys; print(' '.join(sys.modules))").split())
+    loaded, rendered, parsed = _run_fresh(CLI_IN_FRESH_PROCESS).splitlines()
+    added = set(loaded.split()) - bare
+    assert "quadop.cli" in added
+    assert not added & {"inspect", "dataclasses", "fractions", "decimal"}
+    assert rendered == str([["1", "-1/2"]])
+    assert parsed == "True"
