@@ -14,21 +14,22 @@ convention pinned down by the involution identities and the dual-of-full spot
 checks; a regression test freezes it.
 
 The eight products are one function, boqd_product, and the dual is
-boqd_dual.  The interchange laws between products are not restated here:
-qd.interchange states them once for quadratic data and for these data, with
-boqd_product (or fresh_product) as its product.
+boqd_dual, the exactlin annihilator of the relations.  The interchange laws
+between products are not restated here: qd.interchange states them once for
+quadratic data and for these data, with boqd_product as its product.
 """
 
 from functools import cached_property, lru_cache
 from itertools import product
+from math import gcd
 
 from .exactlin import (
     LinearMap,
     Subspace,
+    annihilator,
     compose_cols,
-    nullspace_rows,
+    perp_rows,
     quotient_images,
-    rows_past,
 )
 from .graded import (
     GradedSpace,
@@ -324,20 +325,27 @@ def _white_rows(a, b, cols):
     duplication of R_A (x) T_B(3) + T_A(3) (x) R_B, which is S3-stable
     because that space is and the duplication is equivariant.  It is the
     kernel of the duplication followed by the quotient onto
-    T_A(3)/R_A (x) T_B(3)/R_B: each product column gives the row (p_A p_B
-    times its signed image | p_A p_B past all quotient columns).  cols is
-    the duplication as _diagonal_cols codes it."""
+    T_A(3)/R_A (x) T_B(3)/R_B, which sends each product column to its
+    signed image over p_A p_B: perp_rows solves the integer images, and
+    each column of a solution is scaled back by its p_A p_B.  A positive
+    column scaling keeps RREF rows RREF, up to their content.  cols is the
+    duplication as _diagonal_cols codes it."""
     dim_b3 = b.space.dim
     images_a, images_b = quotient_images(a.relations), quotient_images(b.relations)
-    past = a.space.dim * dim_b3
-    rows = []
+    scales = [0] * len(cols)
+    images = {}
     for c, (col, sign) in cols.items():
         (ia, pa), (ib, pb) = images_a[c // dim_b3], images_b[c % dim_b3]
-        row = {x * dim_b3 + y: sign * u * v
-               for x, u in ia.items() for y, v in ib.items()}
-        row[past + col] = pa * pb
-        rows.append(row)
-    return rows_past(rows, past)
+        scales[col] = pa * pb
+        for x, u in ia.items():
+            for y, v in ib.items():
+                images.setdefault(x * dim_b3 + y, {})[col] = sign * u * v
+    rows = []
+    for row in perp_rows(images.values(), len(scales)):
+        row = {c: v * scales[c] for c, v in row.items()}
+        g = gcd(*row.values())
+        rows.append({c: v // g for c, v in row.items()})
+    return rows
 
 
 # the unit tau blocks each direct-sum product adds to R_A + R_B, as (outer,
@@ -359,7 +367,7 @@ def boqd_product(name, a, b):
     and white store their rows as built, which are canonical; black, ucirc
     and circ eliminate theirs.  Each distinct product is built and checked
     once per process, in a bounded cache; the results are shared, so
-    read-only.  fresh_product builds one outside the cache."""
+    read-only."""
     if name in ("black", "white"):
         mod = _module_tensor(a, b)
         cols = _diagonal_cols(a, b)
@@ -367,7 +375,7 @@ def boqd_product(name, a, b):
             # images of row pairs can collide or vanish: eliminate
             return make_boqd(mod, _pair_image_rows(
                 cols, b.space.dim, a.relations.rows, b.relations.rows))
-        # RREF rows of one elimination, all shifted alike: canonical as built
+        # canonical RREF rows of one elimination, each column scaled alike
         rows = _white_rows(a, b, cols)
         return BOQDData(mod, Subspace.from_rref(mod.arity3.ambient, rows))
     mod = _module_sum(a, b)
@@ -389,10 +397,6 @@ def boqd_product(name, a, b):
     return BOQDData(mod, Subspace.from_rref(space.ambient, rows))
 
 
-# the same build outside the cache, for products that do not repeat
-fresh_product = boqd_product.__wrapped__
-
-
 # ---------------------------------------------------------------------------
 # duality
 
@@ -409,10 +413,10 @@ def _dual_module(m):
 
 @lru_cache(maxsize=32)
 def boqd_dual(a):
-    """(generators*, relations^perp) with the tau-diagonal pairing; each
-    distinct dual is built and checked once per process, in a bounded
-    cache, and is shared, so read-only."""
+    """(generators*, relations^perp) with the tau-diagonal pairing, the
+    annihilator under the all-plus signs; each distinct dual is built and
+    checked once per process, in a bounded cache, and is shared, so
+    read-only."""
     dmod = _dual_module(a.generators)
-    rows = nullspace_rows(a.relations.rows, a.space.dim)
-    dspace = dmod.arity3
-    return BOQDData(dmod, Subspace(dspace.ambient, rows))
+    return BOQDData(dmod, annihilator(
+        a.relations, dmod.arity3.ambient, (1,) * a.space.dim))

@@ -1,7 +1,8 @@
 """Exact rational linear algebra on labeled ambient bases.
 
 An ambient is a graded.GradedSpace; this module reads only its dim and its
-labels, so it imports nothing from graded.  Ambients compare with ==.
+labels (names, which may repeat), so it imports nothing from graded.
+Ambients compare with ==.
 
 Subspaces are canonical: stored as the kernel's integer RREF of their span
 (each row primitive, with a positive pivot and zeros in every other pivot
@@ -13,15 +14,18 @@ only that their leads are distinct, positive and cleared from every other
 row (every QD product, the BOQD products whose rows are canonical as built,
 signed squares and random BOQD data).  nullspace_rows (with any sign per
 column) and quotient_images (for both white products) read such rows with
-no elimination either.  perp_rows, the one complement of any rows, runs
-one elimination and reads canonical rows off nullspace_rows; the QD duals
-and the cofree side take them as built.  Their rows, membership residuals
-and the rows derived from them are int rows.  A Fraction appears only at
-parse and render: scalar() reads an exact scalar (an int when integral, a
-Fraction only with a denominator, the normal form of the scalars of
-vectors and maps), and graded.rows_to_json prints each row divided by its
-pivot.  Membership queries reduce against the stored rows by pivot column
-and run no elimination.  All values are immutable after construction by
+no elimination either; annihilator, the one dual of stored relations (QD
+STAR of plain data and the BOQD dual), eliminates the rows nullspace_rows
+reads off.  perp_rows, the one complement of any rows, runs one
+elimination and reads canonical rows off nullspace_rows; the other QD
+duals, the cofree side and the BOQD white product take them as built.
+Their rows, membership residuals and the rows derived from them are int
+rows.  A Fraction appears only at parse and render: scalar() reads an
+exact scalar (an int when integral, a Fraction only with a denominator,
+the normal form of the scalars of vectors and maps), and
+graded.rows_to_json prints each row divided by its pivot.  Membership
+queries reduce against the stored rows by pivot column and run no
+elimination.  All values are immutable after construction by
 convention: the value classes here and in graded, qd, boqd and report are
 plain classes, and no method rebinds a field once the constructor has set
 it, though nothing stops a caller from doing so.
@@ -147,11 +151,6 @@ class Subspace:
             raise AmbientMismatch("subspaces live in different ambients")
         return all(not self._residual(r) for r in other.rows)
 
-    def __add__(self, other):
-        if other.ambient != self.ambient:
-            raise AmbientMismatch("subspaces live in different ambients")
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -192,18 +191,6 @@ def _by_lead(rows):
 
 def zero_space(ambient):
     return Subspace(ambient, [])
-
-
-def rows_past(rows, ncols):
-    """RREF rows of span(rows) that are led at or past column ncols, shifted
-    down by ncols.  A RREF row's lead is its smallest column, so these rows
-    span the intersection of span(rows) with the coordinate subspace of the
-    columns from ncols on."""
-    return [
-        {c - ncols: v for c, v in row.items()}
-        for row in echelon_rows(rows)
-        if min(row) >= ncols
-    ]
 
 
 def nullspace_rows(rows, ncols):
@@ -284,11 +271,13 @@ def quotient_images(a):
 
 def annihilator(a, dual, signs):
     """All functionals in the dual ambient vanishing on a, under the diagonal
-    pairing that pairs the i-th basis vectors with sign signs[i]."""
+    pairing that pairs the i-th basis vectors with sign signs[i]: the null
+    rows of the signed stored rows, read off by nullspace_rows and
+    eliminated once."""
     n = a.ambient.dim
     if dual.dim != n or len(signs) != n:
         raise ValueError("pairing shape mismatch")
-    return Subspace.from_rref(dual, perp_rows(signed_rows(a.rows, signs), n))
+    return Subspace(dual, nullspace_rows(signed_rows(a.rows, signs), n))
 
 
 def signed_rows(rows, signs):

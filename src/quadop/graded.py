@@ -1,13 +1,15 @@
 """Graded vector spaces with Koszul signs.
 
-A graded space is a finite ordered basis of stable string labels with
-integer degrees; it is also the ambient basis of the vectors, subspaces and
-maps of exactlin.  Tensor-product labels concatenate left-to-right with an
-explicit "⊗" separator, so n-fold products are flat and re-association is
-label-strict.  Degree shifts use the marked prefixes "s·" and "s̄·" which
-cancel against each other, and duals star/unstar labels, so the canonical
-identifications (double dual, shift round trips) are literal label
-equalities.
+A graded space is a finite ordered basis of string labels with integer
+degrees; it is also the ambient basis of the vectors, subspaces and maps of
+exactlin.  Labels name basis vectors and need not be distinct: a basis
+vector is its position, so the direct sum of a space with itself (or with
+one that shares a label) is a space like any other.  Tensor-product labels
+concatenate left-to-right with an explicit "⊗" separator, so n-fold
+products are flat and re-association is label-strict.  Degree shifts use
+the marked prefixes "s·" and "s̄·" which cancel against each other, and
+duals star/unstar labels, so the canonical identifications (double dual,
+shift round trips) are literal label equalities.
 """
 
 from functools import lru_cache
@@ -25,7 +27,8 @@ class ArityError(ValueError):
 
 
 class GradedSpace:
-    """Finite ordered basis: labels[i] has degree degrees[i].
+    """Finite ordered basis: labels[i], a name that may repeat, has degree
+    degrees[i].
 
     odds[i] counts the odd letters of the degree word of basis element i,
     the degrees of its tensor factors (an atom is a one-letter word, so its
@@ -56,8 +59,6 @@ class GradedSpace:
                 raise ValueError("odd-letter count and degree differ in parity")
         if not len(self.labels) == len(self.degrees) == len(self.odds):
             raise ValueError("degrees or odd counts do not match the labels")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("generator labels must be pairwise distinct")
         # computed here, not in a cached_property, whose first read takes a
         # lock on Python 3.11
         self._hash = hash((self.labels, self.degrees, self.odds))
@@ -92,7 +93,8 @@ def space_to_json(v):
 def space_from_json(gens):
     """The graded space of a JSON generator list.  Each generator is an
     object with a label, read with str, and a degree, which must be a JSON
-    integer (1.5, true and "1" raise ValueError)."""
+    integer (1.5, true and "1" raise ValueError); two generators with one
+    label raise ValueError too, so a document names each generator once."""
     if not isinstance(gens, list):
         raise ValueError("generators %r are not a list" % (gens,))
     labels, degrees = [], []
@@ -105,6 +107,8 @@ def space_from_json(gens):
             raise ValueError("generator degree %r is not an integer" % (d,))
         labels.append(str(g["label"]))
         degrees.append(d)
+    if len(set(labels)) != len(labels):
+        raise ValueError("generator labels must be pairwise distinct")
     return GradedSpace(tuple(labels), tuple(degrees))
 
 

@@ -79,12 +79,6 @@ def _label(I):
     return "t_" + ".".join(str(i) for i in I)
 
 
-def _tagged(space, tag):
-    return GradedSpace(
-        tuple(tag + l for l in space.labels), space.degrees, space.odds
-    )
-
-
 class _Scheme:
     """Generator spaces, partial compositions and, when symmetric, the
     vertex-relabeling group action of one index scheme.  They are the same
@@ -113,8 +107,8 @@ class _Scheme:
 
     def comp(self, n, m, p):
         """The partial composition V(n) ⊕ V(m) -> V(n+m-1) at slot p.  Its
-        source is outer/inner tagged to keep labels distinct when n = m, and
-        is one object per (n, m), shared by every slot."""
+        source is direct_sum(V(n), V(m)), the generators of
+        oplus(P(n), P(m)), one object per (n, m), shared by every slot."""
         key = (n, m, p)
         if key not in self._comps:
             if not 1 <= p <= n:
@@ -124,8 +118,7 @@ class _Scheme:
                 # to be associative; linear families have no arity-0 insertions
                 raise ValueError("nonsymmetric families do not compose with arity 0")
             if (n, m) not in self._sources:
-                self._sources[n, m] = direct_sum(
-                    _tagged(self.gen_space(n), "o:"), _tagged(self.gen_space(m), "i:"))
+                self._sources[n, m] = direct_sum(self.gen_space(n), self.gen_space(m))
             pos = self._position(n + m - 1)
             cols = []
             for rule, arity in ((self.compose_outer, n), (self.compose_inner, m)):

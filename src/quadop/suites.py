@@ -143,12 +143,8 @@ def suite_boqd_coherence(seed=DEFAULT_SEED, trials=100):
     def interchanges(rng):
         args = [random_boqd(rng, p) for p in _PRIMED]
         spaces = [m.generators.space for m in args]
-        # the phi and psi sides of one draw are built once, and the products
-        # of another draw differ, so they are built outside the bounded
-        # product cache, where they would only push out entries that repeat
         for box, dia, lax in (("black", "ucirc", True), ("white", "circ", False)):
-            yield interchange_holds(boqd_mod.fresh_product, box, dia, lax,
-                                    args, spaces)
+            yield interchange_holds(product, box, dia, lax, args, spaces)
 
     def quintuples(rng):
         args = [random_boqd(rng, p, max_dim=1) for p in _PRIMED]

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 
-from quadop.boqd import boqd_dual, boqd_product, com_data, fresh_product
+from quadop.boqd import boqd_dual, boqd_product, com_data
 from quadop.catalog import aos_data, arnold_rows, pentagon_rows
 from quadop.exactlin import Subspace
 from quadop.graphs import (
@@ -161,7 +161,7 @@ def criterion_6_interchange():
         spaces = [m.generators.space for m in args]
         quad_count += 1
         for box, dia, lax in (("black", "ucirc", True), ("white", "circ", False)):
-            ok = ok and interchange_holds(fresh_product, box, dia, lax,
+            ok = ok and interchange_holds(boqd_product, box, dia, lax,
                                           args, spaces)
         small = [random_boqd(child_rng(SEED, "acc.quint.%d" % t), p, max_dim=1)
                  for p in ("a", "a'", "b", "b'")]

@@ -12,12 +12,12 @@ from quadop.boqd import (
     boqd_dual,
     boqd_product,
     com_data,
-    fresh_product,
     make_boqd,
     trivial_module,
 )
-from quadop.exactlin import LinearMap, Subspace, compose_cols, rows_past
+from quadop.exactlin import LinearMap, Subspace, compose_cols
 from quadop.graded import GradedSpace
+from quadop.kernel import echelon_rows
 from quadop.qd import (inj14_map, interchange_holds, make_qd, pr14_map,
                        square_apply_rows)
 from quadop.rand import random_boqd, random_s2module, s3_closure_rows
@@ -43,7 +43,7 @@ DUAL_PAIRS = (("vee", "oplus"), ("tril", "trir"), ("ucirc", "circ"),
               ("black", "white"))
 
 
-def _holds(law, data, product=fresh_product):
+def _holds(law, data, product=boqd_product):
     return interchange_holds(product, *law, data,
                              [m.generators.space for m in data])
 
@@ -187,7 +187,7 @@ def test_interchange_and_quintuples():
     for box in ("black", "white"):
         for dia in ("vee", "oplus", "tril", "trir"):
             for lax in (True, False):
-                assert _holds((box, dia, lax), args, boqd_product)
+                assert _holds((box, dia, lax), args)
 
 
 def test_interchange_holds_in_its_own_direction_only():
@@ -319,6 +319,15 @@ def test_psi_koszul_sign_on_mixed_degrees():
     assert rows == [{spab.index(1, 0, 1): -1}, {spab.index(1, 1, 1): 1}]
 
 
+def _rows_led_past(rows, past):
+    """The RREF rows of span(rows) led at or past column past, shifted down
+    by past: a RREF row's lead is its smallest column, so they span the
+    meet of span(rows) with the coordinate subspace of the columns from
+    past on."""
+    return [{c - past: v for c, v in row.items()}
+            for row in echelon_rows(rows) if min(row) >= past]
+
+
 def _mixed_row_preimage(a, b):
     """The white relations as the preimage of the mixed rows: every row of
     R_A (x) T_B(3) + T_A(3) (x) R_B, each diagonal column moved past all
@@ -339,7 +348,7 @@ def _mixed_row_preimage(a, b):
             col, sign = moved.get(c, (c, 1))
             out[col] = sign * v
         placed.append(out)
-    return rows_past(placed, past)
+    return _rows_led_past(placed, past)
 
 
 def test_white_rows_are_the_mixed_row_preimage():
@@ -347,7 +356,7 @@ def test_white_rows_are_the_mixed_row_preimage():
     # the oracle eliminates every mixed row instead.  The circ products are
     # the interchange-sized operands, with up to four generators
     rng = random.Random(41)
-    pairs = [(random_boqd(rng, "a"), random_boqd(rng, "b")) for _ in range(60)]
+    pairs = [(random_boqd(rng, "a"), random_boqd(rng, "b")) for _ in range(265)]
     for _ in range(8):
         a = boqd_product("circ", random_boqd(rng, "a"), random_boqd(rng, "a'"))
         b = boqd_product("circ", random_boqd(rng, "b"), random_boqd(rng, "b'"))
@@ -369,7 +378,10 @@ def test_white_rows_are_the_mixed_row_preimage():
         white = boqd_product("white", a, b)
         oracle = Subspace(white.space.ambient, _mixed_row_preimage(a, b))
         assert white.relations == oracle
-    assert odd and non_unit
+        # stored column-sorted, as the elimination stores them
+        assert [list(r.items()) for r in white.relations.rows] == \
+            [list(r.items()) for r in oracle.rows]
+    assert len(pairs) >= 300 and odd and non_unit
 
 
 def test_closure_check_rejects_open_relations():
@@ -436,14 +448,13 @@ def test_data_stored_as_built_equal_a_fresh_elimination():
         empty = make_boqd(mod, [])
         full = make_boqd(mod, [{c: 1} for c in range(mod.arity3.dim)])
         other = random_boqd(rng, "f")
-        # a direct sum needs distinct labels: a second module for the pairs
-        # of two degenerate factors
+        # pairs of two degenerate factors on one module and on two
         gmod = random_s2module(rng, "g")
         empty_g = make_boqd(gmod, [])
         full_g = make_boqd(gmod, [{c: 1} for c in range(gmod.arity3.dim)])
         pairs += [(empty, other), (other, full), (full, empty_g),
                   (empty, full_g), (full, full_g), (zero_boqd(), other),
-                  (other, zero_boqd())]
+                  (other, zero_boqd()), (full, empty)]
     odd = swapped = non_unit = False
     built = 0
     for a, b in pairs:
@@ -454,7 +465,7 @@ def test_data_stored_as_built_equal_a_fresh_elimination():
             non_unit = non_unit or any(
                 r[next(iter(r))] != 1 for r in m.relations.rows)
         for name in ("vee", "oplus", "tril", "trir", "white"):
-            p = fresh_product(name, a, b)
+            p = boqd_product.__wrapped__(name, a, b)
             fresh = Subspace(p.space.ambient, p.relations.rows)
             assert _as_built(p.relations) == _as_built(fresh), name
             built += 1

@@ -344,6 +344,26 @@ def test_both_qd_spellings_count_toward_build_product(tmp_path, capsys):
         assert out == spaced
 
 
+def test_build_product_of_data_that_share_labels(tmp_path, capsys):
+    # labels name generators and may repeat in a product; a JSON document
+    # still names each generator once
+    for argv in (["--product", "oplus", "--qd=DK", "--qd=DK", "--n", "3"],
+                 ["--product", "oplus", "--qd", "DK", "--qd", "BKW", "--n", "3"],
+                 ["--product", "vee", "--qd", "AOS", "--qd", "AOS", "--n", "3"]):
+        code, out, err = run_cli(["build"] + argv, capsys)
+        assert code == 0, err
+        labels = [g["label"] for g in json.loads(out)["generators"]]
+        assert len(labels) == 6 and labels[:3] == labels[3:]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({
+        "flavor": "plain", "relations": [],
+        "generators": [{"label": "x", "degree": 0}, {"label": "x", "degree": 0}]}))
+    code, out, err = run_cli(["build", "--qd", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "pairwise distinct" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["dims", "--qd", "DK", "--qd", "AOS", "--n", "3", "--wmax", "2"],
     ["dims", "--qd=DK", "--qd=AOS", "--n", "3", "--relations"],

@@ -65,7 +65,8 @@ def test_dimension_formula_random():
     for _ in range(40):
         a = rand_subspace(rng, amb)
         b = rand_subspace(rng, amb)
-        assert (a + b).dim + _intersect(a, b).dim == a.dim + b.dim
+        total = Subspace(amb, list(a.rows) + list(b.rows))
+        assert total.dim + _intersect(a, b).dim == a.dim + b.dim
 
 
 def test_annihilator_trivial_and_double():
@@ -242,9 +243,11 @@ def test_queries_agree_with_fresh_elimination(rows, queries, coeffs, zeros):
 def test_stored_null_and_cut_rows_are_int_rows(rows):
     sub = Subspace(QAMB, rows)
     null = exactlin.nullspace_rows(sub.rows, QN)
-    for r in list(sub.rows) + null + exactlin.rows_past(rows, 2):
+    perp = exactlin.perp_rows(rows, QN)
+    for r in list(sub.rows) + null + perp:
         assert all(type(v) is int and v for v in r.values())
     assert Subspace(QAMB, null).dim == len(null) == QN - sub.dim
+    assert Subspace.from_rref(QAMB, perp) == Subspace(QAMB, null)
     for r in sub.rows:
         assert all(sum(v * x.get(c, 0) for c, v in r.items()) == 0 for x in null)
 

@@ -35,8 +35,10 @@ def test_graded_space_validation():
         GradedSpace(("x",), (1,), (0,))  # odd degree, even odd-letter count
     with pytest.raises(ValueError):
         GradedSpace(("x", "y"), (0,))
-    with pytest.raises(ValueError):
-        GradedSpace(("x", "x"), (0, 1))
+    # labels name basis vectors and may repeat; a space is its positions
+    twice = GradedSpace(("x", "x"), (0, 1))
+    assert twice.dim == 2 and twice != GradedSpace(("x", "x"), (1, 0))
+    assert twice == GradedSpace(("x", "x"), (0, 1))
 
 
 def test_shift_round_trip_with_square_maps():
@@ -75,7 +77,8 @@ def test_signed_square_dims():
         sym, alt = signed_square(V, 1), signed_square(V, -1)
         assert sym.dim == comb(a + 1, 2) + a * b + comb(b, 2)
         assert alt.dim == comb(a, 2) + a * b + comb(b + 1, 2)
-        assert (sym + alt).dim == (a + b) ** 2 == sym.dim + alt.dim
+        both = Subspace(square(V), list(sym.rows) + list(alt.rows))
+        assert both.dim == (a + b) ** 2 == sym.dim + alt.dim
 
 
 def test_one_dim_squares():
@@ -110,6 +113,6 @@ def test_mixed_bracket_dims():
     minus = Subspace(amb, mixed_bracket(V, W, -1))
     assert plus.dim == 2
     assert minus.dim == 2
-    assert (plus + minus).dim == 4
+    assert Subspace(amb, list(plus.rows) + list(minus.rows)).dim == 4
     # the raw rows are already the canonical RREF
     assert tuple(mixed_bracket(V, W, +1)) == plus.rows

@@ -17,9 +17,8 @@ from quadop.operads import (
     verify_relation_morphism,
     _SubsetScheme,
     _rel_refined,
-    _tagged,
 )
-from quadop.qd import SQUARE_SIGN, QDFlavor
+from quadop.qd import SQUARE_SIGN, QDFlavor, monoidal_product
 from quadop.report import first_failure
 from quadop.suites import _FAMILY_BOUNDS, suite_operad_axioms
 
@@ -331,13 +330,17 @@ def test_full_families_take_the_shared_signed_square(name, k):
 
 
 def test_compositions_of_one_arity_pair_share_one_source():
+    # the source of o_p on (n, m) is the generator space of oplus(P(n), P(m)),
+    # labels repeated when n = m, one object for every slot
     for name, k, bound in _FAMILY_BOUNDS:
-        s = build_family(name, k=k).scheme
+        fam = build_family(name, k=k)
+        s = fam.scheme
         for n in range(1, bound + 1):
             for m in range(0 if s.symmetric else 1, bound + 2 - n):
                 [src] = {id(s.comp(n, m, p).source) for p in range(1, n + 1)}
-                assert s.comp(n, m, 1).source == direct_sum(
-                    _tagged(s.gen_space(n), "o:"), _tagged(s.gen_space(m), "i:"))
+                oplus = monoidal_product("oplus", fam.component(n), fam.component(m))
+                assert s.comp(n, m, 1).source == oplus.generators
+                assert oplus.generators == direct_sum(s.gen_space(n), s.gen_space(m))
 
 
 def test_one_family_object_per_name_and_k():
@@ -510,13 +513,11 @@ def test_bracket_image_spot():
     from quadop.graded import mixed_bracket, square
     from quadop.qd import square_apply_rows
     from quadop.exactlin import Subspace
-    from quadop.operads import _tagged
 
     bkw = build_family("BKW")
-    ta = _tagged(bkw.scheme.gen_space(2), "o:")
-    tb = _tagged(bkw.scheme.gen_space(2), "i:")
+    v2 = bkw.scheme.gen_space(2)
     c = bkw.scheme.comp(2, 2, 1)
-    bracket = Subspace(square(c.source), mixed_bracket(ta, tb, -1))
+    bracket = Subspace(square(c.source), mixed_bracket(v2, v2, -1))
     assert bracket.dim == 1
     imgs = square_apply_rows(c, bracket.rows)
     img = Subspace(square(bkw.scheme.gen_space(3)), imgs)

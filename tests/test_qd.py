@@ -10,7 +10,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadop.exactlin import LinearMap, Subspace, Vector, compose_cols, nullspace_rows
+from quadop.exactlin import (LinearMap, Subspace, Vector, compose_cols,
+                             nullspace_rows, perp_rows, signed_rows)
 from quadop.graded import (
     GradedSpace,
     _pair_vector,
@@ -35,6 +36,7 @@ from quadop.qd import (
     SQUARE_SIGN,
     STRONG_MONOIDALITY_TABLE,
     apply_functor,
+    black_unit,
     check_associativity,
     check_braiding,
     check_morphism,
@@ -52,6 +54,7 @@ from quadop.qd import (
     qd_to_json,
     qd_zero,
     verify_diagram_face,
+    white_unit,
     _functor_image,
 )
 from quadop.rand import _flavor_pool, child_rng, random_graded_space, random_qd
@@ -103,6 +106,34 @@ def test_products_units_and_examples():
     assert monoidal_product("tensor", A, z) == A
     with pytest.raises(FlavorMismatch):
         monoidal_product("vee", A, B)
+
+
+def test_products_of_data_that_share_labels_build_and_keep_their_laws():
+    # labels name generators and may repeat: a datum with itself, DK and
+    # BKW on one edge set, and a unit with itself are factors like any
+    # other, and the unit, associativity and braiding laws hold on them
+    dk, bkw, aos = named_qd("DK", 3), named_qd("BKW", 3), aos_data(3)
+    for name, a, b in (("oplus", dk, bkw), ("oplus", dk, dk), ("vee", aos, aos),
+                       ("utensor", white_unit(), white_unit()),
+                       ("utensor", black_unit(), black_unit())):
+        p = monoidal_product(name, a, b)
+        labels = p.generators.labels
+        assert labels == a.generators.labels + b.generators.labels
+        assert len(set(labels)) < len(labels)
+        bracket = 0 if name == "vee" else a.gdim * b.gdim
+        assert p.rdim == a.rdim + b.rdim + bracket
+        assert all(r.passed for r in check_unit_laws(p)), name
+        assert check_associativity(name, a, b, a)
+        assert check_associativity(name, p, a, p)
+        assert check_braiding(name, a, b)
+    # a tensor label can arise twice: a (x) (b (x) c) and (a (x) b) (x) c
+    x = make_qd("plain", GradedSpace.from_labels(["a", "a⊗b"]), [{0: 1, 3: 1}])
+    y = make_qd("plain", GradedSpace.from_labels(["b⊗c", "c"]), [{1: 1}])
+    xy = monoidal_product("black", x, y)
+    assert xy.generators.labels == ("a⊗b⊗c", "a⊗c", "a⊗b⊗b⊗c", "a⊗b⊗c")
+    assert xy.rdim == 1
+    assert all(r.passed for r in check_unit_laws(xy))
+    assert check_associativity("black", x, y, x)
 
 
 def test_each_product_is_defined_on_its_flavors_and_keeps_them():
@@ -295,6 +326,27 @@ def test_star_matches_the_annihilator_cut_by_the_signed_square():
             assert [list(r.items()) for r in star.relations.rows] == \
                 [list(r.items()) for r in expected.rows]
     assert with_odd > 200
+
+
+def test_plain_star_is_the_perp_rows_construction():
+    # STAR of plain data reads the null rows of the signed relations off
+    # the stored rows and eliminates them once; the oracle eliminates the
+    # signed rows in reversed column order and stores the rows perp_rows
+    # reads off that elimination as built
+    rng = random.Random(38)
+    signed = 0
+    for _ in range(300):
+        a = random_qd(rng, "plain", "a", max_dim=3)
+        dv = dual(a.generators)
+        signs = [word_sign(k) for k in a.relations.ambient.odds]
+        signed += -1 in signs and a.rdim > 0
+        expected = Subspace.from_rref(square(dv), perp_rows(
+            signed_rows(a.relations.rows, signs), len(signs)))
+        star = _functor_image.__wrapped__(FunctorName.STAR, a)
+        assert star.relations == expected, a
+        assert [list(r.items()) for r in star.relations.rows] == \
+            [list(r.items()) for r in expected.rows]
+    assert signed > 50
 
 
 def test_shift_matches_the_image_under_the_square_map():
