@@ -1,7 +1,8 @@
 """Exact rational linear algebra on labeled ambient bases.
 
-An ambient is a graded.GradedSpace; this module reads only its dim and its
-labels (names, which may repeat), so it imports nothing from graded.
+An ambient is a graded.GradedSpace; this module reads only its dim, its
+labels (names, which may repeat) and its hash, so it imports nothing from
+graded.
 Ambients compare with ==.
 
 Subspaces are canonical: stored as the kernel's integer RREF of their span
@@ -25,7 +26,9 @@ exact scalar (an int when integral, a Fraction only with a denominator,
 the normal form of the scalars of vectors and maps), and
 graded.rows_to_json prints each row divided by its pivot.  Membership
 queries reduce against the stored rows by pivot column and run no
-elimination.  All values are immutable after construction by
+elimination; a query against a datum's whole signed square is the swap
+test graded.in_signed_square instead, chosen by qd.escaping_image, and
+reaches no subspace.  All values are immutable after construction by
 convention: the value classes here and in graded, qd, boqd and report are
 plain classes, and no method rebinds a field once the constructor has set
 it, though nothing stops a caller from doing so.
@@ -163,7 +166,7 @@ class Subspace:
         h = self._hash
         if h is None:
             h = self._hash = hash(
-                (self.ambient.labels, tuple(tuple(r.items()) for r in self.rows))
+                (self.ambient, tuple(tuple(r.items()) for r in self.rows))
             )
         return h
 
@@ -304,7 +307,8 @@ class LinearMap:
         if len(cols) != source.dim:
             raise ValueError("column count does not match source dimension")
         self.cols = tuple(
-            {c: scalar(v) for c, v in col.items() if v} for col in cols
+            {c: v if type(v) is int else scalar(v) for c, v in col.items() if v}
+            for col in cols
         )
         self._hash = None
 

@@ -253,6 +253,14 @@ def signed_square(v, sign):
     return Subspace.from_rref(square(v), rows)
 
 
+def signed_square_dim(v, sign):
+    """dim signed_square(v, sign), read off the degrees with no square
+    built: one pair vector per i < j, plus the diagonal x_i (x) x_i when
+    (-1)^|x_i| = sign, which is when its pair vector is not zero."""
+    n = v.dim
+    return n * (n - 1) // 2 + sum(1 for d in v.degrees if (-1) ** (d % 2) == sign)
+
+
 def in_signed_square(v, row, sign):
     """Whether a row of square(v) lies in signed_square(v, sign), read off
     the signed swap tau(x_i (x) x_j) = (-1)^{|x_i||x_j|} x_j (x) x_i with no

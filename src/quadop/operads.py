@@ -8,7 +8,8 @@ the index scheme's per-generator formula.  The scheme owns the generator
 spaces, compositions (all slots of one (n, m) share one source V(n) ⊕ V(m))
 and group action, built once per process for each scheme and k.  A family
 is a scheme plus its relations relation_fn(scheme, n), and the full ones
-(BKW, HG, LG, LHG) take the cached signed square itself.  The axiom
+(BKW, HG, LG, LHG) take the cached signed square itself, so the relation
+law answers their images by the swap test (qd.escaping_image).  The axiom
 verifier and the minimal closure take the scheme alone; the axioms are
 checked exhaustively at bounded arity on generator bases.
 """
@@ -51,18 +52,10 @@ def perm_inverse(p):
 def inflate_outer(sigma, n, m, p):
     """sigma' in S_{n+m-1} with (mu.sigma) o_p nu = (mu o_{sigma(p)} nu).sigma'."""
     q = sigma[p - 1]
-    lhs_tags = (
-        [("m", sigma[x - 1]) for x in range(1, p)]
-        + [("n", i) for i in range(1, m + 1)]
-        + [("m", sigma[x - 1]) for x in range(p + 1, n + 1)]
-    )
-    rhs_tags = (
-        [("m", x) for x in range(1, q)]
-        + [("n", i) for i in range(1, m + 1)]
-        + [("m", x) for x in range(q + 1, n + 1)]
-    )
-    pos = {t: i + 1 for i, t in enumerate(rhs_tags)}
-    return tuple(pos[t] for t in lhs_tags)
+    # the outer vertices keep their order, and those past q move up by
+    # m - 1: q itself gives way to the m inserted vertices
+    outer = [y if y < q else y + m - 1 for y in sigma[:p - 1] + sigma[p:]]
+    return tuple(outer[:p - 1]) + tuple(range(q, q + m)) + tuple(outer[p - 1:])
 
 
 def inflate_inner(tau, n, m, p):
@@ -419,7 +412,7 @@ def verify_relation_morphism(family, nmax):
                 if c in pushed:
                     continue
                 pushed.append(c)
-                img = escaping_image(c, rows, target.relations)
+                img = escaping_image(c, rows, target)
                 if img is not None:
                     return [Report("relation-morphism", False,
                                    "escape at (n,m,p)=%s" % ((n, m, p),),

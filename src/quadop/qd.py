@@ -35,6 +35,7 @@ from .graded import (
     shift,
     shift_square_map,
     signed_square,
+    signed_square_dim,
     space_from_json,
     space_to_json,
     square,
@@ -153,16 +154,19 @@ def square_apply_rows(f, rows):
     block-wise, tau_i(x, x') -> tau_i(f x, f x').
     """
     ns, nt = f.source.dim, f.target.dim
+    cols = [tuple(col.items()) for col in f.cols]
     out = []
     for row in rows:
         acc = {}
         for col, coeff in row.items():
             i, j = divmod(col, ns)
             b, i = divmod(i, ns)
-            for r1, v1 in f.cols[i].items():
-                for r2, v2 in f.cols[j].items():
-                    k = (b * nt + r1) * nt + r2
-                    w = acc.get(k, 0) + coeff * v1 * v2
+            right, base = cols[j], b * nt
+            for r1, v1 in cols[i]:
+                head, left = (base + r1) * nt, coeff * v1
+                for r2, v2 in right:
+                    k = head + r2
+                    w = acc.get(k, 0) + left * v2
                     if w:
                         acc[k] = w
                     elif k in acc:
@@ -182,18 +186,38 @@ def check_morphism(f, a, b):
         for r in col:
             if b.generators.degrees[r] != d:
                 raise ValueError("generator map is not of degree zero")
-    return escaping_image(f, a.relations.rows, b.relations) is None
+    return escaping_image(f, a.relations.rows, b) is None
 
 
 def escaping_image(f, rows, target):
-    """The first image of rows under f(x)f that the subspace target does not
-    contain, or None.  An empty image is contained and takes no query: the
-    compositions of the operad families send about a quarter of their
-    relation rows to zero."""
+    """The first image of rows under f(x)f that the relations of the datum
+    target do not contain, or None.  An empty image is contained and takes
+    no query: the compositions of the operad families send about a quarter
+    of their relation rows to zero.  A symmetric or skew target whose
+    relations are its whole signed square (the full operad families) answers
+    each image by the swap test in_signed_square; every other target, BOQD
+    data among them, reduces each image against its stored rows."""
+    sign = _full_square_sign(target)
+    if sign is None:
+        member = target.relations.contains
+    else:
+        gens = target.generators
+        member = lambda img: in_signed_square(gens, img, sign)
     for img in square_apply_rows(f, rows):
-        if img and not target.contains(img):
+        if img and not member(img):
             return img
     return None
+
+
+def _full_square_sign(a):
+    """The sign of the signed square that the relations of a fill, or None.
+    The flavor check puts the relations of symmetric and skew data inside
+    their signed square, so they fill it when the dimensions agree; the
+    square's dimension is read off the degrees, and no square is built."""
+    if a.__class__ is not QuadraticData or a.flavor not in SQUARE_SIGN:
+        return None
+    sign = SQUARE_SIGN[a.flavor]
+    return sign if a.rdim == signed_square_dim(a.generators, sign) else None
 
 
 def _embed_rows(rows, ns, offset, nt):
@@ -449,7 +473,7 @@ def interchange_holds(product, box, dia, lax, data, spaces):
     """Whether the interchange map sends the relations of its source into
     those of its target."""
     src, tgt, f = interchange(product, box, dia, lax, data, spaces)
-    return escaping_image(f, src.relations.rows, tgt.relations) is None
+    return escaping_image(f, src.relations.rows, tgt) is None
 
 
 # ---------------------------------------------------------------------------

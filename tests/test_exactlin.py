@@ -171,6 +171,9 @@ def test_maps_and_vectors_store_integral_values_as_ints():
     f = LinearMap(A, A, [{0: Fraction(4, 2), 1: Fraction(1, 2)}, {1: "3"}])
     assert f.cols == ({0: 2, 1: Fraction(1, 2)}, {1: 3})
     assert type(f.cols[0][0]) is int and type(f.cols[1][1]) is int
+    # int entries are stored as they are, zeros dropped
+    g = LinearMap(A, A, [{0: 5, 1: 0}, {0: -1, 1: 2}])
+    assert g.cols == ({0: 5}, {0: -1, 1: 2})
     v = Vector(A, {0: Fraction(4, 2), 1: Fraction(1, 2)})
     assert type(v.data[0]) is int and v.data[1] == Fraction(1, 2)
 

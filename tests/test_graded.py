@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -9,10 +10,12 @@ from quadop.graded import (
     braiding_map,
     direct_sum,
     dual,
+    in_signed_square,
     mixed_bracket,
     shift,
     shift_square_map,
     signed_square,
+    signed_square_dim,
     square,
     tensor_product,
 )
@@ -116,3 +119,36 @@ def test_mixed_bracket_dims():
     assert Subspace(amb, list(plus.rows) + list(minus.rows)).dim == 4
     # the raw rows are already the canonical RREF
     assert tuple(mixed_bracket(V, W, +1)) == plus.rows
+
+
+def test_swap_test_is_membership_in_the_signed_square():
+    # random members of the signed square of random mixed-degree spaces, half
+    # of them perturbed at a column whose unit vector lies outside it, so
+    # that they escape; the swap test must agree with the reduction against
+    # the stored rows, and the dimension formula with the stored rows
+    rng = random.Random(20250808)
+    escaped = 0
+    for _ in range(400):
+        degrees = [rng.randint(-1, 2) for _ in range(rng.randint(1, 4))]
+        v = GradedSpace(tuple("x%d" % i for i in range(len(degrees))), tuple(degrees))
+        sign = rng.choice((1, -1))
+        full = signed_square(v, sign)
+        assert signed_square_dim(v, sign) == full.dim
+        row = {}
+        for basis_row in full.rows:
+            c = rng.choice((-2, -1, 0, 1, Fraction(1, 2), 3))
+            for col, x in basis_row.items():
+                row[col] = row.get(col, 0) + c * x
+        row = {col: x for col, x in row.items() if x}
+        if rng.random() < 0.5:
+            # e_c is in the square only at a diagonal column whose pair
+            # vector is not zero, which the signed square stores as {c: 1}
+            outside = [c for c in range(v.dim ** 2) if {c: 1} not in full.rows]
+            if outside:
+                c = rng.choice(outside)
+                row[c] = row.get(c, 0) + rng.choice((-1, 1, Fraction(2, 3)))
+                row = {col: x for col, x in row.items() if x}
+                assert not full.contains(row)
+                escaped += 1
+        assert in_signed_square(v, row, sign) == full.contains(row)
+    assert escaped >= 150

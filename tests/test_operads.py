@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +19,7 @@ from quadop.operads import (
     _SubsetScheme,
     _rel_refined,
 )
+from quadop import qd
 from quadop.qd import SQUARE_SIGN, QDFlavor, monoidal_product
 from quadop.report import first_failure
 from quadop.suites import _FAMILY_BOUNDS, suite_operad_axioms
@@ -430,6 +432,60 @@ def test_failing_relation_morphism_reports(make, want):
     [r] = verify_relation_morphism(make(), 4)
     assert (r.name, r.status, r.details, str(r.witness)) == (
         "relation-morphism", "FAIL", *want)
+
+
+def test_full_family_escape_is_reported_with_its_image(monkeypatch):
+    # BKW's relations are its whole skew square, so each image is answered
+    # by the swap test, not by a reduction; one pushed image moved off the
+    # square (an entry of an antisymmetric pair doubled) must be the witness
+    fam = build_family("BKW")
+    for n in range(2, 5):
+        assert qd._full_square_sign(fam.component(n)) == -1
+    push, moved = qd.square_apply_rows, []
+
+    def perturbed(f, rows):
+        imgs = push(f, rows)
+        img = None if moved else next((img for img in imgs if img), None)
+        if img:
+            img[next(iter(img))] *= 2
+            moved.append(dict(img))
+        return imgs
+
+    monkeypatch.setattr(qd, "square_apply_rows", perturbed)
+    [r] = verify_relation_morphism(fam, 4)
+    assert (r.name, r.status) == ("relation-morphism", "FAIL")
+    assert r.details.startswith("escape at (n,m,p)=")
+    assert moved and r.witness == moved[0]
+
+
+def _tag_inflate_outer(sigma, n, m, p):
+    """inflate_outer as a relabeling of tags: the positions of the outer
+    and inserted vertices on the left side, read on the right side."""
+    q = sigma[p - 1]
+    lhs_tags = (
+        [("m", sigma[x - 1]) for x in range(1, p)]
+        + [("n", i) for i in range(1, m + 1)]
+        + [("m", sigma[x - 1]) for x in range(p + 1, n + 1)]
+    )
+    rhs_tags = (
+        [("m", x) for x in range(1, q)]
+        + [("n", i) for i in range(1, m + 1)]
+        + [("m", x) for x in range(q + 1, n + 1)]
+    )
+    pos = {t: i + 1 for i, t in enumerate(rhs_tags)}
+    return tuple(pos[t] for t in lhs_tags)
+
+
+def test_inflate_outer_is_the_tag_relabeling():
+    cases = 0
+    for n in range(1, 6):
+        for sigma in permutations(range(1, n + 1)):
+            for p in range(1, n + 1):
+                for m in range(4):
+                    assert inflate_outer(sigma, n, m, p) == _tag_inflate_outer(
+                        sigma, n, m, p)
+                    cases += 1
+    assert cases == 4 * sum(f * n for n, f in ((1, 1), (2, 2), (3, 6), (4, 24), (5, 120)))
 
 
 def test_minimality_bkw_to_dk():
